@@ -20,7 +20,7 @@ from itertools import permutations
 import numpy as np
 
 from ._systems import system_residuals
-from .core import AlgebraStructure, Tolerance, residual_scale
+from .core import AlgebraStructure, Tolerance, _frozen, residual_scale
 from .decompose import LSPKDecomposition
 from .errors import (
     DimensionMismatch,
@@ -45,12 +45,6 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _require_pd(g: np.ndarray, label: str, tol: Tolerance) -> None:

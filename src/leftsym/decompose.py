@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._systems import system_residuals
+from ._systems import _max_or_none, system_residuals
 from .core import AlgebraStructure, Tolerance, change_basis, multiply, residual_scale
 from .errors import (
     BlockNotSkew,
@@ -76,10 +76,6 @@ def _orthonormalize(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
             raise DiagonalizationFailed("complement basis degenerated during orthonormalization")
         out.append(u / norm)
     return np.column_stack(out) if out else np.zeros((cols.shape[0], 0))
-
-
-def _max_or_none(t: np.ndarray) -> float | None:
-    return None if t.size == 0 else float(np.max(np.abs(t)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,11 +10,12 @@ import json
 import numpy as np
 import pytest
 
-from leftsym import MetricAlgebra, koszul_form
+from leftsym import BilinearForm, MetricAlgebra, koszul_form
 from leftsym.algfile import parse_algebra_file, render_algebra_file
 from leftsym.catalog import catalog_build
 from leftsym.cli import run
 from leftsym.construct import kdim2_family
+from test_geometry import assert_blocks_match_oracle
 
 
 @pytest.fixture
@@ -137,6 +138,21 @@ def test_geometry_tb_json(dim2_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(np.array(doc["tb_ricci_hh"]), -1.5 * np.eye(2), atol=1e-9)
     np.testing.assert_allclose(np.array(doc["tb_ricci_hv"]), np.zeros((2, 2)), atol=1e-12)
+
+
+def test_geometry_json_with_file_metric(tmp_path, capsys):
+    # diag(1, 2) is not a multiple of the trace form: the blocks are reported,
+    # not compared against -beta
+    A = catalog_build("lspk_dim2")
+    metric = BilinearForm(np.diag([1.0, 2.0]))
+    p = tmp_path / "metric.json"
+    p.write_text(render_algebra_file(A, metric=metric))
+    assert run(["geometry", str(p), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hessian_residual"] > 0.0
+    assert_blocks_match_oracle(
+        MetricAlgebra(A, metric), np.array(doc["tb_ricci_hh"]), np.array(doc["tb_ricci_vv"])
+    )
 
 
 def test_geometry_rejects_non_flat(kdim2_file):

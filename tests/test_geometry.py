@@ -19,7 +19,9 @@ from leftsym import (
     NotLSPK,
     PreconditionFailed,
     base_curvature,
+    build_corollary1,
     build_milnor,
+    change_basis,
     einstein_check,
     gamma_operator,
     kdim2_family,
@@ -27,6 +29,7 @@ from leftsym import (
     levi_civita_product,
     lie_bracket_constants,
     multiply,
+    residual_scale,
     second_koszul_form,
     tangent_bundle_ricci,
     trace_one_form,
@@ -39,6 +42,88 @@ LSPK_NAMES = ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
 
 def _with_koszul(A: AlgebraStructure, scale: float = 1.0) -> MetricAlgebra:
     return MetricAlgebra(A, BilinearForm(scale * koszul_form(A).matrix))
+
+
+def frame_sum_ricci(M: MetricAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference oracle: the double-space Ricci blocks (hh, vv, hv) by brute force.
+
+    The six curvature component formulas are evaluated on every pair of
+    basis vectors and summed over a g-orthonormal frame, with no shortcuts,
+    so the library's closed-form contractions are checked against an
+    independent route.
+    """
+    base = base_curvature(M)
+    gamma = base.gamma
+    lbar = base.lc.constants.transpose(0, 2, 1)  # lbar[i] = matrix of Lbar_{e_i}
+    g = M.metric.matrix
+    n = M.dim
+
+    def gam(x):
+        return np.einsum("i,ilk->lk", x, gamma)
+
+    def lb(x):
+        return np.einsum("i,ilk->lk", x, lbar)
+
+    def kop(x, y):
+        return np.einsum("i,j,ijkl->lk", x, y, base.K)
+
+    def dgamma(x, y, z):
+        """(D_x gamma)(y, z) as a vector."""
+        return lb(x) @ (gam(y) @ z) - gam(lb(x) @ y) @ z - gam(y) @ (lb(x) @ z)
+
+    def riemann(u, v, w):
+        """Full curvature value R(u, v)w on pairs (horizontal, vertical)."""
+        uh, uv = u
+        vh, vv = v
+        wh, wv = w
+        out_h = np.zeros(n)
+        out_v = np.zeros(n)
+        # both arguments horizontal: base curvature on each component
+        k_hh = kop(uh, vh)
+        out_h += k_hh @ wh
+        out_v += k_hh @ wv
+        # both vertical: commutator of gamma operators on each component
+        c_vv = gam(uv) @ gam(vv) - gam(vv) @ gam(uv)
+        out_h += c_vv @ wh
+        out_v += c_vv @ wv
+        # mixed horizontal-vertical, and its transpose by antisymmetry
+        out_v += -dgamma(uh, wh, vv) - gam(wh) @ (gam(uh) @ vv)
+        out_h += dgamma(uh, vv, wv) + gam(wv) @ (gam(uh) @ vv)
+        out_v -= -dgamma(vh, wh, uv) - gam(wh) @ (gam(vh) @ uv)
+        out_h -= dgamma(vh, uv, wv) + gam(wv) @ (gam(vh) @ uv)
+        return out_h, out_v
+
+    frame = np.linalg.inv(np.linalg.cholesky(g)).T  # columns orthonormal for g
+    zero = np.zeros(n)
+
+    def ric(u, v):
+        total = 0.0
+        for i in range(n):
+            e = frame[:, i]
+            rh, _ = riemann(u, (e, zero), v)
+            total += float(rh @ g @ e)
+            _, rv = riemann(u, (zero, e), v)
+            total += float(rv @ g @ e)
+        return total
+
+    hh, vv, hv = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    eye = np.eye(n)
+    for a in range(n):
+        for b in range(n):
+            ea, eb = eye[a], eye[b]
+            hh[a, b] = ric((ea, zero), (eb, zero))
+            vv[a, b] = ric((zero, ea), (zero, eb))
+            hv[a, b] = ric((ea, zero), (zero, eb))
+    return hh, vv, hv
+
+
+def assert_blocks_match_oracle(M: MetricAlgebra, hh: np.ndarray, vv: np.ndarray) -> None:
+    """hh and vv agree with frame_sum_ricci, whose mixed block is exactly zero."""
+    want_hh, want_vv, want_hv = frame_sum_ricci(M)
+    assert np.max(np.abs(want_hv)) == 0.0
+    scale = residual_scale(M.algebra.constants, M.metric.matrix, want_hh, want_vv)
+    np.testing.assert_allclose(hh, want_hh, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(vv, want_vv, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_levi_civita_is_metric_and_torsion_free(dim2):
@@ -165,6 +250,30 @@ def test_diagonal_blocks_agree_across_catalog(name):
     assert np.max(np.abs(rep.tb_ricci_hv)) <= 1e-10
 
 
+@pytest.mark.parametrize("metric", ["trace", "trace3", "spd"])
+@pytest.mark.parametrize("name", LSPK_NAMES)
+def test_blocks_match_frame_sum_oracle(name, metric):
+    # a seeded orthogonal transport leaves no basis-aligned zeros to hide behind;
+    # the random metric is not a Hessian partner, so only the oracle pins it
+    rng = np.random.default_rng(LSPK_NAMES.index(name))
+    A = catalog_build(name)
+    q, _ = np.linalg.qr(rng.standard_normal((A.dim, A.dim)))
+    A = change_basis(A, q)
+    B = koszul_form(A).matrix
+    x = rng.standard_normal((A.dim, A.dim))
+    g = {"trace": B, "trace3": 3.0 * B, "spd": x @ x.T + A.dim * np.eye(A.dim)}[metric]
+    M = MetricAlgebra(A, BilinearForm(g))
+    rep = tangent_bundle_ricci(M)
+    assert_blocks_match_oracle(M, rep.tb_ricci_hh.matrix, rep.tb_ricci_vv.matrix)
+    assert np.max(np.abs(rep.tb_ricci_hv)) == 0.0
+
+
+def test_blocks_match_frame_sum_oracle_degenerate(a0_metric):
+    for M in (_with_koszul(build_corollary1(0)), a0_metric):
+        rep = tangent_bundle_ricci(M)
+        assert_blocks_match_oracle(M, rep.tb_ricci_hh.matrix, rep.tb_ricci_vv.matrix)
+
+
 def test_nilpotent_double_space_is_ricci_flat(a0_metric):
     rep = tangent_bundle_ricci(a0_metric)
     assert np.max(np.abs(rep.tb_ricci_hh.matrix)) == 0.0
@@ -191,8 +300,10 @@ def test_report_serializes(dim2):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_einstein_factor_tracks_metric_scale(dim2, alpha):
-    mu = einstein_check(dim2, alpha)
-    assert abs(mu + 1.0 / alpha) <= 1e-9
+    # dimension 1 and 12 pin the ends of the closed-form range
+    for A in (dim2, build_corollary1(0), build_corollary1(11)):
+        mu = einstein_check(A, alpha)
+        assert abs(mu + 1.0 / alpha) <= 1e-9, A.dim
 
 
 def test_einstein_check_rejections(a0):
