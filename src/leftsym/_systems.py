@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _max_or_none(t: np.ndarray) -> float | None:
-    return None if t.size == 0 else float(np.max(np.abs(t)))
+from .core import _max_abs
 
 
 def _combine(*parts: float | None) -> float | None:
@@ -44,17 +42,17 @@ def system_residuals(
 
     m1 = g1 @ b1
     m2 = g2 @ b2
-    out["B1_skew"] = _max_or_none(m1 + m1.T)
-    out["B2_skew"] = _max_or_none(m2 + m2.T)
+    out["B1_skew"] = _max_abs(m1 + m1.T)
+    out["B2_skew"] = _max_abs(m2 + m2.T)
 
     # flatness conditions: the first-part actions are traceless and commute
-    out["theo-i-trace"] = _max_or_none(np.einsum("xkk->x", rho1))
+    out["theo-i-trace"] = _max_abs(np.einsum("xkk->x", rho1))
     comm1 = np.einsum("xab,ybc->xyac", rho1, rho1)
-    out["theo-i-commute"] = _max_or_none(comm1 - comm1.transpose(1, 0, 2, 3))
+    out["theo-i-commute"] = _max_abs(comm1 - comm1.transpose(1, 0, 2, 3))
 
     # the second-part action is a representation of the induced bracket
     c2_bracket = c2 - c2.transpose(1, 0, 2)
-    out["theo-ii"] = _max_or_none(
+    out["theo-ii"] = _max_abs(
         np.einsum("ijm,mab->ijab", c2_bracket, rho2)
         - np.einsum("iab,jbc->ijac", rho2, rho2)
         + np.einsum("jab,ibc->ijac", rho2, rho2)
@@ -69,7 +67,7 @@ def system_residuals(
     s1b = np.einsum("xyl,lz->xyz", omega2, g1) - (
         np.einsum("zyx->xyz", d1) + np.einsum("zxy->xyz", d1)
     )
-    out["S1"] = _combine(_max_or_none(s1a), _max_or_none(s1b))
+    out["S1"] = _combine(_max_abs(s1a), _max_abs(s1b))
 
     # S2: the second part is a Hessian algebra with sectional constant -1,
     # b2 is a derivation, and left traces match the action traces
@@ -86,10 +84,10 @@ def system_residuals(
     )
     trace_tie = np.einsum("xmm->x", c2) + np.einsum("xmm->x", rho2)
     out["S2"] = _combine(
-        _max_or_none(hess),
-        _max_or_none(anti2 - sect),
-        _max_or_none(deriv),
-        _max_or_none(trace_tie),
+        _max_abs(hess),
+        _max_abs(anti2 - sect),
+        _max_abs(deriv),
+        _max_abs(trace_tie),
     )
 
     # S3-1: first-part actions are almost derivations of the second product
@@ -98,27 +96,27 @@ def system_residuals(
     t2 = np.einsum("xmj,mkl->xjkl", rho1, c2)
     t3 = np.einsum("jax,alk->xjkl", rho2, rho1)
     t4 = np.einsum("jka,xal->xjkl", omega2, omega1)
-    out["S3-1"] = _max_or_none(lhs - t1 - t2 + t3 + t4)
+    out["S3-1"] = _max_abs(lhs - t1 - t2 + t3 + t4)
 
     # S3-2: composite action through the first part collapses
-    out["S3-2"] = _max_or_none(
+    out["S3-2"] = _max_abs(
         np.einsum("jmx,mlk->xjkl", rho1, rho2) + np.einsum("jkm,xml->xjkl", omega1, omega2)
     )
 
     # S3-3: first-part actions agree on the omega1 pairings
     term3 = np.einsum("jkm,xlm->xjkl", omega1, rho1)
-    out["S3-3"] = _max_or_none(term3 - term3.transpose(1, 0, 2, 3))
+    out["S3-3"] = _max_abs(term3 - term3.transpose(1, 0, 2, 3))
 
     # S3-4: cocycle condition for omega2 over the second product
     p1 = np.einsum("jka,xla->xjkl", omega2, rho2)
     p2 = np.einsum("jkm,xml->xjkl", c2, omega2)
     p3 = np.einsum("xjm,mkl->xjkl", c2_bracket, omega2)
-    out["S3-4"] = _max_or_none(
+    out["S3-4"] = _max_abs(
         (p1 - p1.transpose(1, 0, 2, 3)) + (p2 - p2.transpose(1, 0, 2, 3)) - p3
     )
 
     # S3-5: omega2 is invariant under the first-part actions
-    out["S3-5"] = _max_or_none(
+    out["S3-5"] = _max_abs(
         np.einsum("xmj,mkl->xjkl", rho1, omega2) + np.einsum("xmk,jml->xjkl", rho1, omega2)
     )
 
@@ -127,16 +125,16 @@ def system_residuals(
     q2 = np.einsum("xaj,akl->xjkl", rho2, omega1)
     q3 = np.einsum("xak,jal->xjkl", rho2, omega1)
     q4 = np.einsum("jk,xl->xjkl", g1, eye2)
-    out["S3-6"] = _max_or_none(q1 - q2 - q3 + q4)
+    out["S3-6"] = _max_abs(q1 - q2 - q3 + q4)
 
     # S3-7 / S3-8: the skew blocks intertwine the two action families
-    out["S3-7"] = _max_or_none(
+    out["S3-7"] = _max_abs(
         np.einsum("lm,xmk->xlk", b2, rho1)
         - np.einsum("xlm,mk->xlk", rho1, b2)
         - np.einsum("ax,alk->xlk", b1, rho1)
         - rho1 / 2.0
     )
-    out["S3-8"] = _max_or_none(
+    out["S3-8"] = _max_abs(
         np.einsum("lm,xmk->xlk", b1, rho2)
         - np.einsum("xlm,mk->xlk", rho2, b1)
         - np.einsum("ax,alk->xlk", b2, rho2)

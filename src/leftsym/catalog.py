@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .construct import MilnorSpec, build_milnor, kdim2_family
-from .core import AlgebraStructure, Tolerance, mult_operator, residual_scale
+from .core import AlgebraStructure, Tolerance, _max_abs, mult_operator, residual_scale
 from .decompose import decompose
-from .errors import FixtureBroken, UnknownEntry
+from .errors import FixtureBroken, ResidualError, UnknownEntry
 from .forms import (
     BilinearForm,
     MetricAlgebra,
@@ -485,7 +485,7 @@ def catalog_verify(
         want = entry.expected_koszul(resolved)
         got = koszul_form(A).matrix
         scale = residual_scale(A.constants, want)
-        run("koszul match", float(np.max(np.abs(got - want))), tol.eps * scale)
+        run("koszul match", _max_abs(got - want), tol.eps * scale)
 
     if entry.kind == "lspk":
         run("left-symmetric", check_left_symmetric(A, tol))
@@ -494,7 +494,10 @@ def catalog_verify(
             raise FixtureBroken(name, "positive definite trace form")
         if entry.expected_signature is not None:
             n1, n2, rho = entry.expected_signature(resolved)
-            dec = decompose(A, tol)
+            try:
+                dec = decompose(A, tol)
+            except ResidualError as exc:
+                raise FixtureBroken(name, exc.name, exc.residual) from exc
             if dec.signature[:2] != (n1, n2):
                 raise FixtureBroken(name, f"signature {dec.signature[:2]} != {(n1, n2)}")
             run("rho match", abs(dec.rho - rho), tol.eps * max(1.0, rho))

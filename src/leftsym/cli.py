@@ -26,7 +26,7 @@ from .algfile import (
 )
 from .catalog import catalog_build, catalog_entry, catalog_list, catalog_verify
 from .construct import build_corollary1, build_corollary2, build_lspk, build_milnor
-from .core import Tolerance
+from .core import Tolerance, residual_scale
 from .decompose import decompose
 from .errors import (
     FixtureBroken,
@@ -196,6 +196,8 @@ def _cmd_geometry(args, tol: Tolerance) -> int:
     tol = _tolerance(af, tol)
     A = af.algebra
     if args.scale is not None:
+        if not (args.scale > 0 and np.isfinite(args.scale)):
+            raise ValueError(f"--scale must be positive and finite, got {args.scale}")
         B = koszul_form(A)
         metric = BilinearForm(args.scale * B.matrix)
     elif af.metric is not None:
@@ -206,8 +208,7 @@ def _cmd_geometry(args, tol: Tolerance) -> int:
 
     einstein_ok = True
     if args.einstein:
-        scale = max(1.0, float(np.max(np.abs(metric.matrix))))
-        einstein_ok = report.einstein_residual <= tol.eps * scale
+        einstein_ok = report.einstein_residual <= tol.eps * residual_scale(metric.matrix)
 
     if args.json:
         doc = report.as_dict()
@@ -228,7 +229,7 @@ def _cmd_geometry(args, tol: Tolerance) -> int:
             print("\n".join(_matrix_lines(report.tb_ricci_hv)))
         if args.einstein:
             if not einstein_ok:
-                raise NotEinstein(report.einstein_residual)
+                raise NotEinstein("einstein", report.einstein_residual)
             print(f"mu = {report.einstein_mu:g}")
     if args.einstein and not einstein_ok:
         return 1
@@ -416,9 +417,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    tol = Tolerance.from_env()
     try:
-        return args.func(args, tol)
+        return args.func(args, Tolerance.from_env())
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

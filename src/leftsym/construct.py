@@ -20,7 +20,7 @@ from itertools import permutations
 import numpy as np
 
 from ._systems import system_residuals
-from .core import AlgebraStructure, Tolerance, _frozen, residual_scale
+from .core import AlgebraStructure, Tolerance, _enforce, _frozen, _max_abs, residual_scale
 from .decompose import LSPKDecomposition
 from .errors import (
     DimensionMismatch,
@@ -158,32 +158,14 @@ class LSPKData:
 
 def data_residuals(data: LSPKData) -> dict[str, float | None]:
     """All compatibility-equation residuals of the data, by name."""
-    out: dict[str, float | None] = {
-        "omega1_symmetric": (
-            None
-            if data.omega1.size == 0
-            else float(np.max(np.abs(data.omega1 - data.omega1.transpose(1, 0, 2))))
-        ),
-        "omega2_symmetric": (
-            None
-            if data.omega2.size == 0
-            else float(np.max(np.abs(data.omega2 - data.omega2.transpose(1, 0, 2))))
+    return {
+        "omega1_symmetric": _max_abs(data.omega1 - data.omega1.transpose(1, 0, 2)),
+        "omega2_symmetric": _max_abs(data.omega2 - data.omega2.transpose(1, 0, 2)),
+        **system_residuals(
+            data.c2, data.rho1, data.rho2, data.omega1, data.omega2,
+            data.b1, data.b2, data.g1, data.g2,
         ),
     }
-    out.update(
-        system_residuals(
-            data.c2,
-            data.rho1,
-            data.rho2,
-            data.omega1,
-            data.omega2,
-            data.b1,
-            data.b2,
-            data.g1,
-            data.g2,
-        )
-    )
-    return out
 
 
 def _data_scale(data: LSPKData) -> float:
@@ -206,11 +188,7 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
     it must be left-symmetric and its trace form must equal
     rho * diag(g1, g2, 1) with rho = n1/2 + n2 + 1.
     """
-    residuals = data_residuals(data)
-    thr = tol.eps * _data_scale(data)
-    for key, value in residuals.items():
-        if value is not None and value > thr:
-            raise ValidationFailed(f"equation {key} fails, residual {value:.3e}")
+    _enforce(data_residuals(data), tol.eps * _data_scale(data), ValidationFailed)
 
     n1, n2 = data.n1, data.n2
     n = data.dim
@@ -231,17 +209,14 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
 
     rep = check_left_symmetric(A, tol)
     if not rep:
-        raise VerificationFailed(
-            f"assembled product is not left-symmetric, residual {rep.max_residual:.3e}"
-        )
+        raise VerificationFailed("assembled product is not left-symmetric", rep.max_residual)
     rho = n1 / 2.0 + n2 + 1.0
     predicted = np.zeros((n, n))
     predicted[s1, s1] = rho * data.g1
     predicted[s2, s2] = rho * data.g2
     predicted[iH, iH] = rho
-    resid = float(np.max(np.abs(koszul_form(A).matrix - predicted)))
-    if resid > tol.eps * residual_scale(c, predicted):
-        raise KoszulMismatch(resid)
+    resid = _max_abs(koszul_form(A).matrix - predicted)
+    _enforce({"trace_form": resid}, tol.eps * residual_scale(c, predicted), KoszulMismatch)
     return A
 
 
@@ -273,9 +248,7 @@ def build_corollary1(
     d = np.zeros((n, n)) if skew is None else np.asarray(skew, dtype=float)
     if d.shape != (n, n):
         raise DimensionMismatch(f"skew operator must have shape ({n}, {n}), got {d.shape}")
-    resid = float(np.max(np.abs(d + d.T))) if d.size else 0.0
-    if resid > tol.eps * residual_scale(d):
-        raise NotSkew(f"operator is not skew-symmetric, residual {resid:.3e}")
+    _enforce({"skew": _max_abs(d + d.T)}, tol.eps * residual_scale(d), NotSkew)
     return build_lspk(LSPKData(n1=n, n2=0, b1=d), tol, name=f"flatpart{n}")
 
 
@@ -297,9 +270,7 @@ def build_corollary2(
 
     thr = tol.eps * residual_scale(c, g, d)
 
-    traces = np.einsum("xmm->x", c)
-    if traces.size and float(np.max(np.abs(traces))) > thr:
-        raise HypothesisFailed("trace_free", float(np.max(np.abs(traces))))
+    _enforce({"trace_free": _max_abs(np.einsum("xmm->x", c))}, thr, HypothesisFailed)
 
     rep = check_hessian(A, h.metric, tol)
     if not rep:
@@ -308,23 +279,18 @@ def build_corollary2(
     assoc = np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c)
     anti = assoc - assoc.transpose(1, 0, 2, 3)
     sect = np.einsum("jk,il->ijkl", g, np.eye(n)) - np.einsum("ik,jl->ijkl", g, np.eye(n))
-    r_sect = float(np.max(np.abs(anti - sect))) if anti.size else 0.0
-    if r_sect > thr:
-        raise HypothesisFailed("sectional", r_sect)
-
     gd = g @ d
-    r_skew = float(np.max(np.abs(gd + gd.T))) if d.size else 0.0
-    if r_skew > thr:
-        raise HypothesisFailed("skew", r_skew)
-
     deriv = (
         np.einsum("lm,ijm->ijl", d, c)
         - np.einsum("mi,mjl->ijl", d, c)
         - np.einsum("mj,iml->ijl", d, c)
     )
-    r_deriv = float(np.max(np.abs(deriv))) if deriv.size else 0.0
-    if r_deriv > thr:
-        raise HypothesisFailed("derivation", r_deriv)
+    hypotheses = {
+        "sectional": _max_abs(anti - sect),
+        "skew": _max_abs(gd + gd.T),
+        "derivation": _max_abs(deriv),
+    }
+    _enforce(hypotheses, thr, HypothesisFailed)
 
     data = LSPKData(n1=0, n2=n, c2=c, b2=d, g2=g)
     label = f"{A.name}+H" if A.name else "productpart"
@@ -446,12 +412,12 @@ def build_milnor(spec: MilnorSpec, tol: Tolerance = Tolerance()) -> tuple[Metric
     c = _annihilate(c, h)
     A = AlgebraStructure(c, name=f"rankone{n}")
     lh = np.einsum("i,ijk->kj", h, c)
-    if float(np.max(np.abs(lh))) > tol.eps * residual_scale(c, h):
-        raise VerificationFailed("left multiplication by h does not vanish")
+    thr = tol.eps * residual_scale(c, h)
+    _enforce({"left multiplication by h does not vanish": _max_abs(lh)}, thr, VerificationFailed)
     rep = check_k_hessian(A, BilinearForm(g), k, tol)
     if not rep:
         raise VerificationFailed(
-            f"constructed algebra fails its defining identities, residual {rep.max_residual:.3e}"
+            "constructed algebra fails its defining identities", rep.max_residual
         )
     return MetricAlgebra(A, BilinearForm(g)), k
 
@@ -479,6 +445,7 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
     m = c.transpose(1, 2, 0).reshape(n * n, n)
     _, sigma, vt = np.linalg.svd(m)
     sigma = np.concatenate([sigma, np.zeros(n - sigma.size)])
+    best = np.inf
     for idx in np.argsort(sigma):
         u = vt[idx]
         norm2 = float(u @ g @ u)
@@ -487,14 +454,16 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
         base = u * np.sqrt(-k / norm2)
         for h in (base, -base):
             expected = np.einsum("ij,k->ijk", g, h) - np.einsum("j,ik->ijk", g @ h, np.eye(n))
-            if float(np.max(np.abs(c - expected))) <= thr:
+            resid = _max_abs(c - expected)
+            if resid <= thr:
                 return h
+            best = min(best, resid)
         if sigma[idx] > thr:
             # no later candidate is closer to the kernel; stop early
             break
     if float(np.min(sigma)) > thr:
         raise NoKernelVector("no vector annihilated by every left multiplication")
-    raise VerificationFailed("kernel vector does not reproduce the structure constants")
+    raise VerificationFailed("kernel vector does not reproduce the structure constants", best)
 
 
 def kdim2_family(
@@ -529,12 +498,10 @@ def kdim2_family(
         c[1, 1, 0] = y
         c[1, 1, 1] = -b
     A = AlgebraStructure(c, name=f"planar{family}")
-    traces = np.einsum("xmm->x", c)
-    if float(np.max(np.abs(traces))) > tol.eps * residual_scale(c):
-        raise VerificationFailed("left multiplications are not trace-free")
+    traces = _max_abs(np.einsum("xmm->x", c))
+    thr = tol.eps * residual_scale(c)
+    _enforce({"left multiplications are not trace-free": traces}, thr, VerificationFailed)
     rep = check_k_hessian(A, BilinearForm.identity(2), k, tol)
     if not rep:
-        raise VerificationFailed(
-            f"planar family fails its defining identities, residual {rep.max_residual:.3e}"
-        )
+        raise VerificationFailed("planar family fails its defining identities", rep.max_residual)
     return MetricAlgebra(A, BilinearForm.identity(2))

@@ -55,10 +55,21 @@ def residual_scale(*arrays: np.ndarray) -> float:
     """
     m = 1.0
     for a in arrays:
-        a = np.asarray(a, dtype=float)
-        if a.size:
-            m = max(m, float(np.max(np.abs(a))))
+        m = max(m, _max_abs(np.asarray(a, dtype=float)) or 0.0)
     return m
+
+
+def _max_abs(t: np.ndarray) -> float | None:
+    """Largest absolute entry, or None for an empty tensor (a vacuous relation)."""
+    return None if t.size == 0 else float(np.max(np.abs(t)))
+
+
+def _enforce(residuals: dict, threshold: float, error: type) -> dict:
+    """Raise error(name, residual) for the first residual above threshold; None passes."""
+    for name, value in residuals.items():
+        if value is not None and value > threshold:
+            raise error(name, value)
+    return residuals
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._systems import _max_or_none, system_residuals
+from ._systems import system_residuals
 from .core import AlgebraStructure, Tolerance, change_basis, multiply, residual_scale
+from .core import _enforce, _max_abs
 from .errors import (
     BlockNotSkew,
     Circ1NonZero,
@@ -57,9 +58,8 @@ def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.n
         raise NotPositiveDefinite("trace form is not positive definite")
     t = np.einsum("kmm->k", A.constants)
     H = np.linalg.solve(B.matrix, t)
-    resid = float(np.max(np.abs(multiply(A, H, H) - H)))
-    if resid > tol.eps * residual_scale(A.constants, H):
-        raise IdempotentCheckFailed(resid)
+    resid = _max_abs(multiply(A, H, H) - H)
+    _enforce({"H*H-H": resid}, tol.eps * residual_scale(A.constants, H), IdempotentCheckFailed)
     return H
 
 
@@ -142,23 +142,20 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
     )
 
     residuals: dict[str, float | None] = {
-        "XH_stays_in_h": _max_or_none(xh @ w_H),
-        "HX_stays_in_h": _max_or_none(hx @ w_H),
-        "hh_H_component": _max_or_none(h_coeff - eye),
-        "gram_identity": _max_or_none(gram - eye),
+        "XH_stays_in_h": _max_abs(xh @ w_H),
+        "HX_stays_in_h": _max_abs(hx @ w_H),
+        "hh_H_component": _max_abs(h_coeff - eye),
+        "gram_identity": _max_abs(gram - eye),
         "AS-1": check_hessian(circ, BilinearForm.identity(m), tol).max_residual,
-        "AS-2": _max_or_none(anti - target),
-        "AS-3": _max_or_none(as3),
-        "AS-4": _max_or_none(as4),
-        "AS-5": _max_or_none(S - (A_op + A_op.T - eye)),
-        "AS-6": _max_or_none(S @ A_op - A_op @ S - (S @ S - S)),
-        "AS-7": _max_or_none(np.einsum("amm->a", cc)),
-        "AS-S-symmetric": _max_or_none(S - S.T),
+        "AS-2": _max_abs(anti - target),
+        "AS-3": _max_abs(as3),
+        "AS-4": _max_abs(as4),
+        "AS-5": _max_abs(S - (A_op + A_op.T - eye)),
+        "AS-6": _max_abs(S @ A_op - A_op @ S - (S @ S - S)),
+        "AS-7": _max_abs(np.einsum("amm->a", cc)),
+        "AS-S-symmetric": _max_abs(S - S.T),
     }
-    thr = tol.eps * residual_scale(c, S, A_op, cc)
-    for name, value in residuals.items():
-        if value is not None and value > thr:
-            raise SystemASViolated(name, value)
+    _enforce(residuals, tol.eps * residual_scale(c, S, A_op, cc), SystemASViolated)
     return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, circ=circ, gram=gram, residuals=residuals)
 
 
@@ -189,16 +186,12 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
 
     B1 = u1.T @ A_op @ u1 - np.eye(n1) / 2.0
     B2 = u2.T @ A_op @ u2 - np.eye(n2)
-    thr = tol.eps * residual_scale(S, A_op)
-    skew1 = _max_or_none(B1 + B1.T)
-    skew2 = _max_or_none(B2 + B2.T)
-    if skew1 is not None and skew1 > thr:
-        raise BlockNotSkew("B1", skew1)
-    if skew2 is not None and skew2 > thr:
-        raise BlockNotSkew("B2", skew2)
+    skew1 = _max_abs(B1 + B1.T)
+    skew2 = _max_abs(B2 + B2.T)
+    _enforce({"B1": skew1, "B2": skew2}, tol.eps * residual_scale(S, A_op), BlockNotSkew)
     off = max(
-        _max_or_none(u1.T @ A_op @ u2) or 0.0,
-        _max_or_none(u2.T @ A_op @ u1) or 0.0,
+        _max_abs(u1.T @ A_op @ u2) or 0.0,
+        _max_abs(u2.T @ A_op @ u1) or 0.0,
     )
     residuals = {"B1_skew_split": skew1, "B2_skew_split": skew2, "A_offdiagonal": off}
     return EigenSplit(h1=u1, h2=u2, B1=B1, B2=B2, residuals=residuals)
@@ -268,11 +261,11 @@ def extract_structure(
     B1, B2 = esplit.B1, esplit.B2
 
     extras: dict[str, float | None] = {
-        "circ1": _max_or_none(cc[s1, s1, s1]),
-        "mixed_12_block": _max_or_none(cc[s1, s2, s1]),
-        "mixed_21_block": _max_or_none(cc[s2, s1, s2]),
-        "omega1_symmetric": _max_or_none(omega1 - omega1.transpose(1, 0, 2)),
-        "omega2_symmetric": _max_or_none(omega2 - omega2.transpose(1, 0, 2)),
+        "circ1": _max_abs(cc[s1, s1, s1]),
+        "mixed_12_block": _max_abs(cc[s1, s2, s1]),
+        "mixed_21_block": _max_abs(cc[s2, s1, s2]),
+        "omega1_symmetric": _max_abs(omega1 - omega1.transpose(1, 0, 2)),
+        "omega2_symmetric": _max_abs(omega2 - omega2.transpose(1, 0, 2)),
     }
     sys_res = system_residuals(c2, rho1, rho2, omega1, omega2, B1, B2, np.eye(n1), np.eye(n2))
 
@@ -281,19 +274,15 @@ def extract_structure(
     basis = np.column_stack([basis_h1, basis_h2, hsplit.H])
     B = koszul_form(A)
     tail: dict[str, float | None] = {
-        "koszul_blocks": _max_or_none(basis.T @ B.matrix @ basis - hsplit.rho * np.eye(A.dim)),
+        "koszul_blocks": _max_abs(basis.T @ B.matrix @ basis - hsplit.rho * np.eye(A.dim)),
         "rho_formula": abs(hsplit.rho - (n1 / 2.0 + n2 + 1.0)),
     }
 
     thr = tol.eps * residual_scale(A.constants, cc, B1, B2)
-    for name, value in {**extras, **sys_res, **tail}.items():
-        if value is None:
-            continue
-        limit = 10.0 * thr if name == "koszul_blocks" else thr
-        if value > limit:
-            if name == "circ1":
-                raise Circ1NonZero(value)
-            raise SystemViolated(name, value)
+    _enforce({"circ1": extras["circ1"]}, thr, Circ1NonZero)
+    _enforce({**extras, **sys_res}, thr, SystemViolated)
+    _enforce({"koszul_blocks": tail["koszul_blocks"]}, 10.0 * thr, SystemViolated)
+    _enforce({"rho_formula": tail["rho_formula"]}, thr, SystemViolated)
 
     residuals = {**hsplit.residuals, **esplit.residuals, **extras, **sys_res, **tail}
     return LSPKDecomposition(

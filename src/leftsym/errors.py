@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Every failure a caller can act on gets its own class; all inherit from
-LeftSymError so scripts can catch the whole family at once.  Errors that
-carry a measured residual keep it as an attribute for reporting.
+LeftSymError so scripts can catch the whole family at once.  A certified
+relation that fails raises a ResidualError subclass, which carries the
+relation's name and its measured residual as attributes.
 """
 
 from __future__ import annotations
@@ -10,6 +11,20 @@ from __future__ import annotations
 
 class LeftSymError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ResidualError(LeftSymError):
+    """A named relation whose residual exceeds its threshold; message formats both."""
+
+    message = "relation {name} fails, residual {residual:.3e}"
+
+    def __init__(self, name: str, residual: float):
+        super().__init__(name, residual)  # args stay (name, residual), so pickling works
+        self.name = name
+        self.residual = residual
+
+    def __str__(self) -> str:
+        return self.message.format(name=self.name, residual=self.residual)
 
 
 class DimensionMismatch(LeftSymError):
@@ -24,8 +39,10 @@ class SingularMetric(LeftSymError):
     """A metric that must be invertible is numerically singular."""
 
 
-class NotAntisymmetric(LeftSymError):
+class NotAntisymmetric(ResidualError):
     """Structure constants expected to be antisymmetric are not."""
+
+    message = "constants not antisymmetric, residual {residual:.3e}"
 
 
 class NotLieBracket(LeftSymError):
@@ -36,8 +53,10 @@ class NotPositiveDefinite(LeftSymError):
     """A bilinear form required to be positive definite is not."""
 
 
-class NotSkew(LeftSymError):
+class NotSkew(ResidualError):
     """An operator required to be skew-adjoint is not."""
+
+    message = "operator is not skew-symmetric, residual {residual:.3e}"
 
 
 class PreconditionFailed(LeftSymError):
@@ -48,72 +67,56 @@ class DiagonalizationFailed(LeftSymError):
     """A diagonalization-based routine could not produce a usable basis."""
 
 
-class IdempotentCheckFailed(LeftSymError):
+class IdempotentCheckFailed(ResidualError):
     """The distinguished vector fails H*H = H beyond tolerance."""
 
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"H*H - H residual {residual:.3e} exceeds tolerance")
+    message = "H*H - H residual {residual:.3e} exceeds tolerance"
 
 
-class SystemASViolated(LeftSymError):
+class SystemASViolated(ResidualError):
     """A relation of the split product system fails on the complement."""
 
-    def __init__(self, name: str, residual: float):
-        self.name = name
-        self.residual = residual
-        super().__init__(f"relation {name} violated, residual {residual:.3e}")
+    message = "relation {name} violated, residual {residual:.3e}"
 
 
 class SpectrumNotZeroOne(LeftSymError):
     """The scaling operator has eigenvalues away from {0, 1}."""
 
 
-class BlockNotSkew(LeftSymError):
+class BlockNotSkew(ResidualError):
     """A rotation block extracted from the splitting is not skew."""
 
-    def __init__(self, which: str, residual: float):
-        self.which = which
-        self.residual = residual
-        super().__init__(f"block {which} not skew, residual {residual:.3e}")
+    message = "block {name} not skew, residual {residual:.3e}"
 
 
-class Circ1NonZero(LeftSymError):
+class Circ1NonZero(ResidualError):
     """The induced product on the eigenvalue-0 part does not vanish."""
 
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"product on the flat part nonzero, residual {residual:.3e}")
+    message = "product on the flat part nonzero, residual {residual:.3e}"
 
 
-class SystemViolated(LeftSymError):
+class SystemViolated(ResidualError):
     """A compatibility equation of the extracted data fails."""
 
-    def __init__(self, name: str, residual: float):
-        self.name = name
-        self.residual = residual
-        super().__init__(f"equation {name} violated, residual {residual:.3e}")
+    message = "equation {name} violated, residual {residual:.3e}"
 
 
-class ValidationFailed(LeftSymError):
+class ValidationFailed(ResidualError):
     """Construction data fails its compatibility system."""
 
+    message = "equation {name} fails, residual {residual:.3e}"
 
-class KoszulMismatch(LeftSymError):
+
+class KoszulMismatch(ResidualError):
     """A built algebra's trace form differs from the predicted one."""
 
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"trace form mismatch, residual {residual:.3e}")
+    message = "trace form mismatch, residual {residual:.3e}"
 
 
-class HypothesisFailed(LeftSymError):
+class HypothesisFailed(ResidualError):
     """A named hypothesis of a construction recipe fails."""
 
-    def __init__(self, name: str, residual: float):
-        self.name = name
-        self.residual = residual
-        super().__init__(f"hypothesis '{name}' fails, residual {residual:.3e}")
+    message = "hypothesis '{name}' fails, residual {residual:.3e}"
 
 
 class ZeroH(LeftSymError):
@@ -124,29 +127,26 @@ class NoKernelVector(LeftSymError):
     """No common kernel vector of the left multiplications exists."""
 
 
-class VerificationFailed(LeftSymError):
-    """An internal cross-check that should hold by theory does not."""
+class VerificationFailed(ResidualError):
+    """An internal cross-check that should hold by theory does not; name states it."""
+
+    message = "{name}, residual {residual:.3e}"
 
 
-class OracleMismatch(LeftSymError):
+class OracleMismatch(ResidualError):
     """Two independent computations of the same quantity disagree."""
 
-    def __init__(self, what: str, residual: float):
-        self.what = what
-        self.residual = residual
-        super().__init__(f"{what}: independent routes disagree by {residual:.3e}")
+    message = "{name}: independent routes disagree by {residual:.3e}"
 
 
 class NotLSPK(LeftSymError):
     """The algebra is not left-symmetric with positive definite trace form."""
 
 
-class NotEinstein(LeftSymError):
+class NotEinstein(ResidualError):
     """The tangent-bundle Ricci form is not proportional to the metric."""
 
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"Ricci not proportional to the metric, residual {residual:.3e}")
+    message = "Ricci not proportional to the metric, residual {residual:.3e}"
 
 
 class UnknownSystem(LeftSymError):

@@ -16,6 +16,8 @@ import numpy as np
 from .core import (
     AlgebraStructure,
     Tolerance,
+    _enforce,
+    _max_abs,
     change_basis,
     mult_operator,
     multiply,
@@ -62,7 +64,7 @@ class BilinearForm:
             raise DimensionMismatch(f"Gram matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("Gram matrix must be finite")
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        asym = _max_abs(m - m.T) or 0.0
         sym = (m + m.T) / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
@@ -229,9 +231,8 @@ def check_k_hessian(
 
 
 def _require_antisymmetric(A: AlgebraStructure, tol: Tolerance) -> None:
-    resid = float(np.max(np.abs(A.constants + A.constants.transpose(1, 0, 2)))) if A.dim else 0.0
-    if resid > tol.eps * residual_scale(A.constants):
-        raise NotAntisymmetric(f"constants not antisymmetric, residual {resid:.3e}")
+    resid = _max_abs(A.constants + A.constants.transpose(1, 0, 2))
+    _enforce({"antisymmetric": resid}, tol.eps * residual_scale(A.constants), NotAntisymmetric)
 
 
 def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -336,7 +337,7 @@ def rn_isomorphism(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndar
         )
         p = p[:, order]
         final = change_basis(A, p, tol)
-        resid = float(np.max(np.abs(final.constants - canonical)))
+        resid = _max_abs(final.constants - canonical)
         last_resid = min(last_resid, resid)
         if resid <= tol.eps * residual_scale(final.constants):
             return p

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AlgebraStructure, Tolerance, lie_bracket_constants, residual_scale
+from .core import _enforce, _max_abs
 from .errors import (
     NotEinstein,
     NotLieBracket,
@@ -76,14 +77,12 @@ def levi_civita_product(
     label = f"{bracket.name}:lc" if bracket.name else "lc"
     out = AlgebraStructure(lc, name=label)
 
-    thr = tol.eps * residual_scale(cb, g, lc)
     ops = np.einsum("lm,imk->ilk", g, lc.transpose(0, 2, 1))  # g Lbar_i
-    skew = float(np.max(np.abs(ops + ops.transpose(0, 2, 1)))) if ops.size else 0.0
-    if skew > thr:
-        raise VerificationFailed(f"metric product is not metric, residual {skew:.3e}")
-    torsion = float(np.max(np.abs(lc - lc.transpose(1, 0, 2) - cb))) if lc.size else 0.0
-    if torsion > thr:
-        raise VerificationFailed(f"commutator does not match the bracket, residual {torsion:.3e}")
+    checks = {
+        "metric product is not metric": _max_abs(ops + ops.transpose(0, 2, 1)),
+        "commutator does not match the bracket": _max_abs(lc - lc.transpose(1, 0, 2) - cb),
+    }
+    _enforce(checks, tol.eps * residual_scale(cb, g, lc), VerificationFailed)
     return out
 
 
@@ -105,9 +104,8 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
     op = np.einsum("i,ilk->lk", x, gamma)
     if check_hessian(M.algebra, M.metric, tol):
         m = M.metric.matrix @ op
-        resid = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        if resid > tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, x):
-            raise VerificationFailed(f"gamma operator not symmetric, residual {resid:.3e}")
+        thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, x)
+        _enforce({"gamma operator not symmetric": _max_abs(m - m.T)}, thr, VerificationFailed)
     return op
 
 
@@ -122,9 +120,8 @@ def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Biline
     tr_gamma = np.einsum("imm->i", gamma)
     beta = -np.einsum("ijk,k->ij", M.algebra.constants, tr_gamma)
     direct = koszul_form(M.algebra).matrix
-    resid = float(np.max(np.abs(beta - direct))) if beta.size else 0.0
-    if resid > tol.eps * residual_scale(M.algebra.constants, M.metric.matrix):
-        raise OracleMismatch("second trace form", resid)
+    thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix)
+    _enforce({"second trace form": _max_abs(beta - direct)}, thr, OracleMismatch)
     return BilinearForm(beta)
 
 
@@ -171,16 +168,12 @@ def _base_curvature(M: MetricAlgebra, compatible: bool, tol: Tolerance) -> BaseC
         thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, c)
         pair = np.einsum("ilm,jmk->ijlk", gamma, gamma)
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
-        resid = float(np.max(np.abs(K - k_gamma))) if K.size else 0.0
-        if resid > thr:
-            raise OracleMismatch("curvature operator", resid)
+        _enforce({"curvature operator": _max_abs(K - k_gamma)}, thr, OracleMismatch)
         tr_gamma = np.einsum("imm->i", gamma)
         ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum(
             "amb,m->ab", gamma, tr_gamma
         )
-        resid = float(np.max(np.abs(ricci - ric_gamma))) if ricci.size else 0.0
-        if resid > thr:
-            raise OracleMismatch("Ricci form", resid)
+        _enforce({"Ricci form": _max_abs(ricci - ric_gamma)}, thr, OracleMismatch)
     return BaseCurvature(lc=lc, gamma=gamma, K=K, ricci=BilinearForm(ricci))
 
 
@@ -255,18 +248,15 @@ def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) ->
           - e("bkm,kma->ab", G, G) + e("akm,kmb->ab", G, G) - e("kkm,amb->ab", G, G))
 
     if hess:
-        thr = tol.eps * residual_scale(M.algebra.constants, g, K)
-        checks = (("hh", hh, -beta.matrix), ("vv", vv, -beta.matrix), ("hh-vv", hh, vv))
-        for name, block, want in checks:
-            resid = float(np.max(np.abs(block - want))) if block.size else 0.0
-            if resid > thr:
-                raise OracleMismatch(f"double-space Ricci block {name}", resid)
+        blocks = {
+            "double-space Ricci block hh": _max_abs(hh + beta.matrix),
+            "double-space Ricci block vv": _max_abs(vv + beta.matrix),
+            "double-space Ricci block hh-vv": _max_abs(hh - vv),
+        }
+        _enforce(blocks, tol.eps * residual_scale(M.algebra.constants, g, K), OracleMismatch)
 
     mu = float(np.trace(np.linalg.solve(g, hh)) / n) if n else 0.0
-    einstein_residual = max(
-        float(np.max(np.abs(hh - mu * g))) if hh.size else 0.0,
-        float(np.max(np.abs(vv - mu * g))) if vv.size else 0.0,
-    )
+    einstein_residual = max(_max_abs(hh - mu * g) or 0.0, _max_abs(vv - mu * g) or 0.0)
     return CurvatureReport(
         base_ricci=base.ricci,
         tb_ricci_hh=BilinearForm(hh),
@@ -299,7 +289,6 @@ def einstein_check(
         raise NotLSPK("trace form is not positive definite")
     M = MetricAlgebra(A, BilinearForm(alpha_scale * B.matrix))
     report = _double_space_ricci(M, B, tol)
-    scale = residual_scale(A.constants, B.matrix)
-    if report.einstein_residual > tol.eps * scale:
-        raise NotEinstein(report.einstein_residual)
+    thr = tol.eps * residual_scale(A.constants, B.matrix)
+    _enforce({"einstein": report.einstein_residual}, thr, NotEinstein)
     return report.einstein_mu

@@ -10,9 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from leftsym import BilinearForm, MetricAlgebra, koszul_form
+from leftsym import BilinearForm, MetricAlgebra, decompose, koszul_form
 from leftsym.algfile import parse_algebra_file, render_algebra_file
-from leftsym.catalog import catalog_build
+from leftsym.catalog import catalog_build, catalog_list
 from leftsym.cli import run
 from leftsym.construct import kdim2_family
 from test_geometry import assert_blocks_match_oracle
@@ -155,6 +155,12 @@ def test_geometry_json_with_file_metric(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_geometry_rejects_non_positive_scale(dim2_file, scale, capsys):
+    assert run(["geometry", dim2_file, "--scale", scale]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_geometry_rejects_non_flat(kdim2_file):
     assert run(["geometry", kdim2_file, "--tb-ricci"]) == 1
 
@@ -175,6 +181,22 @@ def test_catalog_verify_all(capsys):
     assert run(["catalog", "verify-all"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_catalog_verify_all_reports_every_entry_under_tight_eps(monkeypatch, capsys):
+    # at eps = 1e-17 roundoff breaks some decompositions; each refusal is a
+    # row naming the relation, and the remaining entries are still verified
+    monkeypatch.setenv("LSPK_EPS", "1e-17")
+    assert run(["catalog", "verify-all", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["entries"]
+    assert [r["name"] for r in rows] == catalog_list()
+    monkeypatch.delenv("LSPK_EPS")
+    relations = [
+        r["predicate"] in decompose(catalog_build(r["name"])).residuals
+        for r in rows
+        if not r["ok"]
+    ]
+    assert any(relations)
 
 
 def test_catalog_export_round_trip(tmp_path):
@@ -215,6 +237,13 @@ def test_env_tolerance_override(tmp_path, dim2, monkeypatch):
     monkeypatch.setenv("LSPK_EPS", "1e-3")
     assert run(["check", str(p), "--lsa"]) == 0
     monkeypatch.delenv("LSPK_EPS")
+
+
+@pytest.mark.parametrize("eps", ["abc", "-1"])
+def test_malformed_env_tolerance_is_usage_error(dim2_file, eps, monkeypatch, capsys):
+    monkeypatch.setenv("LSPK_EPS", eps)
+    assert run(["check", dim2_file]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_file_tolerance_beats_env(tmp_path, dim2, monkeypatch):

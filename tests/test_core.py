@@ -5,14 +5,19 @@ property tests check bilinearity and that change_basis really transports
 the multiplication (P carries the new basis as columns).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leftsym
 from leftsym import (
     AlgebraStructure,
     DimensionMismatch,
+    LeftSymError,
+    ResidualError,
     SingularMatrix,
     Tolerance,
     associator,
@@ -21,6 +26,7 @@ from leftsym import (
     mult_operator,
     multiply,
 )
+from leftsym.core import _enforce
 
 _coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
@@ -110,6 +116,27 @@ def test_tolerance_from_env(monkeypatch):
     assert Tolerance.from_env().eps == 1e-4
     with pytest.raises(ValueError):
         Tolerance(-1.0)
+
+
+def test_enforce_raises_first_residual_above_threshold():
+    ok = {"vacuous": None, "at": 1.0, "below": 0.5}
+    assert _enforce(ok, 1.0, ResidualError) is ok
+    assert ok == {"vacuous": None, "at": 1.0, "below": 0.5}
+    with pytest.raises(ResidualError) as info:
+        _enforce({"fine": 0.1, "first": 1.5, "second": 3.0}, 1.0, ResidualError)
+    assert (info.value.name, info.value.residual) == ("first", 1.5)
+
+
+@pytest.mark.parametrize("cls", ResidualError.__subclasses__(), ids=lambda c: c.__name__)
+def test_residual_errors_carry_name_and_residual(cls):
+    assert getattr(leftsym, cls.__name__) is cls
+    exc = cls("some relation", 2.5e-3)
+    assert isinstance(exc, LeftSymError)
+    assert (exc.name, exc.residual) == ("some relation", 2.5e-3)
+    assert "2.500e-03" in str(exc)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert (back.name, back.residual, str(back)) == (exc.name, exc.residual, str(exc))
 
 
 @settings(max_examples=60)

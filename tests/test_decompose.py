@@ -10,14 +10,21 @@ import pytest
 
 from leftsym import (
     AlgebraStructure,
+    BlockNotSkew,
+    IdempotentCheckFailed,
     NotPositiveDefinite,
+    SpectrumNotZeroOne,
+    SystemASViolated,
     change_basis,
     decompose,
+    eigensplit,
     find_idempotent_H,
     koszul_form,
     multiply,
+    split_h,
 )
 from leftsym.catalog import catalog_build
+from leftsym.construct import build_corollary1
 
 SIGNATURES = {
     "lspk_dim2": (1, 0, 1.5),
@@ -73,6 +80,28 @@ def test_h_component_identity(dim2):
 def test_rejects_degenerate_trace_form(a0):
     with pytest.raises(NotPositiveDefinite):
         decompose(a0)
+
+
+def test_eigensplit_refusals():
+    with pytest.raises(SpectrumNotZeroOne):
+        eigensplit(np.array([[0.5]]), np.zeros((1, 1)))
+    # on the eigenvalue-0 line A_op = 1 leaves B1 = 1/2, which is not skew
+    with pytest.raises(BlockNotSkew) as info:
+        eigensplit(np.diag([0.0, 1.0]), np.eye(2))
+    assert (info.value.name, info.value.residual) == ("B1", 1.0)
+
+
+def test_perturbed_flat_part_is_refused_by_stage():
+    c = np.array(build_corollary1(2).constants)
+    c[0, 1, 1] += 0.3
+    A = AlgebraStructure(c)
+    with pytest.raises(IdempotentCheckFailed) as info:
+        find_idempotent_H(A)
+    assert info.value.residual > 1e-3
+    H = np.linalg.solve(koszul_form(A).matrix, np.einsum("kmm->k", c))
+    with pytest.raises(SystemASViolated) as info:
+        split_h(A, H)
+    assert info.value.name == "XH_stays_in_h"
 
 
 @pytest.mark.parametrize("name", ["lspk_dim2", "lspk_dim4", "lspk_dim5"])

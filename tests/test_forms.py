@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from leftsym import (
     BilinearForm,
+    NotAntisymmetric,
     PreconditionFailed,
     Tolerance,
     change_basis,
@@ -114,6 +115,12 @@ def test_jacobi_and_solvable(dim2):
     assert not is_solvable(sl2)
     with pytest.raises(Exception):
         check_jacobi(dim2)  # not antisymmetric
+
+
+def test_jacobi_rejects_non_antisymmetric_constants():
+    with pytest.raises(NotAntisymmetric) as info:
+        check_jacobi(catalog_build("lspk_dim2"))
+    assert info.value.residual > 0.0
 
 
 def test_rn_isomorphism_canonical():
