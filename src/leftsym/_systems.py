@@ -18,6 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import _max_abs
+from .forms import (
+    _derivation_defect,
+    _hessian_defect,
+    _left_symmetry_defect,
+    _paired_action,
+    _sectional_target,
+    _traces,
+)
 
 
 def _combine(*parts: float | None) -> float | None:
@@ -36,8 +44,7 @@ def system_residuals(
     g1: np.ndarray,
     g2: np.ndarray,
 ) -> dict[str, float | None]:
-    n1, n2 = g1.shape[0], g2.shape[0]
-    eye1, eye2 = np.eye(n1), np.eye(n2)
+    eye2 = np.eye(g2.shape[0])
     out: dict[str, float | None] = {}
 
     m1 = g1 @ b1
@@ -46,7 +53,7 @@ def system_residuals(
     out["B2_skew"] = _max_abs(m2 + m2.T)
 
     # flatness conditions: the first-part actions are traceless and commute
-    out["theo-i-trace"] = _max_abs(np.einsum("xkk->x", rho1))
+    out["theo-i-trace"] = _max_abs(_traces(rho1))
     comm1 = np.einsum("xab,ybc->xyac", rho1, rho1)
     out["theo-i-commute"] = _max_abs(comm1 - comm1.transpose(1, 0, 2, 3))
 
@@ -59,35 +66,17 @@ def system_residuals(
     )
 
     # S1: the pairing maps are the metric duals of the symmetrized actions
-    d2 = np.einsum("ya,zax->zyx", g1, rho2)  # d2[z,y,x] = <rho2(z) x, y>_1
-    s1a = np.einsum("xyl,lz->xyz", omega1, g2) - (
-        np.einsum("zyx->xyz", d2) + np.einsum("zxy->xyz", d2)
-    )
-    d1 = np.einsum("ya,zax->zyx", g2, rho1)
-    s1b = np.einsum("xyl,lz->xyz", omega2, g1) - (
-        np.einsum("zyx->xyz", d1) + np.einsum("zxy->xyz", d1)
-    )
+    s1a = np.einsum("xyl,lz->xyz", omega1, g2) - _paired_action(g1, rho2)
+    s1b = np.einsum("xyl,lz->xyz", omega2, g1) - _paired_action(g2, rho1)
     out["S1"] = _combine(_max_abs(s1a), _max_abs(s1b))
 
     # S2: the second part is a Hessian algebra with sectional constant -1,
     # b2 is a derivation, and left traces match the action traces
-    hess = np.einsum("ijl,lk->ijk", c2_bracket, g2) - (
-        np.einsum("jkl,li->ijk", c2, g2) - np.einsum("ikl,lj->ijk", c2, g2)
-    )
-    assoc2 = np.einsum("ijm,mkl->ijkl", c2, c2) - np.einsum("jkm,iml->ijkl", c2, c2)
-    anti2 = assoc2 - assoc2.transpose(1, 0, 2, 3)
-    sect = np.einsum("jk,il->ijkl", g2, eye2) - np.einsum("ik,jl->ijkl", g2, eye2)
-    deriv = (
-        np.einsum("lm,ijm->ijl", b2, c2)
-        - np.einsum("mi,mjl->ijl", b2, c2)
-        - np.einsum("mj,iml->ijl", b2, c2)
-    )
-    trace_tie = np.einsum("xmm->x", c2) + np.einsum("xmm->x", rho2)
     out["S2"] = _combine(
-        _max_abs(hess),
-        _max_abs(anti2 - sect),
-        _max_abs(deriv),
-        _max_abs(trace_tie),
+        _max_abs(_hessian_defect(c2, g2)),
+        _max_abs(_left_symmetry_defect(c2) - _sectional_target(g2, eye2)),
+        _max_abs(_derivation_defect(b2, c2)),
+        _max_abs(_traces(c2) + _traces(rho2)),
     )
 
     # S3-1: first-part actions are almost derivations of the second product

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .construct import MilnorSpec, build_milnor, kdim2_family
-from .core import AlgebraStructure, Tolerance, _max_abs, mult_operator, residual_scale
+from .core import AlgebraStructure, Tolerance
 from .decompose import decompose
 from .errors import FixtureBroken, ResidualError, UnknownEntry
 from .forms import (
@@ -33,6 +33,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
+from .forms import _report, _traces
 
 RT6 = math.sqrt(6.0)
 RT3 = math.sqrt(3.0)
@@ -469,23 +470,15 @@ def catalog_verify(
     A = _algebra_of(built)
     worst = 0.0
 
-    def run(predicate: str, rep_or_resid, threshold: float | None = None) -> None:
+    def run(predicate: str, rep: PredicateReport) -> None:
         nonlocal worst
-        if isinstance(rep_or_resid, PredicateReport):
-            worst = max(worst, rep_or_resid.max_residual)
-            if not rep_or_resid:
-                raise FixtureBroken(name, predicate, rep_or_resid.max_residual)
-            return
-        resid = float(rep_or_resid)
-        worst = max(worst, resid)
-        if resid > (threshold if threshold is not None else tol.eps):
-            raise FixtureBroken(name, predicate, resid)
+        worst = max(worst, rep.max_residual)
+        if not rep:
+            raise FixtureBroken(name, predicate, rep.max_residual)
 
     if entry.expected_koszul is not None:
         want = entry.expected_koszul(resolved)
-        got = koszul_form(A).matrix
-        scale = residual_scale(A.constants, want)
-        run("koszul match", _max_abs(got - want), tol.eps * scale)
+        run("koszul match", _report(koszul_form(A).matrix - want, tol, A.constants, want))
 
     if entry.kind == "lspk":
         run("left-symmetric", check_left_symmetric(A, tol))
@@ -500,11 +493,11 @@ def catalog_verify(
                 raise FixtureBroken(name, exc.name, exc.residual) from exc
             if dec.signature[:2] != (n1, n2):
                 raise FixtureBroken(name, f"signature {dec.signature[:2]} != {(n1, n2)}")
-            run("rho match", abs(dec.rho - rho), tol.eps * max(1.0, rho))
-            run(
-                "decomposition residuals",
-                max((v for v in dec.residuals.values() if v is not None), default=0.0),
-            )
+            err = abs(dec.rho - rho)
+            run("rho match", PredicateReport(holds=err <= tol.eps * max(1.0, rho), max_residual=err))
+            # decompose certified each residual against its own scaled threshold
+            live = (v for v in dec.residuals.values() if v is not None)
+            worst = max(worst, max(live, default=0.0))
     elif entry.kind == "khessian":
         assert isinstance(built, MetricAlgebra)
         k = entry.expected_k(resolved)
@@ -516,8 +509,7 @@ def catalog_verify(
 
     for check in entry.extra_checks:
         if check == "trace_free":
-            traces = [abs(np.trace(mult_operator(A, e, "left"))) for e in np.eye(A.dim)]
-            run("trace-free multiplications", max(traces), tol.eps * residual_scale(A.constants))
+            run("trace-free multiplications", _report(_traces(A.constants), tol, A.constants))
         elif check == "commutative":
             run("commutative", check_commutative(A, tol))
 

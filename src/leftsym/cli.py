@@ -274,15 +274,15 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
         sys.stdout.write(render_algebra_file(A, metric))
         return 0
     if args.action == "verify-all":
-        failures = 0
         rows = []
         for name in catalog_list():
             try:
                 rep = catalog_verify(name, tol=tol)
                 rows.append({"name": name, "ok": True, "worst_residual": rep.max_residual})
             except FixtureBroken as exc:
-                failures += 1
-                rows.append({"name": name, "ok": False, "predicate": exc.predicate})
+                rows.append(
+                    {"name": name, "ok": False, "predicate": exc.predicate, "residual": exc.residual}
+                )
         if args.json:
             _emit({"entries": rows})
         else:
@@ -290,8 +290,9 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
                 if row["ok"]:
                     print(f"{row['name']}: ok (worst residual {row['worst_residual']:.3e})")
                 else:
-                    print(f"{row['name']}: FAIL ({row['predicate']})")
-        return 1 if failures else 0
+                    tail = "" if row["residual"] is None else f", residual {row['residual']:.3e}"
+                    print(f"{row['name']}: FAIL ({row['predicate']}{tail})")
+        return 0 if all(row["ok"] for row in rows) else 1
     if args.action == "export":
         built = catalog_build(args.name, _parse_params(args.param))
         if isinstance(built, MetricAlgebra):

@@ -45,6 +45,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
+from .forms import _derivation_defect, _left_symmetry_defect, _paired_action, _sectional_target, _traces
 
 
 def _require_pd(g: np.ndarray, label: str, tol: Tolerance) -> None:
@@ -67,8 +68,7 @@ def derive_omegas(
     """
     n1, n2 = g1.shape[0], g2.shape[0]
     if n2:
-        d2 = np.einsum("ya,zax->zyx", g1, rho2)
-        rhs1 = np.einsum("zyx->xyz", d2) + np.einsum("zxy->xyz", d2)
+        rhs1 = _paired_action(g1, rho2)
         try:
             omega1 = np.linalg.solve(g2, rhs1.reshape(-1, n2).T).T.reshape(n1, n1, n2)
         except np.linalg.LinAlgError as exc:
@@ -76,8 +76,7 @@ def derive_omegas(
     else:
         omega1 = np.zeros((n1, n1, 0))
     if n1:
-        d1 = np.einsum("ya,zax->zyx", g2, rho1)
-        rhs2 = np.einsum("zyx->xyz", d1) + np.einsum("zxy->xyz", d1)
+        rhs2 = _paired_action(g2, rho1)
         try:
             omega2 = np.linalg.solve(g1, rhs2.reshape(-1, n1).T).T.reshape(n2, n2, n1)
         except np.linalg.LinAlgError as exc:
@@ -270,25 +269,17 @@ def build_corollary2(
 
     thr = tol.eps * residual_scale(c, g, d)
 
-    _enforce({"trace_free": _max_abs(np.einsum("xmm->x", c))}, thr, HypothesisFailed)
+    _enforce({"trace_free": _max_abs(_traces(c))}, thr, HypothesisFailed)
 
     rep = check_hessian(A, h.metric, tol)
     if not rep:
         raise HypothesisFailed("hessian", rep.max_residual)
 
-    assoc = np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c)
-    anti = assoc - assoc.transpose(1, 0, 2, 3)
-    sect = np.einsum("jk,il->ijkl", g, np.eye(n)) - np.einsum("ik,jl->ijkl", g, np.eye(n))
     gd = g @ d
-    deriv = (
-        np.einsum("lm,ijm->ijl", d, c)
-        - np.einsum("mi,mjl->ijl", d, c)
-        - np.einsum("mj,iml->ijl", d, c)
-    )
     hypotheses = {
-        "sectional": _max_abs(anti - sect),
+        "sectional": _max_abs(_left_symmetry_defect(c) - _sectional_target(g, np.eye(n))),
         "skew": _max_abs(gd + gd.T),
-        "derivation": _max_abs(deriv),
+        "derivation": _max_abs(_derivation_defect(d, c)),
     }
     _enforce(hypotheses, thr, HypothesisFailed)
 
@@ -498,7 +489,7 @@ def kdim2_family(
         c[1, 1, 0] = y
         c[1, 1, 1] = -b
     A = AlgebraStructure(c, name=f"planar{family}")
-    traces = _max_abs(np.einsum("xmm->x", c))
+    traces = _max_abs(_traces(c))
     thr = tol.eps * residual_scale(c)
     _enforce({"left multiplications are not trace-free": traces}, thr, VerificationFailed)
     rep = check_k_hessian(A, BilinearForm.identity(2), k, tol)

@@ -161,11 +161,14 @@ class FixtureBroken(LeftSymError):
     """A catalog entry fails one of its declared predicates."""
 
     def __init__(self, name: str, predicate: str, residual: float | None = None):
+        super().__init__(name, predicate, residual)  # the full args, so pickling works
         self.name = name
         self.predicate = predicate
         self.residual = residual
-        tail = "" if residual is None else f" (residual {residual:.3e})"
-        super().__init__(f"catalog entry '{name}' fails predicate '{predicate}'{tail}")
+
+    def __str__(self) -> str:
+        tail = "" if self.residual is None else f" (residual {self.residual:.3e})"
+        return f"catalog entry '{self.name}' fails predicate '{self.predicate}'{tail}"
 
 
 class ParseError(LeftSymError):

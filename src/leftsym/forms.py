@@ -4,12 +4,17 @@ Predicates never answer with a bare bool: they return a PredicateReport
 with the worst residual and the basis triple attaining it, and they accept
 a residual r when r <= tol.eps * residual_scale(data).  All identities are
 evaluated on basis tuples by whole-tensor contractions, so a report covers
-every multilinear instance of the identity at once.
+every multilinear instance of the identity at once.  Each identity is written
+once, as a private defect tensor on plain arrays (_traces, _assoc_tensor,
+_left_symmetry_defect, _hessian_defect, _sectional_target, _derivation_defect,
+_paired_action); the split systems, the decomposition stages and the
+constructions evaluate the same contractions through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -19,7 +24,6 @@ from .core import (
     _enforce,
     _max_abs,
     change_basis,
-    mult_operator,
     multiply,
     residual_scale,
 )
@@ -122,23 +126,63 @@ def _report(resid: np.ndarray, tol: Tolerance, *scale_from: np.ndarray) -> Predi
     )
 
 
-def _assoc_tensor(A: AlgebraStructure) -> np.ndarray:
+def _joint(*reports: PredicateReport) -> PredicateReport:
+    """Conjunction of reports; residual and witness come from the worst one."""
+    worse = reduce(lambda a, b: a if a.max_residual >= b.max_residual else b, reports)
+    return PredicateReport(all(r.holds for r in reports), worse.max_residual, worse.witness)
+
+
+def _traces(c: np.ndarray) -> np.ndarray:
+    """Trace of every slice, t[k] = sum_m c[k, m, m]; tr(L_{e_k}) for structure constants."""
+    return np.einsum("kmm->k", c)
+
+
+def _assoc_tensor(c: np.ndarray) -> np.ndarray:
     """T[i,j,k,:] = associator(e_i, e_j, e_k), all basis triples at once."""
-    c = A.constants
-    left = np.einsum("ijm,mkl->ijkl", c, c)
-    right = np.einsum("jkm,iml->ijkl", c, c)
-    return left - right
+    return np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c)
+
+
+def _left_symmetry_defect(c: np.ndarray) -> np.ndarray:
+    """ass(x, y, z) - ass(y, x, z) on basis triples."""
+    t = _assoc_tensor(c)
+    return t - t.transpose(1, 0, 2, 3)
+
+
+def _hessian_defect(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """<x*y - y*x, z> - (<y*z, x> - <x*z, y>) on basis triples."""
+    lhs = np.einsum("ijl,lk->ijk", c - c.transpose(1, 0, 2), g)
+    rhs = np.einsum("jkl,li->ijk", c, g) - np.einsum("ikl,lj->ijk", c, g)
+    return lhs - rhs
+
+
+def _sectional_target(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T[i,j,k,l] = g_jk x_li - g_ik x_lj, i.e. <e_j,e_k> X e_i - <e_i,e_k> X e_j for X = x."""
+    return np.einsum("jk,li->ijkl", g, x) - np.einsum("ik,lj->ijkl", g, x)
+
+
+def _derivation_defect(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """D(x*y) - D(x)*y - x*D(y) on basis pairs."""
+    return (
+        np.einsum("lm,ijm->ijl", d, c)
+        - np.einsum("mi,mjl->ijl", d, c)
+        - np.einsum("mj,iml->ijl", d, c)
+    )
+
+
+def _paired_action(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P[x,y,z] = <rho(z) x, y> + <rho(z) y, x>, the symmetrized action pairing."""
+    d = np.einsum("ya,zax->zyx", g, rho)
+    return np.einsum("zyx->xyz", d) + np.einsum("zxy->xyz", d)
 
 
 def koszul_form(A: AlgebraStructure) -> BilinearForm:
     """The trace form B(x, y) = tr(L_{x*y})."""
-    t = np.einsum("kmm->k", A.constants)
-    return BilinearForm(np.einsum("ijk,k->ij", A.constants, t))
+    return BilinearForm(np.einsum("ijk,k->ij", A.constants, _traces(A.constants)))
 
 
 def trace_one_form(A: AlgebraStructure) -> np.ndarray:
     """Covector alpha with alpha[k] = -tr(L_{e_k})."""
-    return -np.einsum("kmm->k", A.constants)
+    return -_traces(A.constants)
 
 
 def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -156,8 +200,7 @@ def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> Predi
 
 def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
     """Associator symmetric in its first two arguments."""
-    t = _assoc_tensor(A)
-    return _report(t - t.transpose(1, 0, 2, 3), tol, A.constants)
+    return _report(_left_symmetry_defect(A.constants), tol, A.constants)
 
 
 def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -165,7 +208,7 @@ def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Pred
 
 
 def check_associative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
-    return _report(_assoc_tensor(A), tol, A.constants)
+    return _report(_assoc_tensor(A.constants), tol, A.constants)
 
 
 def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -176,16 +219,9 @@ def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicat
     """
     c = A.constants
     left = np.einsum("ijm,mkl->ijkl", c, c)
-    right_sym = left - left.transpose(0, 2, 1, 3)
-    t = _assoc_tensor(A)
-    left_sym = t - t.transpose(1, 0, 2, 3)
-    r1 = _report(right_sym, tol, c)
-    r2 = _report(left_sym, tol, c)
-    worse = r1 if r1.max_residual >= r2.max_residual else r2
-    return PredicateReport(
-        holds=r1.holds and r2.holds,
-        max_residual=worse.max_residual,
-        witness=worse.witness,
+    return _joint(
+        _report(left - left.transpose(0, 2, 1, 3), tol, c),
+        _report(_left_symmetry_defect(c), tol, c),
     )
 
 
@@ -194,9 +230,7 @@ def check_hessian(A: AlgebraStructure, F: BilinearForm, tol: Tolerance = Toleran
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
     c, g = A.constants, F.matrix
-    lhs = np.einsum("ijl,lk->ijk", c - c.transpose(1, 0, 2), g)
-    rhs = np.einsum("jkl,li->ijk", c, g) - np.einsum("ikl,lj->ijk", c, g)
-    return _report(lhs - rhs, tol, c, g)
+    return _report(_hessian_defect(c, g), tol, c, g)
 
 
 def check_koszul_identity(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -215,19 +249,11 @@ def check_k_hessian(
     """
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
-    g = F.matrix
-    eye = np.eye(A.dim)
-    t = _assoc_tensor(A)
-    anti = t - t.transpose(1, 0, 2, 3)
-    target = k * (np.einsum("ik,jl->ijkl", g, eye) - np.einsum("jk,il->ijkl", g, eye))
-    r_sec = _report(anti - target, tol, A.constants, g, np.array([k]))
-    r_hess = check_hessian(A, F, tol)
-    worse = r_sec if r_sec.max_residual >= r_hess.max_residual else r_hess
-    return PredicateReport(
-        holds=r_sec.holds and r_hess.holds,
-        max_residual=worse.max_residual,
-        witness=worse.witness,
+    c, g = A.constants, F.matrix
+    r_sec = _report(
+        _left_symmetry_defect(c) + k * _sectional_target(g, np.eye(A.dim)), tol, c, g, np.array([k])
     )
+    return _joint(r_sec, check_hessian(A, F, tol))
 
 
 def _require_antisymmetric(A: AlgebraStructure, tol: Tolerance) -> None:

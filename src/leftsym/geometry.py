@@ -49,6 +49,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
+from .forms import _traces
 
 
 def levi_civita_product(
@@ -117,7 +118,7 @@ def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Biline
     independent), and the disagreement raises OracleMismatch.
     """
     _, gamma = _gamma_data(M, tol)
-    tr_gamma = np.einsum("imm->i", gamma)
+    tr_gamma = _traces(gamma)
     beta = -np.einsum("ijk,k->ij", M.algebra.constants, tr_gamma)
     direct = koszul_form(M.algebra).matrix
     thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix)
@@ -169,7 +170,7 @@ def _base_curvature(M: MetricAlgebra, compatible: bool, tol: Tolerance) -> BaseC
         pair = np.einsum("ilm,jmk->ijlk", gamma, gamma)
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
         _enforce({"curvature operator": _max_abs(K - k_gamma)}, thr, OracleMismatch)
-        tr_gamma = np.einsum("imm->i", gamma)
+        tr_gamma = _traces(gamma)
         ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum(
             "amb,m->ab", gamma, tr_gamma
         )

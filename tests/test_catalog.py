@@ -5,6 +5,8 @@ second three dimensional family coincides, after a rotation of the first
 two basis vectors, with the cone construction over the unit plane model.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from leftsym import (
     FixtureBroken,
     MetricAlgebra,
     MilnorSpec,
+    Tolerance,
     UnknownEntry,
     build_corollary2,
     build_milnor,
     change_basis,
     check_jacobi,
+    decompose,
     is_solvable,
     koszul_form,
 )
@@ -131,3 +135,28 @@ def test_verify_reports_worst_residual():
     rep = catalog_verify("lspk_dim5", {"branch": 2, "beta": 1.1, "lam": 0.6})
     assert rep
     assert 0.0 <= rep.max_residual <= 1e-9
+
+
+def test_verify_agrees_with_decompose_at_tight_eps():
+    # decompose certifies each residual against its own data-scaled threshold;
+    # catalog_verify folds them into the worst residual without re-checking
+    # them against the unscaled eps
+    params = {"alpha_sign": 1.0, "beta": 2.610434542726609, "lam": 2.4567679846585198}
+    tol = Tolerance(2e-16)
+    dec = decompose(catalog_build("lspk_dim4", params), tol)
+    assert dec.signature == (2, 1, 3.0)
+    rep = catalog_verify("lspk_dim4", params, tol)
+    assert rep
+    assert rep.max_residual >= max(v for v in dec.residuals.values() if v is not None)
+
+
+@pytest.mark.parametrize("residual", [None, 2.5e-3])
+def test_fixture_broken_pickles(residual):
+    exc = FixtureBroken("lspk_dim4", "rho match", residual)
+    tail = "" if residual is None else " (residual 2.500e-03)"
+    assert str(exc) == f"catalog entry 'lspk_dim4' fails predicate 'rho match'{tail}"
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is FixtureBroken
+    assert (back.name, back.predicate, back.residual, str(back)) == (
+        exc.name, exc.predicate, exc.residual, str(exc)
+    )

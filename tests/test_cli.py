@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from leftsym import BilinearForm, MetricAlgebra, decompose, koszul_form
+from leftsym import BilinearForm, FixtureBroken, MetricAlgebra, cli, decompose, koszul_form
 from leftsym.algfile import parse_algebra_file, render_algebra_file
 from leftsym.catalog import catalog_build, catalog_list
 from leftsym.cli import run
@@ -197,6 +197,30 @@ def test_catalog_verify_all_reports_every_entry_under_tight_eps(monkeypatch, cap
         if not r["ok"]
     ]
     assert any(relations)
+
+
+def test_catalog_verify_all_failed_rows_carry_residual(monkeypatch, capsys):
+    monkeypatch.setenv("LSPK_EPS", "1e-17")
+    assert run(["catalog", "verify-all", "--json"]) == 1
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["entries"]}
+    assert all("residual" in r for r in rows.values() if not r["ok"])
+    row = rows["rn_canonical"]
+    assert not row["ok"] and isinstance(row["residual"], float)
+    assert run(["catalog", "verify-all"]) == 1
+    line = f"rn_canonical: FAIL ({row['predicate']}, residual {row['residual']:.3e})"
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_catalog_verify_all_failed_row_without_residual(monkeypatch, capsys):
+    def refuse(name, tol):
+        raise FixtureBroken(name, "positive definite trace form")
+
+    monkeypatch.setattr(cli, "catalog_verify", refuse)
+    assert run(["catalog", "verify-all", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["entries"]
+    assert all(r["residual"] is None for r in rows)
+    assert run(["catalog", "verify-all"]) == 1
+    assert "rn_canonical: FAIL (positive definite trace form)" in capsys.readouterr().out
 
 
 def test_catalog_export_round_trip(tmp_path):

@@ -82,6 +82,17 @@ def test_corollary2_requires_unit_curvature():
         build_corollary2(M)
 
 
+@pytest.mark.parametrize(
+    "h_vec, skew, hypothesis",
+    [([0.5, 0.0], None, "sectional"), ([1.0, 0.0], [[0.0, 1.0], [-1.0, 0.0]], "derivation")],
+)
+def test_corollary2_names_the_failing_hypothesis(h_vec, skew, hypothesis):
+    M, _ = build_milnor(MilnorSpec(2, np.array(h_vec)))
+    with pytest.raises(HypothesisFailed) as info:
+        build_corollary2(M, skew)
+    assert info.value.name == hypothesis
+
+
 @pytest.mark.parametrize("name", ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
                                   "lspk_dim3_case3", "lspk_dim4", "lspk_dim5"])
 def test_rebuild_inverts_decompose(name):
