@@ -10,14 +10,15 @@ rho1[x] the (n2, n2) action matrix of the x-th first-part basis vector,
 rho2[x] the (n1, n1) action matrix of the x-th second-part basis vector,
 omega1 (n1, n1, n2) and omega2 (n2, n2, n1) the symmetric pairing maps,
 b1 / b2 the skew blocks, g1 / g2 the Gram matrices.  A relation whose index
-ranges are empty reports None.
+ranges are empty reports None.  The rank-4 products are _compose GEMMs;
+each comment gives the einsum it evaluates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _max_abs
+from .core import _compose, _max_abs
 from .forms import (
     _derivation_defect,
     _hessian_defect,
@@ -54,15 +55,14 @@ def system_residuals(
 
     # flatness conditions: the first-part actions are traceless and commute
     out["theo-i-trace"] = _max_abs(_traces(rho1))
-    comm1 = np.einsum("xab,ybc->xyac", rho1, rho1)
+    comm1 = _compose(rho1, rho1.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # xab,ybc->xyac
     out["theo-i-commute"] = _max_abs(comm1 - comm1.transpose(1, 0, 2, 3))
 
     # the second-part action is a representation of the induced bracket
     c2_bracket = c2 - c2.transpose(1, 0, 2)
+    comm2 = _compose(rho2, rho2.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # iab,jbc->ijac
     out["theo-ii"] = _max_abs(
-        np.einsum("ijm,mab->ijab", c2_bracket, rho2)
-        - np.einsum("iab,jbc->ijac", rho2, rho2)
-        + np.einsum("jab,ibc->ijac", rho2, rho2)
+        _compose(c2_bracket, rho2) - comm2 + comm2.transpose(1, 0, 2, 3)
     )
 
     # S1: the pairing maps are the metric duals of the symmetrized actions
@@ -80,41 +80,45 @@ def system_residuals(
     )
 
     # S3-1: first-part actions are almost derivations of the second product
-    lhs = np.einsum("jkm,xlm->xjkl", c2, rho1)
-    t1 = np.einsum("xmk,jml->xjkl", rho1, c2)
-    t2 = np.einsum("xmj,mkl->xjkl", rho1, c2)
-    t3 = np.einsum("jax,alk->xjkl", rho2, rho1)
-    t4 = np.einsum("jka,xal->xjkl", omega2, omega1)
-    out["S3-1"] = _max_abs(lhs - t1 - t2 + t3 + t4)
+    rho1_t = rho1.transpose(0, 2, 1)
+    lhs = _compose(c2, rho1.transpose(2, 0, 1)).transpose(2, 0, 1, 3)  # jkm,xlm->xjkl
+    lhs -= _compose(rho1_t, c2.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # xmk,jml->xjkl
+    lhs -= _compose(rho1_t, c2)  # xmj,mkl->xjkl
+    lhs += _compose(rho2.transpose(0, 2, 1), rho1).transpose(1, 0, 3, 2)  # jax,alk->xjkl
+    lhs += _compose(omega2, omega1.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # jka,xal->xjkl
+    out["S3-1"] = _max_abs(lhs)
 
     # S3-2: composite action through the first part collapses
     out["S3-2"] = _max_abs(
-        np.einsum("jmx,mlk->xjkl", rho1, rho2) + np.einsum("jkm,xml->xjkl", omega1, omega2)
+        _compose(rho1_t, rho2).transpose(1, 0, 3, 2)  # jmx,mlk->xjkl
+        + _compose(omega1, omega2.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # jkm,xml->xjkl
     )
 
     # S3-3: first-part actions agree on the omega1 pairings
-    term3 = np.einsum("jkm,xlm->xjkl", omega1, rho1)
+    term3 = _compose(omega1, rho1.transpose(2, 0, 1)).transpose(2, 0, 1, 3)  # jkm,xlm->xjkl
     out["S3-3"] = _max_abs(term3 - term3.transpose(1, 0, 2, 3))
 
     # S3-4: cocycle condition for omega2 over the second product
-    p1 = np.einsum("jka,xla->xjkl", omega2, rho2)
-    p2 = np.einsum("jkm,xml->xjkl", c2, omega2)
-    p3 = np.einsum("xjm,mkl->xjkl", c2_bracket, omega2)
+    p1 = _compose(omega2, rho2.transpose(2, 0, 1)).transpose(2, 0, 1, 3)  # jka,xla->xjkl
+    p2 = _compose(c2, omega2.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # jkm,xml->xjkl
+    p3 = _compose(c2_bracket, omega2)  # xjm,mkl->xjkl
     out["S3-4"] = _max_abs(
         (p1 - p1.transpose(1, 0, 2, 3)) + (p2 - p2.transpose(1, 0, 2, 3)) - p3
     )
 
     # S3-5: omega2 is invariant under the first-part actions
     out["S3-5"] = _max_abs(
-        np.einsum("xmj,mkl->xjkl", rho1, omega2) + np.einsum("xmk,jml->xjkl", rho1, omega2)
+        _compose(rho1_t, omega2)  # xmj,mkl->xjkl
+        + _compose(rho1_t, omega2.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # xmk,jml->xjkl
     )
 
     # S3-6: multiplication against omega1 reproduces the first Gram matrix
-    q1 = np.einsum("jkm,xml->xjkl", omega1, c2)
-    q2 = np.einsum("xaj,akl->xjkl", rho2, omega1)
-    q3 = np.einsum("xak,jal->xjkl", rho2, omega1)
-    q4 = np.einsum("jk,xl->xjkl", g1, eye2)
-    out["S3-6"] = _max_abs(q1 - q2 - q3 + q4)
+    rho2_t = rho2.transpose(0, 2, 1)
+    q = _compose(omega1, c2.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # jkm,xml->xjkl
+    q -= _compose(rho2_t, omega1)  # xaj,akl->xjkl
+    q -= _compose(rho2_t, omega1.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # xak,jal->xjkl
+    q += np.einsum("jk,xl->xjkl", g1, eye2)
+    out["S3-6"] = _max_abs(q)
 
     # S3-7 / S3-8: the skew blocks intertwine the two action families
     out["S3-7"] = _max_abs(

@@ -14,10 +14,18 @@ conventions once:
 
 Structure tensors are copied and frozen at construction; operations never
 mutate an algebra, they return new ones.
+
+The heavy contractions of the library go through two private helpers, each
+a fixed sequence of reshapes and BLAS matrix products: _compose (one index
+summed between two tensors, one GEMM) and _restrict (the products of a set
+of vectors, cost n^4).  change_basis is _restrict followed by one GEMM.
+mult_operator keeps its einsum: construct._annihilate relies on its
+reduction order to make L_h vanish exactly.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -70,6 +78,18 @@ def _enforce(residuals: dict, threshold: float, error: type) -> dict:
         if value is not None and value > threshold:
             raise error(name, value)
     return residuals
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m a[..., m] b[m, ...]: the last axis of a against the first of b, as one GEMM."""
+    m = a.shape[-1]
+    out = a.reshape(math.prod(a.shape[:-1]), m) @ b.reshape(m, math.prod(b.shape[1:]))
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _restrict(c: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """r[a, b, k] = sum_ij U[i, a] U[j, b] c[i, j, k]: products of the columns of U."""
+    return U.T @ _compose(U.T, c)  # _compose gives t[a, j, k]; @ sums j for each a
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -162,5 +182,5 @@ def change_basis(A: AlgebraStructure, P: np.ndarray, tol: Tolerance = Tolerance(
     if not np.isfinite(det) or abs(det) <= tol.eps:
         raise SingularMatrix(f"basis matrix has |det| = {abs(det):.3e}")
     Pinv = np.linalg.inv(P)
-    c = np.einsum("ia,jb,ijk,ck->abc", P, P, A.constants, Pinv)
+    c = _compose(_restrict(A.constants, P), Pinv.T)
     return AlgebraStructure(c, name=A.name)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._systems import system_residuals
 from .core import AlgebraStructure, Tolerance, change_basis, multiply, residual_scale
-from .core import _enforce, _max_abs
+from .core import _compose, _enforce, _max_abs, _restrict
 from .errors import (
     BlockNotSkew,
     Circ1NonZero,
@@ -64,14 +64,20 @@ def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.n
 
 
 def _orthonormalize(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt for the inner product g, with a re-orthogonalization pass."""
+    """Gram-Schmidt for the inner product g, with a re-orthogonalization pass.
+
+    Raises NotPositiveDefinite when g is negative on a column it orthogonalizes.
+    """
     out: list[np.ndarray] = []
     for v in cols.T:
         u = v.astype(float).copy()
         for _ in range(2):
             for w in out:
                 u = u - (w @ g @ u) * w
-        norm = float(np.sqrt(u @ g @ u))
+        sq = float(u @ g @ u)
+        if sq < 0.0:
+            raise NotPositiveDefinite(f"form takes the negative value {sq:.3e} on the complement")
+        norm = float(np.sqrt(sq))
         if norm <= 1e-12 * residual_scale(cols):
             raise DiagonalizationFailed("complement basis degenerated during orthonormalization")
         out.append(u / norm)
@@ -115,14 +121,14 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
     w_H = inner @ H
     c = A.constants
 
-    xh = np.einsum("ia,ijk,j->ak", h_basis, c, H)  # rows: u_a * H
-    hx = np.einsum("i,ja,ijk->ak", H, h_basis, c)  # rows: H * u_a
+    xh = h_basis.T @ (H @ c)  # rows: u_a * H
+    hx = h_basis.T @ _compose(H, c)  # rows: H * u_a
     S = (xh @ w_h).T
     A_op = (hx @ w_h).T
 
-    prod = np.einsum("ia,jb,ijk->abk", h_basis, h_basis, c)
-    h_coeff = np.einsum("abk,k->ab", prod, w_H)
-    cc = np.einsum("abk,kc->abc", prod, w_h)
+    prod = _restrict(c, h_basis)
+    h_coeff = prod @ w_H
+    cc = _compose(prod, w_h)
     circ = AlgebraStructure(cc, name=f"{A.name}:circ" if A.name else "circ")
     gram = h_basis.T @ inner @ h_basis
 

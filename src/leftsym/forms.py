@@ -21,8 +21,10 @@ import numpy as np
 from .core import (
     AlgebraStructure,
     Tolerance,
+    _compose,
     _enforce,
     _max_abs,
+    _restrict,
     change_basis,
     multiply,
     residual_scale,
@@ -139,7 +141,9 @@ def _traces(c: np.ndarray) -> np.ndarray:
 
 def _assoc_tensor(c: np.ndarray) -> np.ndarray:
     """T[i,j,k,:] = associator(e_i, e_j, e_k), all basis triples at once."""
-    return np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c)
+    t = _compose(c, c)  # (e_i e_j) e_k
+    t -= _compose(c, c.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # e_i (e_j e_k)
+    return t
 
 
 def _left_symmetry_defect(c: np.ndarray) -> np.ndarray:
@@ -218,7 +222,7 @@ def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicat
     Novikov, not merely right-symmetric.
     """
     c = A.constants
-    left = np.einsum("ijm,mkl->ijkl", c, c)
+    left = _compose(c, c)
     return _joint(
         _report(left - left.transpose(0, 2, 1, 3), tol, c),
         _report(_left_symmetry_defect(c), tol, c),
@@ -268,7 +272,7 @@ def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicate
     """
     _require_antisymmetric(A, tol)
     c = A.constants
-    t = np.einsum("ijm,mkl->ijkl", c, c)
+    t = _compose(c, c)
     jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     return _report(jac, tol, c)
 
@@ -286,7 +290,7 @@ def is_solvable(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> bool:
     basis = np.eye(n)
     rank = n
     while True:
-        w = np.einsum("ia,jb,ijk->abk", basis, basis, A.constants).reshape(-1, n)
+        w = _restrict(A.constants, basis).reshape(-1, n)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
         if sigma.size == 0 or sigma[0] <= tol.eps:
             return True

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AlgebraStructure, Tolerance, lie_bracket_constants, residual_scale
-from .core import _enforce, _max_abs
+from .core import _compose, _enforce, _max_abs
 from .errors import (
     NotEinstein,
     NotLieBracket,
@@ -158,16 +158,16 @@ def _base_curvature(M: MetricAlgebra, compatible: bool, tol: Tolerance) -> BaseC
     lc, gamma = _gamma_data(M, tol)
     c = lc.constants
     cb = lie_bracket_constants(M.algebra).constants
-    K = (
-        np.einsum("ijm,mkl->ijkl", cb, c)
-        - np.einsum("jkm,iml->ijkl", c, c)
-        + np.einsum("ikm,jml->ijkl", c, c)
-    )
+    cc = _compose(c, c.transpose(1, 0, 2))  # cc[a,b,i,l] = sum_m c[a,b,m] c[i,m,l]
+    K = _compose(cb, c)  # ijm,mkl->ijkl
+    K -= cc.transpose(2, 0, 1, 3)  # jkm,iml->ijkl
+    K += cc.transpose(0, 2, 1, 3)  # ikm,jml->ijkl
+    del cc  # freed before the gamma cross-check builds its own n^4 arrays
     ricci = np.einsum("ajbj->ab", K)
 
     if compatible:
         thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, c)
-        pair = np.einsum("ilm,jmk->ijlk", gamma, gamma)
+        pair = _compose(gamma, gamma.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # ilm,jmk->ijlk
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
         _enforce({"curvature operator": _max_abs(K - k_gamma)}, thr, OracleMismatch)
         tr_gamma = _traces(gamma)

@@ -139,6 +139,19 @@ def test_milnor_left_translation_is_trivial():
     assert check_k_hessian(M.algebra, M.metric, k)
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 24, 32])
+def test_milnor_left_translation_vanishes_exactly_at_every_size(n):
+    # pins the reduction order of mult_operator that build_milnor rounds against
+    rng = np.random.default_rng(5000 + n)
+    for _ in range(3):
+        q = rng.standard_normal((n, n))
+        g = q.T @ q / n + np.eye(n)
+        h = rng.standard_normal(n)
+        h /= np.linalg.norm(h)
+        M, _ = build_milnor(MilnorSpec(n, h, g))
+        assert np.count_nonzero(mult_operator(M.algebra, h, "left")) == 0
+
+
 def test_milnor_recognition_round_trip():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):

@@ -2,7 +2,9 @@
 
 The convention tests use products small enough to evaluate by hand; the
 property tests check bilinearity and that change_basis really transports
-the multiplication (P carries the new basis as columns).
+the multiplication (P carries the new basis as columns).  The contraction
+helpers are checked against the einsum spellings they replace, which live
+on here as the oracle.
 """
 
 import pickle
@@ -26,7 +28,7 @@ from leftsym import (
     mult_operator,
     multiply,
 )
-from leftsym.core import _enforce
+from leftsym.core import _compose, _enforce, _restrict
 
 _coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
@@ -176,3 +178,61 @@ def test_change_basis_round_trip(A, P):
         return
     back = change_basis(change_basis(A, P), np.linalg.inv(P))
     np.testing.assert_allclose(back.constants, A.constants, atol=1e-8)
+
+
+# Oracle: the einsum spellings the contraction helpers replace.  A GEMM sums in
+# another order, so results agree to rounding, measured against the same
+# contraction of absolute values (the scale of the rounding error).
+_SIZES = [1, 2, 5, 12, 24]
+
+
+def _basis(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
+    """Random n x n matrix with condition number cond and |det| = 1."""
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = np.sqrt(cond) ** np.linspace(1.0, -1.0, n) if n > 1 else np.ones(1)
+    return q1 @ np.diag(s) @ q2
+
+
+def _agrees(got: np.ndarray, spec: str, *operands: np.ndarray) -> None:
+    want = np.einsum(spec, *operands)
+    scale = np.einsum(spec, *(np.abs(x) for x in operands), optimize=True)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(1.0, np.max(scale, initial=0.0))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e6], ids=["orthogonal", "cond1e6"])
+@pytest.mark.parametrize("n", _SIZES)
+def test_change_basis_matches_einsum(n, cond):
+    rng = np.random.default_rng(100 + n)
+    c = rng.standard_normal((n, n, n))
+    P = _basis(n, cond, rng)
+    got = change_basis(AlgebraStructure(c), P).constants
+    _agrees(got, "ia,jb,ijk,ck->abc", P, P, c, np.linalg.inv(P))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e6], ids=["orthogonal", "cond1e6"])
+@pytest.mark.parametrize("n", _SIZES)
+def test_restrict_matches_einsum(n, cond):
+    rng = np.random.default_rng(200 + n)
+    c = rng.standard_normal((n, n, n))
+    P = _basis(n, cond, rng)
+    # all columns, the n - 1 columns of a complement (shape (1, 0) at n = 1),
+    # and the empty basis the derived series can shrink to
+    for U in (P, P[:, 1:], P[:, :0]):
+        _agrees(_restrict(c, U), "ia,jb,ijk->abk", U, U, c)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_compose_matches_einsum(n):
+    rng = np.random.default_rng(300 + n)
+    c = rng.standard_normal((n, n, n))
+    d = rng.standard_normal((n, n, n))
+    v = rng.standard_normal(n)
+    w = rng.standard_normal((n, n - 1))
+    _agrees(_compose(c, d), "ijm,mkl->ijkl", c, d)
+    _agrees(_compose(c, d.transpose(1, 0, 2)), "ijm,kml->ijkl", c, d)
+    _agrees(_compose(v, c), "m,mjk->jk", v, c)
+    _agrees(_compose(c, w), "abk,kc->abc", c, w)
+    _agrees(_compose(c[:0], d), "ijm,mkl->ijkl", c[:0], d)
+    _agrees(_compose(c[:, :, :0], d[:0]), "ijm,mkl->ijkl", c[:, :, :0], d[:0])

@@ -104,6 +104,15 @@ def test_perturbed_flat_part_is_refused_by_stage():
     assert info.value.name == "XH_stays_in_h"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_h_refuses_an_indefinite_complement():
+    # B(H, H) > 0 here, but the trace form is negative on the complement of H
+    rng = np.random.default_rng(0)
+    A = AlgebraStructure(rng.standard_normal((2, 2, 2)))
+    with pytest.raises(NotPositiveDefinite):
+        split_h(A, rng.standard_normal(2))
+
+
 @pytest.mark.parametrize("name", ["lspk_dim2", "lspk_dim4", "lspk_dim5"])
 def test_signature_is_basis_invariant(name):
     A = catalog_build(name)

@@ -5,12 +5,15 @@ nilpotent plane has vanishing Koszul form.  Predicate coverage pairs one
 algebra that satisfies each axiom with one that breaks it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leftsym import (
+    AlgebraStructure,
     BilinearForm,
     NotAntisymmetric,
     PreconditionFailed,
@@ -35,6 +38,19 @@ from leftsym.catalog import catalog_build, sl2_bracket
 from leftsym.construct import build_corollary1, kdim2_family
 
 _angle = st.floats(min_value=0.0, max_value=6.2, allow_nan=False, allow_infinity=False)
+
+
+def test_left_symmetry_check_holds_two_rank4_arrays_at_most():
+    # the defect and its absolute value; a third n^4 temporary shows as +1.0
+    n = 24
+    A = AlgebraStructure(np.random.default_rng(24).standard_normal((n, n, n)))
+    tracemalloc.start()
+    try:
+        check_left_symmetric(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2.0 + 0.25) * 8 * n**4
 
 
 def test_koszul_form_dim2(dim2):
