@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _compose, _max_abs
+from .core import _compose, _max_abs, _worst_of
 from .forms import (
     _derivation_defect,
     _hessian_defect,
@@ -27,11 +27,6 @@ from .forms import (
     _sectional_target,
     _traces,
 )
-
-
-def _combine(*parts: float | None) -> float | None:
-    live = [p for p in parts if p is not None]
-    return max(live) if live else None
 
 
 def system_residuals(
@@ -68,16 +63,16 @@ def system_residuals(
     # S1: the pairing maps are the metric duals of the symmetrized actions
     s1a = np.einsum("xyl,lz->xyz", omega1, g2) - _paired_action(g1, rho2)
     s1b = np.einsum("xyl,lz->xyz", omega2, g1) - _paired_action(g2, rho1)
-    out["S1"] = _combine(_max_abs(s1a), _max_abs(s1b))
+    out["S1"] = _worst_of((_max_abs(s1a), _max_abs(s1b)))
 
     # S2: the second part is a Hessian algebra with sectional constant -1,
     # b2 is a derivation, and left traces match the action traces
-    out["S2"] = _combine(
+    out["S2"] = _worst_of((
         _max_abs(_hessian_defect(c2, g2)),
         _max_abs(_left_symmetry_defect(c2) - _sectional_target(g2, eye2)),
         _max_abs(_derivation_defect(b2, c2)),
         _max_abs(_traces(c2) + _traces(rho2)),
-    )
+    ))
 
     # S3-1: first-part actions are almost derivations of the second product
     rho1_t = rho1.transpose(0, 2, 1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .construct import LSPKData, MilnorSpec
 from .core import AlgebraStructure
-from .errors import ParseError, SchemaError
+from .errors import DimensionMismatch, ParseError, SchemaError
 from .forms import BilinearForm
 
 
@@ -98,31 +98,64 @@ def _require(cond: bool, field: str, reason: str) -> None:
         raise SchemaError(f"field '{field}': {reason}")
 
 
-def _as_index(value, field: str, dim: int) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), field, "must be an integer")
-    _require(0 <= value < dim, field, f"must lie in [0, {dim})")
+# the one JSON-number rule: a decoded number is exactly an int or a float
+# (a JSON true or false decodes to a bool, a subclass of int)
+_NUMBER_TYPES = {int, float}
+
+
+def _as_count(value, field: str) -> int:
+    _require(type(value) is int and value >= 0, field, "must be a non-negative integer")
     return value
 
 
-def _as_number_list(value, field: str, length: int) -> list[float]:
+def _as_index(value, field: str, dim: int) -> int:
+    _require(_as_count(value, field) < dim, field, f"must lie in [0, {dim})")
+    return value
+
+
+def _check_numbers(value: list, field: str) -> None:
+    kinds = set(map(type, value))  # one pass in C per innermost list
+    if kinds == {list}:
+        for v in value:
+            _check_numbers(v, field)
+    else:
+        _require(kinds <= _NUMBER_TYPES, field, "entries must be numbers")
+
+
+def _as_array(value, field: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array of the given shape."""
     _require(isinstance(value, list), field, "must be an array")
-    _require(len(value) == length, field, f"must have length {length}")
-    for v in value:
-        _require(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            field,
-            "entries must be numbers",
-        )
-    return [float(v) for v in value]
-
-
-def _load_json(text: str) -> dict:
+    _check_numbers(value, field)
     try:
-        doc = json.loads(text)
+        arr = np.array(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        raise SchemaError(f"field '{field}': must be a rectangular array of floats") from None
+    _require(shape is None or arr.shape == shape, field, f"must have shape {shape}")
+    return arr
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
+def _load_object(text: str, allowed: set[str]) -> dict:
+    doc = _load_json(text)
     _require(isinstance(doc, dict), "<root>", "must be a JSON object")
+    for key in doc:
+        _require(key in allowed, key, "unknown field")
     return doc
+
+
+def _metric(doc: dict, dim: int) -> np.ndarray | None:
+    """The optional symmetric (dim, dim) "metric" block of a document."""
+    if "metric" not in doc:
+        return None
+    m = _as_array(doc["metric"], "metric", (dim, dim))
+    _require(bool(np.array_equal(m, m.T)), "metric", "must be symmetric")
+    return m
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:
@@ -132,18 +165,10 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     and symmetric but is not required to be positive definite here; that
     is left to the consumers that need it.
     """
-    doc = _load_json(text)
-    allowed = {"name", "dim", "products", "metric", "tolerance"}
-    for key in doc:
-        _require(key in allowed, key, "unknown field")
+    doc = _load_object(text, {"name", "dim", "products", "metric", "tolerance"})
     name = doc.get("name", "")
     _require(isinstance(name, str), "name", "must be a string")
-    dim = doc.get("dim")
-    _require(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
-        "dim",
-        "must be a non-negative integer",
-    )
+    dim = _as_count(doc.get("dim"), "dim")
     products = doc.get("products", [])
     _require(isinstance(products, list), "products", "must be an array")
 
@@ -157,40 +182,27 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         j = _as_index(row["j"], f"{field}.j", dim)
         _require((i, j) not in seen, field, f"duplicate product ({i}, {j})")
         seen.add((i, j))
-        C[i, j] = _as_number_list(row["coeffs"], f"{field}.coeffs", dim)
+        C[i, j] = _as_array(row["coeffs"], f"{field}.coeffs", (dim,))
 
-    metric = None
-    if "metric" in doc:
-        raw = doc["metric"]
-        _require(isinstance(raw, list) and len(raw) == dim, "metric", f"must be a {dim}x{dim} array")
-        rows = [_as_number_list(r, f"metric[{pos}]", dim) for pos, r in enumerate(raw)]
-        m = np.array(rows)
-        _require(bool(np.array_equal(m, m.T)), "metric", "must be symmetric")
-        metric = BilinearForm(m)
-
+    m = _metric(doc, dim)
     tolerance = None
     if "tolerance" in doc:
         raw = doc["tolerance"]
-        _require(
-            isinstance(raw, (int, float)) and not isinstance(raw, bool) and raw > 0,
-            "tolerance",
-            "must be a positive number",
-        )
+        _require(type(raw) in _NUMBER_TYPES and raw > 0, "tolerance", "must be a positive number")
         tolerance = float(raw)
 
-    return AlgebraFile(AlgebraStructure(C, name=name), metric=metric, tolerance=tolerance)
+    return AlgebraFile(
+        AlgebraStructure(C, name=name),
+        metric=None if m is None else BilinearForm(m),
+        tolerance=tolerance,
+    )
 
 
 def parse_matrix_file(text: str, field: str = "matrix") -> np.ndarray:
     """A bare JSON 2D array, used for skew-derivation inputs."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    doc = _load_json(text)
     _require(isinstance(doc, list) and doc, field, "must be a non-empty 2D array")
-    n = len(doc)
-    rows = [_as_number_list(r, f"{field}[{pos}]", n) for pos, r in enumerate(doc)]
-    return np.array(rows)
+    return _as_array(doc, field, (len(doc), len(doc)))
 
 
 def parse_lspk_data(text: str) -> LSPKData:
@@ -200,58 +212,25 @@ def parse_lspk_data(text: str) -> LSPKData:
     (n1, n2, n2), rho2 (n2, n1, n1), omega1 (n1, n1, n2), omega2
     (n2, n2, n1); product tensor c2 (n2, n2, n2).  Omitted pieces take the
     construction defaults (identity metrics, zero maps, derived omegas).
+    Shapes are checked by LSPKData; a mismatch is a SchemaError here.
     """
-    doc = _load_json(text)
-    allowed = {"n1", "n2", "g1", "g2", "b1", "b2", "rho1", "rho2", "omega1", "omega2", "c2"}
-    for key in doc:
-        _require(key in allowed, key, "unknown field")
-    for key in ("n1", "n2"):
-        _require(
-            isinstance(doc.get(key), int) and not isinstance(doc.get(key), bool) and doc[key] >= 0,
-            key,
-            "must be a non-negative integer",
-        )
-    n1, n2 = doc["n1"], doc["n2"]
-    shapes = {
-        "g1": (n1, n1),
-        "g2": (n2, n2),
-        "b1": (n1, n1),
-        "b2": (n2, n2),
-        "rho1": (n1, n2, n2),
-        "rho2": (n2, n1, n1),
-        "omega1": (n1, n1, n2),
-        "omega2": (n2, n2, n1),
-        "c2": (n2, n2, n2),
-    }
-    kwargs = {}
-    for key, shape in shapes.items():
-        if key not in doc:
-            continue
-        arr = np.asarray(doc[key], dtype=float)
-        _require(arr.shape == shape, key, f"must have shape {shape}")
-        kwargs[key] = arr
-    return LSPKData(n1=n1, n2=n2, **kwargs)
+    doc = _load_object(
+        text, {"n1", "n2", "g1", "g2", "b1", "b2", "rho1", "rho2", "omega1", "omega2", "c2"}
+    )
+    n1, n2 = _as_count(doc.get("n1"), "n1"), _as_count(doc.get("n2"), "n2")
+    arrays = {key: _as_array(v, key) for key, v in doc.items() if key not in ("n1", "n2")}
+    try:
+        return LSPKData(n1=n1, n2=n2, **arrays)
+    except DimensionMismatch as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def parse_milnor_spec(text: str) -> MilnorSpec:
     """Builder-input JSON for the rank-one family: dim, h, optional metric."""
-    doc = _load_json(text)
-    allowed = {"dim", "h", "metric"}
-    for key in doc:
-        _require(key in allowed, key, "unknown field")
-    dim = doc.get("dim")
-    _require(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-        "dim",
-        "must be a positive integer",
-    )
-    h = np.array(_as_number_list(doc.get("h"), "h", dim))
-    metric = None
-    if "metric" in doc:
-        raw = doc["metric"]
-        _require(isinstance(raw, list) and len(raw) == dim, "metric", f"must be a {dim}x{dim} array")
-        rows = [_as_number_list(r, f"metric[{pos}]", dim) for pos, r in enumerate(raw)]
-        m = np.array(rows)
-        _require(bool(np.array_equal(m, m.T)), "metric", "must be symmetric")
-        metric = m
-    return MilnorSpec(dim, h, metric)
+    doc = _load_object(text, {"dim", "h", "metric"})
+    dim = _as_count(doc.get("dim"), "dim")
+    h = _as_array(doc.get("h"), "h")
+    try:
+        return MilnorSpec(dim, h, _metric(doc, dim))
+    except DimensionMismatch as exc:
+        raise SchemaError(str(exc)) from None

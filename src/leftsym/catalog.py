@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .construct import MilnorSpec, build_milnor, kdim2_family
-from .core import AlgebraStructure, Tolerance
+from .core import AlgebraStructure, Tolerance, _worst_of
 from .decompose import decompose
 from .errors import FixtureBroken, ResidualError, UnknownEntry
 from .forms import (
@@ -452,8 +452,11 @@ def catalog_build(name: str, params: dict | None = None):
     return catalog_entry(name).build(params)
 
 
-def _algebra_of(built) -> AlgebraStructure:
-    return built.algebra if isinstance(built, MetricAlgebra) else built
+def _parts(built) -> tuple[AlgebraStructure, BilinearForm | None]:
+    """(algebra, metric) of a built entry; the metric is None for a bare algebra."""
+    if isinstance(built, MetricAlgebra):
+        return built.algebra, built.metric
+    return built, None
 
 
 def catalog_verify(
@@ -467,12 +470,11 @@ def catalog_verify(
     entry = catalog_entry(name)
     resolved = entry.resolve(params)
     built = entry.builder(**resolved)
-    A = _algebra_of(built)
-    worst = 0.0
+    A, metric = _parts(built)
+    seen: list[float | None] = []
 
     def run(predicate: str, rep: PredicateReport) -> None:
-        nonlocal worst
-        worst = max(worst, rep.max_residual)
+        seen.append(rep.max_residual)
         if not rep:
             raise FixtureBroken(name, predicate, rep.max_residual)
 
@@ -496,12 +498,11 @@ def catalog_verify(
             err = abs(dec.rho - rho)
             run("rho match", PredicateReport(holds=err <= tol.eps * max(1.0, rho), max_residual=err))
             # decompose certified each residual against its own scaled threshold
-            live = (v for v in dec.residuals.values() if v is not None)
-            worst = max(worst, max(live, default=0.0))
+            seen.extend(dec.residuals.values())
     elif entry.kind == "khessian":
-        assert isinstance(built, MetricAlgebra)
+        assert metric is not None
         k = entry.expected_k(resolved)
-        run("k-hessian", check_k_hessian(built.algebra, built.metric, k, tol))
+        run("k-hessian", check_k_hessian(A, metric, k, tol))
     elif entry.kind == "nilpotent":
         run("left-symmetric", check_left_symmetric(A, tol))
     else:  # pragma: no cover - registry is static
@@ -513,7 +514,7 @@ def catalog_verify(
         elif check == "commutative":
             run("commutative", check_commutative(A, tol))
 
-    return PredicateReport(holds=True, max_residual=worst)
+    return PredicateReport(holds=True, max_residual=_worst_of(seen, default=0.0))
 
 
 def sample_params(name: str, rng: np.random.Generator) -> dict:

@@ -24,9 +24,9 @@ from .algfile import (
     parse_milnor_spec,
     render_algebra_file,
 )
-from .catalog import catalog_build, catalog_entry, catalog_list, catalog_verify
+from .catalog import _parts, catalog_build, catalog_entry, catalog_list, catalog_verify
 from .construct import build_corollary1, build_corollary2, build_lspk, build_milnor
-from .core import Tolerance, residual_scale
+from .core import Tolerance, _worst_of, residual_scale
 from .decompose import decompose
 from .errors import (
     FixtureBroken,
@@ -141,7 +141,7 @@ def _cmd_decompose(args, tol: Tolerance) -> int:
     af = _load_file(args.file)
     tol = _tolerance(af, tol)
     dec = decompose(af.algebra, tol)
-    worst = max((v for v in dec.residuals.values() if v is not None), default=0.0)
+    worst = _worst_of(dec.residuals.values(), default=0.0)
     if args.json:
         _emit(
             {
@@ -258,8 +258,7 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
     if args.action == "show":
         entry = catalog_entry(args.name)
         params = _parse_params(args.param)
-        built = entry.build(params)
-        A = built.algebra if isinstance(built, MetricAlgebra) else built
+        A, metric = _parts(entry.build(params))
         print(f"name: {entry.name}")
         print(f"kind: {entry.kind}")
         for spec in entry.params:
@@ -270,7 +269,6 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
             print(f"expected signature: {entry.expected_signature(resolved)}")
         if entry.expected_k is not None:
             print(f"expected k: {entry.expected_k(resolved):g}")
-        metric = built.metric if isinstance(built, MetricAlgebra) else None
         sys.stdout.write(render_algebra_file(A, metric))
         return 0
     if args.action == "verify-all":
@@ -295,11 +293,7 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
         return 0 if all(row["ok"] for row in rows) else 1
     if args.action == "export":
         built = catalog_build(args.name, _parse_params(args.param))
-        if isinstance(built, MetricAlgebra):
-            text = render_algebra_file(built.algebra, built.metric)
-        else:
-            text = render_algebra_file(built)
-        _write_output(text, args.out)
+        _write_output(render_algebra_file(*_parts(built)), args.out)
         return 0
     raise UnknownEntry(f"no catalog action named {args.action!r}")  # pragma: no cover
 

@@ -9,7 +9,8 @@ silently produce a broken algebra.
 
 Also here: the two one-part shortcuts (flat part only / product part
 only), and the rank-one family X * Y = <X, Y> h - <Y, h> X with its
-recognizer.
+recognizer.  The rank-one constants are rounded against core's summation
+order of L_x, which makes L_h exactly zero.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from itertools import permutations
 import numpy as np
 
 from ._systems import system_residuals
-from .core import AlgebraStructure, Tolerance, _enforce, _frozen, _max_abs, residual_scale
+from .core import AlgebraStructure, Tolerance, mult_operator, residual_scale
+from .core import _accumulate, _enforce, _frozen, _max_abs, _worst_of
 from .decompose import LSPKDecomposition
 from .errors import (
     DimensionMismatch,
@@ -48,10 +50,23 @@ from .forms import (
 from .forms import _derivation_defect, _left_symmetry_defect, _paired_action, _sectional_target, _traces
 
 
-def _require_pd(g: np.ndarray, label: str, tol: Tolerance) -> None:
-    rep = is_positive_definite(BilinearForm(g), tol)
-    if not rep:
+def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
+    """The symmetrized Gram matrix of a metric argument (identity when omitted), checked PD."""
+    v = np.eye(n) if v is None else _frozen(v, label)
+    if v.shape != (n, n):
+        raise DimensionMismatch(f"{label} must have shape ({n}, {n}), got {v.shape}")
+    form = BilinearForm(v)
+    if not is_positive_definite(form):
         raise NotPositiveDefinite(f"{label} is not positive definite")
+    return form.matrix
+
+
+def _skew_field(skew: np.ndarray | None, n: int) -> np.ndarray:
+    """The (n, n) skew-operator argument of the one-part builders, zero when omitted."""
+    d = np.zeros((n, n)) if skew is None else _frozen(skew, "skew operator")
+    if d.shape != (n, n):
+        raise DimensionMismatch(f"skew operator must have shape ({n}, {n}), got {d.shape}")
+    return d
 
 
 def derive_omegas(
@@ -97,8 +112,8 @@ class LSPKData:
 
     Omitted pieces default to zero (operators, product) or the identity
     (metrics); omitted omegas are derived from the actions and metrics.
-    Positive definiteness of the metrics is enforced here; the equation
-    systems are the business of validate_data.
+    Shapes, finite entries and positive definiteness of the metrics are
+    enforced here; the equation systems are the business of validate_data.
     """
 
     n1: int
@@ -117,38 +132,26 @@ class LSPKData:
         n1, n2 = self.n1, self.n2
         if n1 < 0 or n2 < 0:
             raise DimensionMismatch(f"part dimensions must be nonnegative, got {n1}, {n2}")
-        fill = {
-            "c2": (n2, n2, n2),
-            "rho1": (n1, n2, n2),
-            "rho2": (n2, n1, n1),
-            "b1": (n1, n1),
-            "b2": (n2, n2),
-        }
-        for key, shape in fill.items():
+
+        def store(key: str, shape: tuple[int, ...], fallback) -> None:
             v = getattr(self, key)
-            v = np.zeros(shape) if v is None else np.asarray(v, dtype=float)
+            v = _frozen(fallback if v is None else v, key)
             if v.shape != shape:
                 raise DimensionMismatch(f"{key} must have shape {shape}, got {v.shape}")
-            object.__setattr__(self, key, _frozen(v))
-        for key, n in (("g1", n1), ("g2", n2)):
-            v = getattr(self, key)
-            v = np.eye(n) if v is None else np.asarray(v, dtype=float)
-            if v.shape != (n, n):
-                raise DimensionMismatch(f"{key} must have shape ({n}, {n}), got {v.shape}")
-            _require_pd(v, key, Tolerance())
-            object.__setattr__(self, key, _frozen((v + v.T) / 2.0))
+            object.__setattr__(self, key, v)
+
+        store("c2", (n2, n2, n2), np.zeros((n2, n2, n2)))
+        store("rho1", (n1, n2, n2), np.zeros((n1, n2, n2)))
+        store("rho2", (n2, n1, n1), np.zeros((n2, n1, n1)))
+        store("b1", (n1, n1), np.zeros((n1, n1)))
+        store("b2", (n2, n2), np.zeros((n2, n2)))
+        object.__setattr__(self, "g1", _metric_field(self.g1, "g1", n1))
+        object.__setattr__(self, "g2", _metric_field(self.g2, "g2", n2))
         w1, w2 = (None, None)
         if self.omega1 is None or self.omega2 is None:
             w1, w2 = derive_omegas(self.rho1, self.rho2, self.g1, self.g2)
-        for key, shape, fallback in (
-            ("omega1", (n1, n1, n2), w1),
-            ("omega2", (n2, n2, n1), w2),
-        ):
-            v = getattr(self, key)
-            v = fallback if v is None else np.asarray(v, dtype=float)
-            if v.shape != shape:
-                raise DimensionMismatch(f"{key} must have shape {shape}, got {v.shape}")
-            object.__setattr__(self, key, _frozen(v))
+        store("omega1", (n1, n1, n2), w1)
+        store("omega2", (n2, n2, n1), w2)
 
     @property
     def dim(self) -> int:
@@ -175,8 +178,7 @@ def _data_scale(data: LSPKData) -> float:
 
 def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> PredicateReport:
     """Whether the data satisfies its full compatibility system."""
-    live = {k: v for k, v in data_residuals(data).items() if v is not None}
-    worst = max(live.values(), default=0.0)
+    worst = _worst_of(data_residuals(data).values(), default=0.0)
     return PredicateReport(holds=bool(worst <= tol.eps * _data_scale(data)), max_residual=worst)
 
 
@@ -244,9 +246,7 @@ def build_corollary1(
     """
     if n < 0:
         raise DimensionMismatch(f"part dimension must be nonnegative, got {n}")
-    d = np.zeros((n, n)) if skew is None else np.asarray(skew, dtype=float)
-    if d.shape != (n, n):
-        raise DimensionMismatch(f"skew operator must have shape ({n}, {n}), got {d.shape}")
+    d = _skew_field(skew, n)
     _enforce({"skew": _max_abs(d + d.T)}, tol.eps * residual_scale(d), NotSkew)
     return build_lspk(LSPKData(n1=n, n2=0, b1=d), tol, name=f"flatpart{n}")
 
@@ -263,9 +263,7 @@ def build_corollary2(
     n = h.dim
     A, g = h.algebra, h.metric.matrix
     c = A.constants
-    d = np.zeros((n, n)) if skew is None else np.asarray(skew, dtype=float)
-    if d.shape != (n, n):
-        raise DimensionMismatch(f"skew operator must have shape ({n}, {n}), got {d.shape}")
+    d = _skew_field(skew, n)
 
     thr = tol.eps * residual_scale(c, g, d)
 
@@ -304,24 +302,16 @@ class MilnorSpec:
         n = self.dim
         if n <= 0:
             raise DimensionMismatch(f"dimension must be positive, got {n}")
-        v = np.asarray(self.h_vec, dtype=float)
+        v = _frozen(self.h_vec, "h_vec")
         if v.shape != (n,):
             raise DimensionMismatch(f"h_vec must have shape ({n},), got {v.shape}")
-        g = np.eye(n) if self.metric is None else np.asarray(self.metric, dtype=float)
-        if g.shape != (n, n):
-            raise DimensionMismatch(f"metric must have shape ({n}, {n}), got {g.shape}")
-        _require_pd(g, "metric", Tolerance())
-        object.__setattr__(self, "h_vec", _frozen(v))
-        object.__setattr__(self, "metric", _frozen((g + g.T) / 2.0))
+        object.__setattr__(self, "h_vec", v)
+        object.__setattr__(self, "metric", _metric_field(self.metric, "metric", n))
 
 
-def _seq_contract(h: np.ndarray, col: np.ndarray) -> float:
-    # plain left-to-right accumulation; bitwise identical to what
-    # einsum("i,ijk->kj") computes per output entry at these sizes
-    s = 0.0
-    for i in range(h.shape[0]):
-        s += h[i] * col[i]
-    return s
+def _rank_one_constants(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """C[i,j,k] = g_ij h_k - (g h)_j delta_ik: the constants of X*Y = <X,Y>h - <Y,h>X."""
+    return np.einsum("ij,k->ijk", g, h) - np.einsum("j,ik->ijk", g @ h, np.eye(h.shape[0]))
 
 
 def _stepped(x: float, m: int) -> float:
@@ -353,14 +343,14 @@ def _annihilate_column(h: np.ndarray, col: np.ndarray, configs) -> bool:
                 col[ib] = _stepped(orig_b, mb)
             elif mb != 0:
                 break
-            d = _seq_contract(h, col)
+            d = _accumulate(h, col)
             if d == 0.0:
                 return True
             x0 = col[ia] - d / h[ia]
             for pos in range(31):
                 m = (pos + 1) // 2 * (1 if pos % 2 else -1)
                 col[ia] = _stepped(x0, m)
-                if _seq_contract(h, col) == 0.0:
+                if _accumulate(h, col) == 0.0:
                     return True
             col[ia] = base[ia]
     col[:] = base
@@ -368,7 +358,7 @@ def _annihilate_column(h: np.ndarray, col: np.ndarray, configs) -> bool:
 
 
 def _annihilate(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Choose the rounding of c so that L_h vanishes exactly, column by column."""
+    """Round c, column by column, so that L_h = core._accumulate(h, c) is exactly zero."""
     c = np.array(c)
     n = h.shape[0]
     active = [i for i in range(n) if h[i] != 0.0]
@@ -378,10 +368,8 @@ def _annihilate(c: np.ndarray, h: np.ndarray) -> np.ndarray:
         configs = [(active[0], None)]
     else:
         configs = list(permutations(active[::-1][:4], 2))
-    for j in range(n):
-        for k in range(n):
-            if _seq_contract(h, c[:, j, k]) != 0.0:
-                _annihilate_column(h, c[:, j, k], configs)
+    for j, k in zip(*np.nonzero(_accumulate(h, c))):
+        _annihilate_column(h, c[:, j, k], configs)
     return c
 
 
@@ -394,15 +382,12 @@ def build_milnor(spec: MilnorSpec, tol: Tolerance = Tolerance()) -> tuple[Metric
     just within tolerance but exactly, matching the structural role of h.
     """
     g, h = spec.metric, spec.h_vec
-    n = spec.dim
-    gh = g @ h
-    k = -float(h @ gh)
+    k = -float(h @ (g @ h))
     if -k <= tol.eps * residual_scale(g, h):
         raise ZeroH("the defining vector must be nonzero")
-    c = np.einsum("ij,k->ijk", g, h) - np.einsum("j,ik->ijk", gh, np.eye(n))
-    c = _annihilate(c, h)
-    A = AlgebraStructure(c, name=f"rankone{n}")
-    lh = np.einsum("i,ijk->kj", h, c)
+    c = _annihilate(_rank_one_constants(g, h), h)
+    A = AlgebraStructure(c, name=f"rankone{spec.dim}")
+    lh = mult_operator(A, h)
     thr = tol.eps * residual_scale(c, h)
     _enforce({"left multiplication by h does not vanish": _max_abs(lh)}, thr, VerificationFailed)
     rep = check_k_hessian(A, BilinearForm(g), k, tol)
@@ -444,8 +429,7 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
             continue
         base = u * np.sqrt(-k / norm2)
         for h in (base, -base):
-            expected = np.einsum("ij,k->ijk", g, h) - np.einsum("j,ik->ijk", g @ h, np.eye(n))
-            resid = _max_abs(c - expected)
+            resid = _max_abs(c - _rank_one_constants(g, h))
             if resid <= thr:
                 return h
             best = min(best, resid)

@@ -12,15 +12,15 @@ conventions once:
     left operator  L_x[k,j] = x_i C[i, j, k]      (L_x y = x * y)
     right operator R_x[k,i] = x_j C[i, j, k]      (R_x y = y * x)
 
-Structure tensors are copied and frozen at construction; operations never
-mutate an algebra, they return new ones.
+Structure tensors are copied, checked finite and frozen at construction;
+operations never mutate an algebra, they return new ones.
 
 The heavy contractions of the library go through two private helpers, each
 a fixed sequence of reshapes and BLAS matrix products: _compose (one index
 summed between two tensors, one GEMM) and _restrict (the products of a set
 of vectors, cost n^4).  change_basis is _restrict followed by one GEMM.
-mult_operator keeps its einsum: construct._annihilate relies on its
-reduction order to make L_h vanish exactly.
+This module owns the summation order of L_x and R_x (_accumulate), and
+construct.build_milnor rounds its constants against it to make L_h exactly 0.
 """
 
 from __future__ import annotations
@@ -67,15 +67,21 @@ def residual_scale(*arrays: np.ndarray) -> float:
     return m
 
 
+def _worst_of(values, default: float | None = None) -> float | None:
+    """Largest of the values that are not None (default when there are none); NaN wins."""
+    live = [v for v in values if v is not None]
+    return float(np.max(live)) if live else default
+
+
 def _max_abs(t: np.ndarray) -> float | None:
     """Largest absolute entry, or None for an empty tensor (a vacuous relation)."""
     return None if t.size == 0 else float(np.max(np.abs(t)))
 
 
 def _enforce(residuals: dict, threshold: float, error: type) -> dict:
-    """Raise error(name, residual) for the first residual above threshold; None passes."""
+    """Raise error(name, value) for the first value not <= threshold; None passes, NaN fails."""
     for name, value in residuals.items():
-        if value is not None and value > threshold:
+        if value is not None and not value <= threshold:
             raise error(name, value)
     return residuals
 
@@ -92,10 +98,24 @@ def _restrict(c: np.ndarray, U: np.ndarray) -> np.ndarray:
     return U.T @ _compose(U.T, c)  # _compose gives t[a, j, k]; @ sums j for each a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a: np.ndarray, field: str) -> np.ndarray:
+    """A read-only float copy of a; a ValueError naming field refuses inf and NaN entries."""
     a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{field} must be finite")
     a.setflags(write=False)
     return a
+
+
+def _accumulate(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_i x[i] t[i] as acc = 0; acc += x[0] t[0]; acc += x[1] t[1]; ...: IEEE fixes each entry.
+
+    A vector t sums into a float: the same arithmetic, without 0-d array updates.
+    """
+    acc = np.zeros(t.shape[1:]) if t.ndim > 1 else 0.0
+    for i in range(x.shape[0]):
+        acc += x[i] * t[i]
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +135,7 @@ class AlgebraStructure:
         c = np.asarray(self.constants, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatch(f"constants must be (n, n, n), got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("structure constants must be finite")
-        object.__setattr__(self, "constants", _frozen(c))
+        object.__setattr__(self, "constants", _frozen(c, "structure constants"))
         object.__setattr__(self, "dim", int(c.shape[0]))
 
     def basis_vector(self, i: int) -> np.ndarray:
@@ -145,9 +163,9 @@ def mult_operator(A: AlgebraStructure, x: np.ndarray, side: str = "left") -> np.
     """
     x = _check_vector(A, x)
     if side == "left":
-        return np.einsum("i,ijk->kj", x, A.constants)
+        return _accumulate(x, A.constants).T
     if side == "right":
-        return np.einsum("j,ijk->ki", x, A.constants)
+        return _accumulate(x, A.constants.transpose(1, 0, 2)).T
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

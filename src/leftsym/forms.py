@@ -290,16 +290,16 @@ def is_solvable(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> bool:
     basis = np.eye(n)
     rank = n
     while True:
+        # basis keeps at least one column, so w is never empty
         w = _restrict(A.constants, basis).reshape(-1, n)
-        sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
-        if sigma.size == 0 or sigma[0] <= tol.eps:
+        _, sigma, vt = np.linalg.svd(w, full_matrices=False)
+        if sigma[0] <= tol.eps:
             return True
         new_rank = int(np.sum(sigma > tol.eps * sigma[0]))
         if new_rank == 0:
             return True
         if new_rank >= rank:
             return False
-        _, _, vt = np.linalg.svd(w)
         basis = vt[:new_rank].T
         rank = new_rank
 

@@ -121,6 +121,12 @@ def test_lspk_data_file():
         parse_lspk_data(json.dumps({"n1": 1}))
     with pytest.raises(SchemaError):
         parse_lspk_data(json.dumps({"n1": 1, "n2": 1, "rho1": [[[1.0, 2.0]]]}))
+    # the JSON-number rule of algebra files holds in nested arrays too
+    for entry in (True, "0"):
+        with pytest.raises(SchemaError):
+            parse_lspk_data(json.dumps({"n1": 1, "n2": 0, "b1": [[entry]]}))
+        with pytest.raises(SchemaError):
+            parse_lspk_data(json.dumps({"n1": 1, "n2": 1, "rho1": [[[entry]]]}))
 
 
 def test_milnor_spec_file():

@@ -67,6 +67,25 @@ def test_bad_json_is_usage_error(tmp_path):
     assert run(["check", str(p)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["check"], '{"dim": 1, "products": [{"i": 0, "j": 0, "coeffs": [NaN]}]}'),
+        (["check"], '{"dim": 1, "products": [{"i": 0, "j": 0, "coeffs": [true]}]}'),
+        (["build", "theo"], '{"n1": 1, "n2": 1, "rho1": [[[Infinity]]]}'),
+        (["build", "theo"], '{"n1": 1, "n2": 0, "b1": [["0"]]}'),
+        (["build", "milnor"], '{"dim": 2, "h": [1, NaN]}'),
+        (["build", "corollary1", "2", "--skew"], "[[0, Infinity], [-Infinity, 0]]"),
+    ],
+    ids=["nan-coeff", "bool-coeff", "inf-action", "string-skew", "nan-vector", "inf-skew"],
+)
+def test_non_finite_or_ill_typed_input_is_usage_error(tmp_path, capsys, argv, doc):
+    p = tmp_path / "input.json"
+    p.write_text(doc)
+    assert run(argv + [str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run(["frobnicate"]) == 2
 

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leftsym import (
+    AlgebraStructure,
     BilinearForm,
     HypothesisFailed,
     LSPKData,
+    MetricAlgebra,
     MilnorSpec,
     NotSkew,
     PreconditionFailed,
@@ -103,6 +105,15 @@ def test_rebuild_inverts_decompose(name):
     np.testing.assert_array_equal(rebuilt.constants, transported.constants)
 
 
+def test_corollary2_names_a_nan_hypothesis_residual():
+    # at this scale the sectional defect overflows to inf - inf = NaN
+    M, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
+    big = MetricAlgebra(AlgebraStructure(M.algebra.constants * 1e160), M.metric)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(HypothesisFailed) as info:
+        build_corollary2(big)
+    assert info.value.name == "sectional" and np.isnan(info.value.residual)
+
+
 def test_build_rejects_inconsistent_data():
     data = LSPKData(n1=1, n2=1, rho1=np.array([[[0.7]]]))
     rep = validate_data(data)
@@ -127,6 +138,29 @@ def test_data_shape_validation():
         LSPKData(n1=1, n2=1, rho1=np.zeros((2, 1, 1)))
     with pytest.raises(Exception):
         LSPKData(n1=1, n2=1, g1=np.array([[-1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_construction_data_refuses_non_finite_entries(bad):
+    for key, value in (("rho1", [[[bad]]]), ("c2", [[[bad]]]), ("g1", [[bad]]),
+                       ("omega2", [[[bad]]])):
+        with pytest.raises(ValueError, match=key):
+            LSPKData(n1=1, n2=1, **{key: np.array(value)})
+    with pytest.raises(ValueError, match="h_vec"):
+        MilnorSpec(2, np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="metric"):
+        MilnorSpec(2, np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError, match="skew operator"):
+        build_corollary1(2, np.array([[0.0, bad], [-bad, 0.0]]))
+
+
+def test_validate_data_never_holds_with_an_overflowing_residual():
+    # finite data whose commutator overflows to inf - inf = NaN
+    data = LSPKData(n1=1, n2=1, rho1=np.array([[[1e200]]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = validate_data(data)
+    assert not rep
+    assert np.isnan(rep.max_residual)
 
 
 def test_milnor_left_translation_is_trivial():

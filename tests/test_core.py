@@ -28,7 +28,7 @@ from leftsym import (
     mult_operator,
     multiply,
 )
-from leftsym.core import _compose, _enforce, _restrict
+from leftsym.core import _compose, _enforce, _restrict, _worst_of
 
 _coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
@@ -129,6 +129,22 @@ def test_enforce_raises_first_residual_above_threshold():
     assert (info.value.name, info.value.residual) == ("first", 1.5)
 
 
+def test_enforce_fails_a_nan_residual():
+    # "passes when it is at most the threshold": NaN is not at most anything
+    with pytest.raises(ResidualError) as info:
+        _enforce({"fine": 0.1, "broken": float("nan")}, 1.0, ResidualError)
+    assert info.value.name == "broken" and np.isnan(info.value.residual)
+
+
+def test_worst_of_propagates_nan_from_any_position():
+    nan = float("nan")
+    assert _worst_of([None, 0.5, 2.0, None]) == 2.0
+    assert _worst_of([None, None]) is None
+    assert _worst_of([], default=0.0) == 0.0
+    for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan, None]):
+        assert np.isnan(_worst_of(values))
+
+
 @pytest.mark.parametrize("cls", ResidualError.__subclasses__(), ids=lambda c: c.__name__)
 def test_residual_errors_carry_name_and_residual(cls):
     assert getattr(leftsym, cls.__name__) is cls
@@ -221,6 +237,19 @@ def test_restrict_matches_einsum(n, cond):
     # and the empty basis the derived series can shrink to
     for U in (P, P[:, 1:], P[:, :0]):
         _agrees(_restrict(c, U), "ia,jb,ijk->abk", U, U, c)
+
+
+@pytest.mark.parametrize("n", _SIZES + [64])
+def test_mult_operator_matches_einsum_bit_for_bit(n):
+    # the accumulation order of mult_operator is the einsum's, signed zeros included
+    rng = np.random.default_rng(400 + n)
+    c = rng.standard_normal((n, n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, n, n))
+    c[rng.random((n, n, n)) < 0.3] = 0.0
+    A = AlgebraStructure(c)
+    for x in (rng.standard_normal(n), -np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.7)):
+        for side, spec in (("left", "i,ijk->kj"), ("right", "j,ijk->ki")):
+            got, want = mult_operator(A, x, side), np.einsum(spec, x, c)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n", _SIZES)
