@@ -153,7 +153,8 @@ def _metric(doc: dict, dim: int) -> np.ndarray | None:
     """The optional symmetric (dim, dim) "metric" block of a document."""
     if "metric" not in doc:
         return None
-    m = _as_array(doc["metric"], "metric", (dim, dim))
+    # a (0, 0) matrix renders as [], which decodes to shape (0,)
+    m = _as_array(doc["metric"], "metric", (dim, dim) if dim else (0,)).reshape(dim, dim)
     _require(bool(np.array_equal(m, m.T)), "metric", "must be symmetric")
     return m
 

@@ -33,6 +33,7 @@ from .errors import (
     LeftSymError,
     NotEinstein,
     ParseError,
+    PreconditionFailed,
     SchemaError,
     UnknownEntry,
     UnknownSystem,
@@ -312,7 +313,10 @@ def _parse_box(raw: str) -> tuple[float, float]:
 def _cmd_search(args, tol: Tolerance) -> int:
     system = builtin_system(args.system)
     box = [_parse_box(args.box)] * system.arity
-    roots = newton_search(system, box, args.grid)
+    try:
+        roots = newton_search(system, box, args.grid)
+    except PreconditionFailed as exc:  # a bad --grid or --box
+        raise SchemaError(str(exc)) from None
     print(json.dumps([list(r) for r in roots]))
     if args.verify:
         for root in roots:

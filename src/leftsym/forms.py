@@ -13,8 +13,8 @@ constructions evaluate the same contractions through them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -129,8 +129,8 @@ def _report(resid: np.ndarray, tol: Tolerance, *scale_from: np.ndarray) -> Predi
 
 
 def _joint(*reports: PredicateReport) -> PredicateReport:
-    """Conjunction of reports; residual and witness come from the worst one."""
-    worse = reduce(lambda a, b: a if a.max_residual >= b.max_residual else b, reports)
+    """Conjunction of reports; residual and witness come from the worst one (NaN wins)."""
+    worse = max(reports, key=lambda r: (math.isnan(r.max_residual), r.max_residual))
     return PredicateReport(all(r.holds for r in reports), worse.max_residual, worse.witness)
 
 

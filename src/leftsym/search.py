@@ -2,14 +2,13 @@
 
 The admissible parameters of the one-idempotent families are cut out by
 tiny polynomial systems; this module finds all their real roots on a box
-by Newton iteration from a dense grid of seeds, then feeds each root back
-into the matching catalog builder to confirm the constructed algebra
-passes its full predicate suite.
+by Newton iteration from a dense grid of seeds, all advanced together as
+one batch, then feeds each root back into the matching catalog builder to
+confirm the constructed algebra passes its full predicate suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +28,12 @@ DIVERGENCE_CUT = 10.0  # abandon an orbit once any coordinate passes this
 
 @dataclass(frozen=True)
 class PolySystem:
-    """A small real polynomial system, presented as its residual map."""
+    """A small real polynomial system, presented as its residual map.
+
+    residual maps points stored as columns, shape (arity, S), to their
+    residuals, shape (m, S), elementwise in S; written with x[k] for the
+    k-th coordinate, it also takes a single point of shape (arity,).
+    """
 
     arity: int
     residual: Callable[[np.ndarray], np.ndarray]
@@ -70,31 +74,16 @@ def builtin_system(name: str) -> PolySystem:
     raise UnknownSystem(f"no builtin system named {name!r}")
 
 
-def _jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    J = np.empty((fx.size, x.size))
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = FD_STEP
-        J[:, j] = (f(x + step) - fx) / FD_STEP
-    return J
-
-
-def _newton(system: PolySystem, seed: np.ndarray) -> np.ndarray | None:
-    x = seed.astype(float).copy()
-    for _ in range(MAX_ITERS):
-        fx = system.residual(x)
-        if float(np.max(np.abs(fx))) <= ROOT_RESIDUAL:
-            return x
-        if float(np.max(np.abs(x))) > DIVERGENCE_CUT:
-            return None
-        J = _jacobian(system.residual, x, fx)
+def _solve_each(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J[i] dx[i] = b[i] point by point; ok[i] is False where that solve fails."""
+    dx = np.zeros((J.shape[0], J.shape[2]))
+    ok = np.ones(J.shape[0], dtype=bool)
+    for i in range(J.shape[0]):
         try:
-            dx = np.linalg.solve(J, -fx)
+            dx[i] = np.linalg.solve(J[i], b[i])
         except np.linalg.LinAlgError:
-            return None
-        x = x + dx
-    fx = system.residual(x)
-    return x if float(np.max(np.abs(fx))) <= ROOT_RESIDUAL else None
+            ok[i] = False
+    return dx, ok
 
 
 def newton_search(
@@ -102,24 +91,66 @@ def newton_search(
 ) -> RootSet:
     """All roots on the box found from a grid^arity lattice of Newton seeds.
 
-    Converged points are kept when their residual max-norm is at most
-    1e-10, deduplicated within 1e-6 and sorted lexicographically; an empty
-    result is legitimate.
+    Every seed advances together.  Each iteration evaluates the residual
+    once on all live points, records those whose residual max-norm is at
+    most 1e-10, drops those with a coordinate beyond 10, builds the
+    forward-difference Jacobians from arity more residual calls and makes
+    one batched solve; a point whose Jacobian is singular (or not square)
+    drops out alone.  A search therefore makes at most
+    (arity + 1) * MAX_ITERS + 1 residual calls, and holds a few arrays of
+    grid^arity floats (times arity or m).
+
+    Converged points are deduplicated in seed order, the seeds taken in
+    itertools.product order of the axes: a point is kept unless it lies
+    within 1e-6 (max-norm) of a point kept before it.  The kept roots are
+    sorted lexicographically; an empty result is legitimate.  The box
+    bounds and widths must be finite, and the residual finite at every
+    seed.
     """
     if grid < 2:
         raise PreconditionFailed(f"grid must be at least 2 per axis, got {grid}")
     if len(box) != system.arity:
         raise PreconditionFailed(f"box has {len(box)} axes, system arity is {system.arity}")
+    if not all(math.isfinite(lo) and math.isfinite(hi - lo) for lo, hi in box):
+        raise PreconditionFailed(f"box bounds and widths must be finite, got {list(box)}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    found: list[np.ndarray] = []
-    for seed in itertools.product(*axes):
-        root = _newton(system, np.array(seed))
-        if root is None:
-            continue
-        if any(float(np.max(np.abs(root - r))) <= DEDUP_RADIUS for r in found):
-            continue
-        found.append(root)
-    ordered = sorted(tuple(float(v) for v in r) for r in found)
+    x = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = system.residual(x)
+    if not np.isfinite(fx).all():
+        raise PreconditionFailed(
+            f"residual of {system.name} is not finite on every seed of the box"
+        )
+
+    seed = np.arange(x.shape[1])  # seed index of each live column
+    roots = np.empty_like(x)
+    converged = np.zeros(x.shape[1], dtype=bool)
+    steps = FD_STEP * np.eye(system.arity)
+    for it in range(MAX_ITERS + 1):
+        done = np.max(np.abs(fx), axis=0) <= ROOT_RESIDUAL
+        roots[:, seed[done]] = x[:, done]
+        converged[seed[done]] = True
+        if it == MAX_ITERS:
+            break
+        live = ~done & ~(np.max(np.abs(x), axis=0) > DIVERGENCE_CUT)
+        x, fx, seed = x[:, live], fx[:, live], seed[live]
+        if not seed.size:
+            break
+        J = np.stack([(system.residual(x + h[:, None]) - fx) / FD_STEP for h in steps], axis=-1)
+        J, b = J.transpose(1, 0, 2), -fx.T
+        try:
+            dx = np.linalg.solve(J, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dx, ok = _solve_each(J, b)
+            x, dx, seed = x[:, ok], dx[ok], seed[ok]
+        x = x + dx.T
+        fx = system.residual(x)
+
+    pending, kept = roots[:, converged], []
+    while pending.shape[1]:
+        kept.append(pending[:, 0])
+        pending = pending[:, ~(np.max(np.abs(pending - kept[-1][:, None]), axis=0) <= DEDUP_RADIUS)]
+    ordered = sorted(tuple(float(v) for v in r) for r in kept)
     return RootSet(name=system.name, roots=tuple(ordered))
 
 

@@ -46,6 +46,18 @@ def test_round_trip_is_bit_identical(name):
         np.testing.assert_array_equal(parsed.metric.matrix, metric.matrix)
 
 
+@pytest.mark.parametrize("metric", [None, np.zeros((0, 0))], ids=["bare", "metric"])
+def test_dimension_zero_round_trips(metric):
+    text = render_algebra_file(AlgebraStructure(np.zeros((0, 0, 0))), metric)
+    parsed = parse_algebra_file(text)
+    assert parsed.algebra.constants.shape == (0, 0, 0)
+    if metric is None:
+        assert parsed.metric is None
+    else:
+        assert parsed.metric.matrix.shape == (0, 0)
+    assert render_algebra_file(parsed.algebra, parsed.metric) == text
+
+
 def test_seventeen_digit_floats_survive(dim2):
     c = np.zeros((2, 2, 2))
     c[0, 0, 1] = 1.0 / 3.0

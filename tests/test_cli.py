@@ -268,6 +268,17 @@ def test_search_unknown_system():
     assert run(["search", "dim11"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag",
+    ["--grid=1", "--grid=0", "--grid=-3", "--box=-inf,inf", "--box=0,inf", "--box=0,1e308",
+     "--box=-1e308,1e308"],
+)
+def test_search_bad_grid_or_box_is_usage_error(capsys, flag):
+    assert run(["search", "dim4", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_env_tolerance_override(tmp_path, dim2, monkeypatch):
     # perturb one structure constant so left symmetry fails at default eps
     c = np.array(dim2.constants)

@@ -36,6 +36,7 @@ from leftsym import (
 )
 from leftsym.catalog import catalog_build, sl2_bracket
 from leftsym.construct import build_corollary1, kdim2_family
+from leftsym.forms import PredicateReport, _joint
 
 _angle = st.floats(min_value=0.0, max_value=6.2, allow_nan=False, allow_infinity=False)
 
@@ -195,3 +196,11 @@ def test_predicate_report_is_truthy(dim2):
     assert bool(rep) is True
     assert rep.max_residual <= Tolerance().eps
     assert rep.witness is None or len(rep.witness) > 0
+
+
+def test_joint_reports_a_nan_residual_from_either_side():
+    bad, good = PredicateReport(False, float("nan"), (0, 1)), PredicateReport(True, 1.0, (2,))
+    for reports in [(bad, good), (good, bad)]:
+        joint = _joint(*reports)
+        assert joint.holds is False
+        assert np.isnan(joint.max_residual) and joint.witness == (0, 1)

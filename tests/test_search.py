@@ -2,8 +2,11 @@
 
 The built-in systems have closed-form solution sets (quadratic surds), so
 the tests pin the exact roots and check that every numerical root rebuilds
-a verifying catalog algebra.
+a verifying catalog algebra.  The batched search is compared bit for bit
+with a per-seed Newton loop, kept here as the reference.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,8 +14,13 @@ import pytest
 from leftsym import FixtureBroken, PreconditionFailed, UnknownSystem
 from leftsym.catalog import DIM5_BRANCHES
 from leftsym.search import (
+    DEDUP_RADIUS,
+    DIVERGENCE_CUT,
+    FD_STEP,
+    MAX_ITERS,
     ROOT_RESIDUAL,
     PolySystem,
+    RootSet,
     builtin_system,
     newton_search,
     verify_roots_build,
@@ -64,6 +72,11 @@ def test_search_preconditions():
         newton_search(sys, [(-1.0, 1.0)], grid=1)
     with pytest.raises(PreconditionFailed):
         newton_search(sys, [(-1.0, 1.0), (-1.0, 1.0)], grid=8)
+    for box in [(-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan), (-1e308, 1e308)]:
+        with pytest.raises(PreconditionFailed, match="finite"):
+            newton_search(sys, [box], grid=8)
+    with pytest.raises(PreconditionFailed, match="residual of dim4 is not finite"):
+        newton_search(sys, [(0.0, 1e308)], grid=8)
 
 
 def test_roots_rebuild_catalog_entries():
@@ -88,3 +101,81 @@ def test_custom_system():
 def test_no_roots_outside_box():
     sys = PolySystem(1, lambda x: np.array([x[0] ** 2 + 1.0]), name="empty")
     assert len(newton_search(sys, [(-2.0, 2.0)], grid=8)) == 0
+
+
+def _scalar_newton(f, x):
+    """One seed's Newton orbit: the root it reaches, or None."""
+    for _ in range(MAX_ITERS):
+        fx = f(x)
+        if np.max(np.abs(fx)) <= ROOT_RESIDUAL:
+            return x
+        if np.max(np.abs(x)) > DIVERGENCE_CUT:
+            return None
+        J = np.empty((fx.size, x.size))
+        for j in range(x.size):
+            step = np.zeros_like(x)
+            step[j] = FD_STEP
+            J[:, j] = (f(x + step) - fx) / FD_STEP
+        try:
+            x = x + np.linalg.solve(J, -fx)
+        except np.linalg.LinAlgError:
+            return None
+    return x if np.max(np.abs(f(x))) <= ROOT_RESIDUAL else None
+
+
+def scalar_newton_search(system, box, grid):
+    """Reference for newton_search: one Newton orbit per seed, then a greedy dedup.
+
+    Each point reaches the residual as an (arity, 1) column, the shape the
+    batched search uses.  A float64 scalar would square through libm pow
+    where an array squares by a multiply, and the two can differ in the
+    last bit.
+    """
+
+    def f(x):
+        return system.residual(x[:, None])[:, 0]
+
+    found = []
+    for seed in itertools.product(*[np.linspace(lo, hi, grid) for lo, hi in box]):
+        root = _scalar_newton(f, np.array(seed))
+        if root is not None and not any(np.max(np.abs(root - r)) <= DEDUP_RADIUS for r in found):
+            found.append(root)
+    return RootSet(system.name, tuple(sorted(tuple(float(v) for v in r) for r in found)))
+
+
+_TOY = [
+    PolySystem(1, lambda x: np.array([x[0] ** 2 - 4.0]), name="toy"),
+    PolySystem(1, lambda x: np.array([x[0] ** 2 + 1.0]), name="empty"),
+    # the Jacobian is exactly zero left of 0.5, so those seeds drop out alone
+    PolySystem(1, lambda x: np.array([np.where(x[0] < 0.5, 1.0, x[0] ** 2 - 1.0)]), "singular"),
+]
+_BOXES = [(-1.0, 1.0), (-3.0, 3.0), (-0.3, 2.0)]
+
+
+@pytest.mark.parametrize("box", _BOXES)
+@pytest.mark.parametrize("grid", [7, 12, 24])
+@pytest.mark.parametrize("system", [builtin_system(n) for n in sorted(EXACT)] + _TOY,
+                         ids=lambda s: s.name)
+def test_batched_search_equals_scalar_oracle(system, grid, box):
+    boxes = [box] * system.arity
+    assert newton_search(system, boxes, grid) == scalar_newton_search(system, boxes, grid)
+
+
+def test_non_square_system_keeps_only_seeds_on_a_root():
+    sys = PolySystem(1, lambda x: np.array([x[0] ** 2 - 0.25, x[0] - 0.5]), name="over")
+    roots = newton_search(sys, [(-1.0, 1.0)], grid=5)
+    assert roots == scalar_newton_search(sys, [(-1.0, 1.0)], grid=5)
+    assert roots.roots == ((0.5,),)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_residual_calls_do_not_grow_with_the_grid(name):
+    sys = builtin_system(name)
+    rootless = PolySystem(sys.arity, lambda x: x**2 + 1.0, "rootless")
+    for system in [sys, rootless]:
+        for grid in [2, 9, 40]:
+            calls = []
+            counted = PolySystem(system.arity, lambda x: calls.append(1) or system.residual(x),
+                                 system.name)
+            newton_search(counted, [(-1.0, 1.0)] * system.arity, grid)
+            assert 1 <= len(calls) <= (system.arity + 1) * MAX_ITERS + 1
