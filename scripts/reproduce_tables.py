@@ -10,8 +10,8 @@ so the output doubles as a quick end-to-end sanity run:
 
 import numpy as np
 
-from leftsym import MetricAlgebra, decompose, is_solvable, koszul_form, lie_bracket_constants
-from leftsym.catalog import catalog_build, catalog_entry, catalog_list, catalog_verify
+from leftsym import decompose, is_solvable, koszul_form, lie_bracket_constants
+from leftsym.catalog import _parts, catalog_build, catalog_entry, catalog_list, catalog_verify
 
 
 def product_lines(A):
@@ -31,8 +31,7 @@ def product_lines(A):
 def main():
     for name in catalog_list():
         entry = catalog_entry(name)
-        built = catalog_build(name)
-        A = built.algebra if isinstance(built, MetricAlgebra) else built
+        A, _ = _parts(catalog_build(name))
         print(f"== {name} (kind: {entry.kind}, dim {A.dim}) ==")
         print("\n".join(product_lines(A)) or "  (zero product)")
         B = koszul_form(A)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _compose, _max_abs, _worst_of
+from .core import _compose, _max_abs, _slab_worst, _worst_of
 from .forms import (
     _derivation_defect,
     _hessian_defect,
-    _left_symmetry_defect,
+    _left_symmetry_slabs,
+    _metric_sectional,
     _paired_action,
-    _sectional_target,
     _traces,
 )
 
@@ -40,7 +40,7 @@ def system_residuals(
     g1: np.ndarray,
     g2: np.ndarray,
 ) -> dict[str, float | None]:
-    eye2 = np.eye(g2.shape[0])
+    n2 = g2.shape[0]
     out: dict[str, float | None] = {}
 
     m1 = g1 @ b1
@@ -69,7 +69,7 @@ def system_residuals(
     # b2 is a derivation, and left traces match the action traces
     out["S2"] = _worst_of((
         _max_abs(_hessian_defect(c2, g2)),
-        _max_abs(_left_symmetry_defect(c2) - _sectional_target(g2, eye2)),
+        _slab_worst(n2, _left_symmetry_slabs(c2, _metric_sectional(g2, -1.0)))[0],
         _max_abs(_derivation_defect(b2, c2)),
         _max_abs(_traces(c2) + _traces(rho2)),
     ))
@@ -112,19 +112,20 @@ def system_residuals(
     q = _compose(omega1, c2.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # jkm,xml->xjkl
     q -= _compose(rho2_t, omega1)  # xaj,akl->xjkl
     q -= _compose(rho2_t, omega1.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # xak,jal->xjkl
-    q += np.einsum("jk,xl->xjkl", g1, eye2)
+    ii = np.arange(n2)
+    q[ii, :, :, ii] += g1  # + <e_j, e_k>_1 delta_xl
     out["S3-6"] = _max_abs(q)
 
     # S3-7 / S3-8: the skew blocks intertwine the two action families
     out["S3-7"] = _max_abs(
-        np.einsum("lm,xmk->xlk", b2, rho1)
-        - np.einsum("xlm,mk->xlk", rho1, b2)
-        - np.einsum("ax,alk->xlk", b1, rho1)
+        _compose(b2, rho1.transpose(1, 0, 2)).transpose(1, 0, 2)  # lm,xmk->xlk
+        - _compose(rho1, b2)  # xlm,mk->xlk
+        - _compose(b1.T, rho1)  # ax,alk->xlk
         - rho1 / 2.0
     )
     out["S3-8"] = _max_abs(
-        np.einsum("lm,xmk->xlk", b1, rho2)
-        - np.einsum("xlm,mk->xlk", rho2, b1)
-        - np.einsum("ax,alk->xlk", b2, rho2)
+        _compose(b1, rho2.transpose(1, 0, 2)).transpose(1, 0, 2)  # lm,xmk->xlk
+        - _compose(rho2, b1)  # xlm,mk->xlk
+        - _compose(b2.T, rho2)  # ax,alk->xlk
     )
     return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._systems import system_residuals
 from .core import AlgebraStructure, Tolerance, mult_operator, residual_scale
-from .core import _accumulate, _enforce, _frozen, _max_abs, _worst_of
+from .core import _accumulate, _enforce, _frozen, _max_abs, _slab_worst, _worst_of
 from .decompose import LSPKDecomposition
 from .errors import (
     DimensionMismatch,
@@ -47,7 +47,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
-from .forms import _derivation_defect, _left_symmetry_defect, _paired_action, _sectional_target, _traces
+from .forms import _derivation_defect, _left_symmetry_slabs, _metric_sectional, _paired_action, _traces
 
 
 def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
@@ -275,7 +275,7 @@ def build_corollary2(
 
     gd = g @ d
     hypotheses = {
-        "sectional": _max_abs(_left_symmetry_defect(c) - _sectional_target(g, np.eye(n))),
+        "sectional": _slab_worst(n, _left_symmetry_slabs(c, _metric_sectional(g, -1.0)))[0],
         "skew": _max_abs(gd + gd.T),
         "derivation": _max_abs(_derivation_defect(d, c)),
     }

@@ -19,6 +19,12 @@ The heavy contractions of the library go through two private helpers, each
 a fixed sequence of reshapes and BLAS matrix products: _compose (one index
 summed between two tensors, one GEMM) and _restrict (the products of a set
 of vectors, cost n^4).  change_basis is _restrict followed by one GEMM.
+A check that needs only the worst entry of a rank-4 defect (the left symmetry,
+associativity, Novikov, Jacobi and sectional identities) never holds the n^4
+tensor: _slab_worst evaluates it over slabs of one index, at most _SLAB_FLOATS
+(24 000) floats each, and keeps the running worst entry and its witness.  The
+cost stays that of the whole-tensor GEMMs, n^5 multiply-adds each, while the
+memory falls to one slab plus O(n^3).
 This module owns the summation order of L_x and R_x (_accumulate), and
 construct.build_milnor rounds its constants against it to make L_h exactly 0.
 """
@@ -32,6 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
+
+# Floats in one slab of a rank-4 defect (_slab_worst): a slab stays in the L2 cache,
+# and every n <= 12 (n^4 <= 20 736) is still a single slab with no loop overhead.
+_SLAB_FLOATS = 24_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,29 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = a.shape[-1]
     out = a.reshape(math.prod(a.shape[:-1]), m) @ b.reshape(m, math.prod(b.shape[1:]))
     return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _slab_worst(n: int, slab, axis: int = 2) -> tuple[float | None, tuple[int, int, int] | None]:
+    """Largest |d| of a rank-4 defect d over (n, n, n, n), and the first (i, j, k) attaining it.
+
+    slab(lo, hi) returns a fresh array holding d restricted to lo <= index < hi of
+    axis 2 or 3; the reduction overwrites it and keeps only the running worst.  The
+    witness follows forms._worst: NaN wins, and ties go to the first entry in C order.
+    (None, None) when n == 0, a vacuous relation.
+    """
+    if n == 0:
+        return None, None
+    step = max(1, _SLAB_FLOATS // n**3)
+    found = []
+    for lo in range(0, n, step):
+        d = slab(lo, min(n, lo + step))
+        a = np.abs(d, out=d)
+        flat = int(a.argmax())
+        ij, k = divmod(flat // a.shape[3], a.shape[2])
+        if axis == 2:
+            k += lo
+        found.append((a.item(flat), (ij // n, ij % n, k)))
+    return min(found, key=lambda f: (f[0] == f[0], 0.0 if f[0] != f[0] else -f[0], f[1]))
 
 
 def _restrict(c: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -5,10 +5,19 @@ with the worst residual and the basis triple attaining it, and they accept
 a residual r when r <= tol.eps * residual_scale(data).  All identities are
 evaluated on basis tuples by whole-tensor contractions, so a report covers
 every multilinear instance of the identity at once.  Each identity is written
-once, as a private defect tensor on plain arrays (_traces, _assoc_tensor,
-_left_symmetry_defect, _hessian_defect, _sectional_target, _derivation_defect,
-_paired_action); the split systems, the decomposition stages and the
-constructions evaluate the same contractions through them.
+once on plain arrays; the split systems, the decomposition stages and the
+constructions evaluate the same contractions through them:
+
+- rank-3 defects as tensors from one or three GEMMs (_traces, _hessian_defect,
+  _derivation_defect, _paired_action), cost n^4;
+- rank-4 defects as slabs over one index (_assoc_slabs, _left_symmetry_slabs and
+  the Novikov and Jacobi slabs), reduced by core._slab_worst to the worst entry
+  and its witness without holding the n^4 tensor.  They cost the GEMMs of the
+  whole-tensor form (n^5 multiply-adds each: two for left symmetry, one for
+  Jacobi) in one slab of at most core._SLAB_FLOATS floats plus O(n^3).
+  The paper's sectional term <e_j, e_k> X e_i - <e_i, e_k> X e_j, with X or the
+  metric the identity, is added to each slab in closed form at n^3 cost
+  (_metric_sectional, _operator_sectional).
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .core import (
     _enforce,
     _max_abs,
     _restrict,
+    _slab_worst,
     change_basis,
     multiply,
     residual_scale,
@@ -119,8 +129,10 @@ def _worst(resid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     return float(np.abs(resid.flat[flat])), tuple(int(i) for i in idx[:3])
 
 
-def _report(resid: np.ndarray, tol: Tolerance, *scale_from: np.ndarray) -> PredicateReport:
-    worst, witness = _worst(resid)
+def _report(found: tuple, tol: Tolerance, *scale_from: np.ndarray) -> PredicateReport:
+    """Report a (worst, witness) pair from _worst or _slab_worst; a vacuous relation reports 0."""
+    worst, witness = found
+    worst = 0.0 if worst is None else worst
     return PredicateReport(
         holds=bool(worst <= tol.eps * residual_scale(*scale_from)),
         max_residual=worst,
@@ -139,37 +151,78 @@ def _traces(c: np.ndarray) -> np.ndarray:
     return np.einsum("kmm->k", c)
 
 
-def _assoc_tensor(c: np.ndarray) -> np.ndarray:
-    """T[i,j,k,:] = associator(e_i, e_j, e_k), all basis triples at once."""
-    t = _compose(c, c)  # (e_i e_j) e_k
-    t -= _compose(c, c.transpose(1, 0, 2)).transpose(2, 0, 1, 3)  # e_i (e_j e_k)
-    return t
+def _assoc_slabs(c: np.ndarray):
+    """Slabs over k of T[i,j,k,:] = associator(e_i, e_j, e_k), for _slab_worst.
+
+    slab(lo, hi) returns T[:, :, lo:hi] and the spent buffer of its second GEMM,
+    free for the caller to overwrite.
+    """
+    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
+
+    def slab(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        ck = c[:, lo:hi]
+        t = _compose(c, ck)  # (e_i e_j) e_k
+        q = _compose(ck, ct)  # q[j, k, i] = e_i (e_j e_k)
+        t -= q.transpose(2, 0, 1, 3)
+        return t, q
+
+    return slab
 
 
-def _left_symmetry_defect(c: np.ndarray) -> np.ndarray:
-    """ass(x, y, z) - ass(y, x, z) on basis triples."""
-    t = _assoc_tensor(c)
-    return t - t.transpose(1, 0, 2, 3)
+def _left_symmetry_slabs(c: np.ndarray, target=None):
+    """Slabs over k of ass(x, y, z) - ass(y, x, z) on basis triples, for _slab_worst.
+
+    target(d, lo, hi), when given, adds a sectional term to each slab in place.
+    """
+    assoc = _assoc_slabs(c)
+
+    def slab(lo: int, hi: int) -> np.ndarray:
+        t, spent = assoc(lo, hi)
+        d = np.subtract(t, t.transpose(1, 0, 2, 3), out=spent.reshape(t.shape))
+        if target is not None:
+            target(d, lo, hi)
+        return d
+
+    return slab
+
+
+def _metric_sectional(g: np.ndarray, factor: float):
+    """Slab update adding factor * (<e_j, e_k> e_i - <e_i, e_k> e_j), in closed form at n^3 cost."""
+    ii = np.arange(g.shape[0])
+
+    def update(d: np.ndarray, lo: int, hi: int) -> None:
+        gk = factor * g[:, lo:hi]
+        d[ii, :, :, ii] += gk
+        d[:, ii, :, ii] -= gk
+
+    return update
+
+
+def _operator_sectional(s: np.ndarray):
+    """Slab update subtracting <e_j, e_k> S e_i - <e_i, e_k> S e_j for the identity metric."""
+    st = s.T
+
+    def update(d: np.ndarray, lo: int, hi: int) -> None:
+        kk = np.arange(lo, hi)
+        d[:, kk, kk - lo, :] -= st[:, None, :]
+        d[kk, :, kk - lo, :] += st[None]
+
+    return update
 
 
 def _hessian_defect(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """<x*y - y*x, z> - (<y*z, x> - <x*z, y>) on basis triples."""
-    lhs = np.einsum("ijl,lk->ijk", c - c.transpose(1, 0, 2), g)
-    rhs = np.einsum("jkl,li->ijk", c, g) - np.einsum("ikl,lj->ijk", c, g)
-    return lhs - rhs
-
-
-def _sectional_target(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T[i,j,k,l] = g_jk x_li - g_ik x_lj, i.e. <e_j,e_k> X e_i - <e_i,e_k> X e_j for X = x."""
-    return np.einsum("jk,li->ijkl", g, x) - np.einsum("ik,lj->ijkl", g, x)
+    p = _compose(c, g)  # p[i, j, k] = <e_i e_j, e_k>
+    return p - p.transpose(1, 0, 2) - (p.transpose(2, 0, 1) - p.transpose(0, 2, 1))
 
 
 def _derivation_defect(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """D(x*y) - D(x)*y - x*D(y) on basis pairs."""
+    dt = d.T
     return (
-        np.einsum("lm,ijm->ijl", d, c)
-        - np.einsum("mi,mjl->ijl", d, c)
-        - np.einsum("mj,iml->ijl", d, c)
+        _compose(c, dt)
+        - _compose(dt, c)
+        - _compose(dt, c.transpose(1, 0, 2)).transpose(1, 0, 2)
     )
 
 
@@ -204,15 +257,17 @@ def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> Predi
 
 def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
     """Associator symmetric in its first two arguments."""
-    return _report(_left_symmetry_defect(A.constants), tol, A.constants)
+    c = A.constants
+    return _report(_slab_worst(A.dim, _left_symmetry_slabs(c)), tol, c)
 
 
 def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
-    return _report(A.constants - A.constants.transpose(1, 0, 2), tol, A.constants)
+    return _report(_worst(A.constants - A.constants.transpose(1, 0, 2)), tol, A.constants)
 
 
 def check_associative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
-    return _report(_assoc_tensor(A.constants), tol, A.constants)
+    assoc = _assoc_slabs(A.constants)
+    return _report(_slab_worst(A.dim, lambda lo, hi: assoc(lo, hi)[0]), tol, A.constants)
 
 
 def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -222,10 +277,14 @@ def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicat
     Novikov, not merely right-symmetric.
     """
     c = A.constants
-    left = _compose(c, c)
+
+    def right_symmetry(lo: int, hi: int) -> np.ndarray:
+        left = _compose(c, c[:, :, lo:hi])  # (e_i e_j) e_k, slabs over the last index
+        return left - left.transpose(0, 2, 1, 3)
+
     return _joint(
-        _report(left - left.transpose(0, 2, 1, 3), tol, c),
-        _report(_left_symmetry_defect(c), tol, c),
+        _report(_slab_worst(A.dim, right_symmetry, axis=3), tol, c),
+        _report(_slab_worst(A.dim, _left_symmetry_slabs(c)), tol, c),
     )
 
 
@@ -234,7 +293,7 @@ def check_hessian(A: AlgebraStructure, F: BilinearForm, tol: Tolerance = Toleran
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
     c, g = A.constants, F.matrix
-    return _report(_hessian_defect(c, g), tol, c, g)
+    return _report(_worst(_hessian_defect(c, g)), tol, c, g)
 
 
 def check_koszul_identity(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
@@ -255,7 +314,7 @@ def check_k_hessian(
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
     c, g = A.constants, F.matrix
     r_sec = _report(
-        _left_symmetry_defect(c) + k * _sectional_target(g, np.eye(A.dim)), tol, c, g, np.array([k])
+        _slab_worst(A.dim, _left_symmetry_slabs(c, _metric_sectional(g, k))), tol, c, g, np.array([k])
     )
     return _joint(r_sec, check_hessian(A, F, tol))
 
@@ -272,9 +331,13 @@ def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicate
     """
     _require_antisymmetric(A, tol)
     c = A.constants
-    t = _compose(c, c)
-    jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return _report(jac, tol, c)
+
+    def jacobi(lo: int, hi: int) -> np.ndarray:
+        # slabs over the last index, so the three cyclic terms share one product
+        t = _compose(c, c[:, :, lo:hi])
+        return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+
+    return _report(_slab_worst(A.dim, jacobi, axis=3), tol, c)
 
 
 def is_solvable(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> bool:

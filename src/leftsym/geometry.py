@@ -69,11 +69,8 @@ def levi_civita_product(
     cb = bracket.constants
     g = metric.matrix
     n = bracket.dim
-    rhs = (
-        np.einsum("ijl,lk->ijk", cb, g)
-        - np.einsum("jkl,li->ijk", cb, g)
-        + np.einsum("kil,lj->ijk", cb, g)
-    )
+    p = _compose(cb, g)  # p[i, j, k] = <[e_i, e_j], e_k>
+    rhs = p - p.transpose(2, 0, 1) + p.transpose(1, 2, 0)
     lc = np.linalg.solve(2.0 * g, rhs.reshape(-1, n).T).T.reshape(n, n, n)
     label = f"{bracket.name}:lc" if bracket.name else "lc"
     out = AlgebraStructure(lc, name=label)

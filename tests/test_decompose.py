@@ -11,6 +11,7 @@ import pytest
 from leftsym import (
     AlgebraStructure,
     BlockNotSkew,
+    DiagonalizationFailed,
     IdempotentCheckFailed,
     NotPositiveDefinite,
     SpectrumNotZeroOne,
@@ -25,6 +26,7 @@ from leftsym import (
 )
 from leftsym.catalog import catalog_build
 from leftsym.construct import build_corollary1
+from leftsym.decompose import _orthonormalize
 
 SIGNATURES = {
     "lspk_dim2": (1, 0, 1.5),
@@ -145,3 +147,33 @@ def test_operator_blocks_line_up():
     prod = multiply(A, x, w)
     coords = dec.basis_h2.T @ (koszul_form(A).matrix / dec.rho) @ prod
     np.testing.assert_allclose(coords, dec.rho1[0][:, 0], atol=1e-10)
+
+
+def gram_schmidt(cols, g):
+    """Column-by-column Gram-Schmidt for g with one re-orthogonalization pass."""
+    out = []
+    for v in cols.T:
+        u = v.copy()
+        for _ in range(2):
+            for w in out:
+                u = u - (w @ g @ u) * w
+        out.append(u / np.sqrt(u @ g @ u))
+    return np.column_stack(out) if out else np.zeros((cols.shape[0], 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 24])
+def test_orthonormalize_matches_gram_schmidt(n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    g = g @ g.T + np.eye(n)
+    cols = np.linalg.svd(rng.standard_normal((1, n)))[2][1:].T  # as split_h builds them
+    np.testing.assert_allclose(_orthonormalize(cols, g), gram_schmidt(cols, g), rtol=0, atol=1e-12)
+
+
+def test_orthonormalize_refusals():
+    e = np.eye(3)
+    with pytest.raises(NotPositiveDefinite):
+        _orthonormalize(e[:, :2], np.diag([1.0, -1.0, 1.0]))
+    for cols, g in [(e[:, [0, 0]], e), (e[:, :2], np.diag([1.0, 0.0, 1.0]))]:
+        with pytest.raises(DiagonalizationFailed):
+            _orthonormalize(cols, g)
