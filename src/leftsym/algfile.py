@@ -10,7 +10,6 @@ stdlib json plus schema validation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,45 +29,22 @@ class AlgebraFile:
     tolerance: float | None = None
 
 
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"cannot serialize non-finite value {v}")
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, refusing the first non-finite entry in row-major order."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"cannot serialize non-finite value {float(values[bad][0])}")
+    return values
+
+
+def _floats(k: int) -> str:
     # 17 significant digits round-trip IEEE doubles exactly
-    out = format(float(v), ".17g")
-    return out
+    return ", ".join(["%.17g"] * k)
 
 
-def emit_json(obj, indent: int = 0) -> str:
-    """Serialize to JSON with fixed float formatting.
-
-    Containers are laid out one element per line at 2-space indentation,
-    except leaf lists of numbers, which stay on one line.
-    """
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f'{pad}  {json.dumps(k)}: {emit_json(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-            return "[" + ", ".join(
-                _fmt_float(v) if isinstance(v, float) else str(v) for v in items
-            ) + "]"
-        rows = [f"{pad}  {emit_json(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, (int, str)) or obj is None:
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _block(lines: list[str]) -> str:
+    """A JSON array whose elements sit one per line at the second indent level."""
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
 
 
 def render_algebra_file(
@@ -76,21 +52,37 @@ def render_algebra_file(
     metric: BilinearForm | np.ndarray | None = None,
     tolerance: float | None = None,
 ) -> str:
-    """Algebra file text for a structure, omitting all-zero products."""
+    """Algebra file text for a structure, omitting all-zero products.
+
+    Refuses, writing nothing, any input that parse_algebra_file would
+    refuse: a non-finite number, a metric that is not a symmetric (dim, dim)
+    matrix, a tolerance that is not positive.
+    """
     n = A.dim
-    products = []
-    for i in range(n):
-        for j in range(n):
-            row = A.constants[i, j]
-            if np.any(row != 0.0):
-                products.append({"i": i, "j": j, "coeffs": [float(v) for v in row]})
-    doc: dict = {"name": A.name or "algebra", "dim": n, "products": products}
+    C = A.constants  # finite: AlgebraStructure refuses inf and NaN
+    nonzero = np.any(C != 0.0, axis=2)
+    row = '    {\n      "i": %d,\n      "j": %d,\n      "coeffs": [' + _floats(n) + "]\n    }"
+    products = [
+        row % (i, j, *coeffs)
+        for i, j, coeffs in zip(*np.nonzero(nonzero), C[nonzero].tolist())
+    ]
+    fields = [f'  "name": {json.dumps(A.name or "algebra")}', f'  "dim": {n}',
+              f'  "products": {_block(products)}']
     if metric is not None:
-        m = metric.matrix if isinstance(metric, BilinearForm) else np.asarray(metric, dtype=float)
-        doc["metric"] = [[float(v) for v in r] for r in m]
+        m = _finite(metric.matrix if isinstance(metric, BilinearForm)
+                    else np.asarray(metric, dtype=float))
+        if m.shape != (n, n):
+            raise DimensionMismatch(f"metric must have shape {(n, n)}, got {m.shape}")
+        if not np.array_equal(m, m.T):
+            raise ValueError("metric must be symmetric")
+        line = "    [" + _floats(n) + "]"
+        fields.append(f'  "metric": {_block([line % tuple(r) for r in m.tolist()])}')
     if tolerance is not None:
-        doc["tolerance"] = float(tolerance)
-    return emit_json(doc) + "\n"
+        tol = float(_finite(np.float64(tolerance)))
+        if not tol > 0:
+            raise ValueError(f"tolerance must be positive, got {tol!r}")
+        fields.append('  "tolerance": %.17g' % tol)
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _require(cond: bool, field: str, reason: str) -> None:
@@ -159,6 +151,55 @@ def _metric(doc: dict, dim: int) -> np.ndarray | None:
     return m
 
 
+_ROW_KEYS = {"i", "j", "coeffs"}
+
+
+def _products(products: list, dim: int) -> np.ndarray | None:
+    """The (dim, dim, dim) tensor of valid product rows, or None if any row is invalid.
+
+    Applies every rule of _products_row_by_row in one pass per row and
+    converts all coefficients at once; it names no fault, so a None sends
+    the caller to the per-row checks.
+    """
+    flat: list[int] = []
+    coeffs: list[list] = []
+    for row in products:
+        if type(row) is not dict or row.keys() != _ROW_KEYS:
+            return None
+        i, j, c = row["i"], row["j"], row["coeffs"]
+        if type(i) is not int or type(j) is not int or not (0 <= i < dim and 0 <= j < dim):
+            return None
+        if type(c) is not list or len(c) != dim or not set(map(type, c)) <= _NUMBER_TYPES:
+            return None
+        flat.append(i * dim + j)
+        coeffs.append(c)
+    if len(set(flat)) != len(flat):  # a duplicate product
+        return None
+    try:
+        values = np.array(coeffs, dtype=float).reshape(len(coeffs), dim)
+    except OverflowError:  # an integer beyond float range
+        return None
+    C = np.zeros((dim, dim, dim))
+    C.reshape(dim * dim, dim)[flat] = values
+    return C
+
+
+def _products_row_by_row(products: list, dim: int) -> np.ndarray:
+    """The product rows checked one at a time, raising on the first invalid row."""
+    C = np.zeros((dim, dim, dim))
+    seen: set[tuple[int, int]] = set()
+    for pos, row in enumerate(products):
+        field = f"products[{pos}]"
+        _require(isinstance(row, dict), field, "must be an object")
+        _require(set(row) == _ROW_KEYS, field, "must have exactly i, j, coeffs")
+        i = _as_index(row["i"], f"{field}.i", dim)
+        j = _as_index(row["j"], f"{field}.j", dim)
+        _require((i, j) not in seen, field, f"duplicate product ({i}, {j})")
+        seen.add((i, j))
+        C[i, j] = _as_array(row["coeffs"], f"{field}.coeffs", (dim,))
+    return C
+
+
 def parse_algebra_file(text: str) -> AlgebraFile:
     """Parse algebra-file text into structure constants (+ optional metric).
 
@@ -173,17 +214,9 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     products = doc.get("products", [])
     _require(isinstance(products, list), "products", "must be an array")
 
-    C = np.zeros((dim, dim, dim))
-    seen: set[tuple[int, int]] = set()
-    for pos, row in enumerate(products):
-        field = f"products[{pos}]"
-        _require(isinstance(row, dict), field, "must be an object")
-        _require(set(row) == {"i", "j", "coeffs"}, field, "must have exactly i, j, coeffs")
-        i = _as_index(row["i"], f"{field}.i", dim)
-        j = _as_index(row["j"], f"{field}.j", dim)
-        _require((i, j) not in seen, field, f"duplicate product ({i}, {j})")
-        seen.add((i, j))
-        C[i, j] = _as_array(row["coeffs"], f"{field}.coeffs", (dim,))
+    C = _products(products, dim)
+    if C is None:  # some row breaks a rule: the per-row checks name the first
+        C = _products_row_by_row(products, dim)
 
     m = _metric(doc, dim)
     tolerance = None

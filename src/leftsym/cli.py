@@ -10,7 +10,9 @@ tolerance recorded inside an input file overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,8 +68,23 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return ["  [" + ", ".join(format(v, "< .10g").strip() for v in row) + "]" for row in m]
 
 
+def _null_if_non_finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_if_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_if_non_finite(v) for v in obj]
+    return obj
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    """Print doc as strict JSON: a non-finite float becomes null."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # only walk the document when it holds a NaN or an infinity
+        text = json.dumps(_null_if_non_finite(doc), indent=2)
+    print(text)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -326,7 +343,14 @@ def _cmd_search(args, tol: Tolerance) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first run() of the process.
+
+    One parser serves every call: parse_args fills a fresh Namespace and
+    the append actions copy their default list before appending.  What
+    depends on the environment (LSPK_EPS, the help width) is read per call.
+    """
     parser = argparse.ArgumentParser(
         prog="leftsym",
         description="verify, decompose, construct and measure left-symmetric algebras",

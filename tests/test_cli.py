@@ -10,9 +10,17 @@ import json
 import numpy as np
 import pytest
 
-from leftsym import BilinearForm, FixtureBroken, MetricAlgebra, cli, decompose, koszul_form
+from leftsym import (
+    AlgebraStructure,
+    BilinearForm,
+    FixtureBroken,
+    MetricAlgebra,
+    cli,
+    decompose,
+    koszul_form,
+)
 from leftsym.algfile import parse_algebra_file, render_algebra_file
-from leftsym.catalog import catalog_build, catalog_list
+from leftsym.catalog import _parts, catalog_build, catalog_list
 from leftsym.cli import run
 from leftsym.construct import kdim2_family
 from test_geometry import assert_blocks_match_oracle
@@ -310,3 +318,47 @@ def test_file_tolerance_beats_env(tmp_path, dim2, monkeypatch):
     monkeypatch.setenv("LSPK_EPS", "1e-12")
     assert run(["check", str(p), "--lsa"]) == 0
     monkeypatch.delenv("LSPK_EPS")
+
+
+def test_json_output_writes_non_finite_residuals_as_null(tmp_path, capsys):
+    # finite coefficients whose products overflow: the residual is NaN
+    c = np.random.default_rng(0).standard_normal((3, 3, 3)) * 1e155
+    p = tmp_path / "overflow.json"
+    p.write_text(render_algebra_file(AlgebraStructure(c)))
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for flag in ("--lsa", "--novikov"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["check", str(p), flag, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["checks"][0]["holds"] is False
+        assert doc["checks"][0]["residual"] is None
+
+
+def test_cached_parser_keeps_calls_isolated(tmp_path, dim2_file, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    tuned, plain = tmp_path / "tuned.json", tmp_path / "plain.json"
+    assert run(["catalog", "export", "lspk_dim4", "--param", "beta=0.9", "--out", str(tuned)]) == 0
+    assert run(["catalog", "export", "lspk_dim4", "--out", str(plain)]) == 0
+    assert plain.read_text() == render_algebra_file(*_parts(catalog_build("lspk_dim4")))
+    assert tuned.read_text() != plain.read_text()
+
+    assert run(["check", dim2_file, "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert run(["check", dim2_file]) == 0
+    assert capsys.readouterr().out.startswith("left-symmetric: PASS")
+
+    assert run(["frobnicate"]) == 2
+    assert run(["check", dim2_file, "--lsa"]) == 0
+    assert "koszul" not in capsys.readouterr().out
+
+
+def test_cached_parser_reads_the_help_width_per_call(monkeypatch, capsys):
+    widths = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(["catalog", "export", "--help"]) == 0
+        widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+    assert widths[0] > 40 >= widths[1]
