@@ -31,7 +31,7 @@ import numpy as np
 
 from ._systems import system_residuals
 from .core import AlgebraStructure, Tolerance, change_basis, multiply, residual_scale
-from .core import _compose, _enforce, _max_abs, _restrict, _slab_worst
+from .core import _compose, _enforce, _max_abs, _restrict, _slab_worst, _worst_of
 from .errors import (
     BlockNotSkew,
     Circ1NonZero,
@@ -188,10 +188,7 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
     skew1 = _max_abs(B1 + B1.T)
     skew2 = _max_abs(B2 + B2.T)
     _enforce({"B1": skew1, "B2": skew2}, tol.eps * residual_scale(S, A_op), BlockNotSkew)
-    off = max(
-        _max_abs(u1.T @ A_op @ u2) or 0.0,
-        _max_abs(u2.T @ A_op @ u1) or 0.0,
-    )
+    off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
     residuals = {"B1_skew_split": skew1, "B2_skew_split": skew2, "A_offdiagonal": off}
     return EigenSplit(h1=u1, h2=u2, B1=B1, B2=B2, residuals=residuals)
 

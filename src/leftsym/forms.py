@@ -47,6 +47,9 @@ from .errors import (
 )
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class PredicateReport:
     """Outcome of a numeric check: worst residual plus where it happened.
@@ -78,10 +81,15 @@ class BilinearForm:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"Gram matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        top = np.abs(m).max(initial=0.0)
+        if not top <= _FLOAT_MAX:  # inf or NaN
             raise ValueError("Gram matrix must be finite")
-        asym = _max_abs(m - m.T) or 0.0
-        sym = (m + m.T) / 2.0
+        if top > _FLOAT_MAX / 2.0:
+            # m + m.T may overflow, so halve first (which, done everywhere, rounds subnormals)
+            half = m / 2.0
+            asym, sym = 2.0 * _max_abs(half - half.T), half + half.T
+        else:
+            asym, sym = _max_abs(m - m.T) or 0.0, (m + m.T) / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
         object.__setattr__(self, "asymmetry", asym)
@@ -233,8 +241,11 @@ def _paired_action(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def koszul_form(A: AlgebraStructure) -> BilinearForm:
-    """The trace form B(x, y) = tr(L_{x*y})."""
-    return BilinearForm(np.einsum("ijk,k->ij", A.constants, _traces(A.constants)))
+    """The trace form B(x, y) = tr(L_{x*y}); PreconditionFailed when it overflows."""
+    b = np.einsum("ijk,k->ij", A.constants, _traces(A.constants))
+    if not np.isfinite(b).all():
+        raise PreconditionFailed("trace form is not finite: the products overflow")
+    return BilinearForm(b)
 
 
 def trace_one_form(A: AlgebraStructure) -> np.ndarray:

@@ -15,12 +15,12 @@ through the gamma operators (K as commutators, ric through gamma traces);
 every function here that can cross-check a result this way does so and
 raises OracleMismatch on disagreement.
 
-The sphere-bundle style metric on the double space h + h (horizontal and
-vertical copies) has Ricci blocks given by contracting the six curvature
-component formulas over the coordinate index (an orthonormal frame sums
-to the inverse metric, which cancels); the mixed block vanishes
-identically.  When the pair also satisfies the compatibility identity,
-both diagonal blocks are compared against the closed form -beta.
+The double space h + h (horizontal and vertical copies) has Ricci blocks
+that sum the six curvature component formulas over a g-orthonormal frame.
+Two identities that hold for every metric, cyclicity of the trace and
+gamma_x y = gamma_y x, leave three terms per block (tangent_bundle_ricci).
+They are the Ricci form of g + g on the Lie algebra of TG, checked against
+-beta, for a Hessian pair only (lspk_dim2, diag(1, 2): 0.25 off in hh, 1.5 in vv).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AlgebraStructure, Tolerance, lie_bracket_constants, residual_scale
-from .core import _compose, _enforce, _max_abs
+from .core import _compose, _enforce, _max_abs, _worst_of
 from .errors import (
     NotEinstein,
     NotLieBracket,
@@ -84,11 +84,14 @@ def levi_civita_product(
     return out
 
 
-def _gamma_data(M: MetricAlgebra, tol: Tolerance) -> tuple[AlgebraStructure, np.ndarray]:
-    """Levi-Civita constants and the stack gamma[i] = Lbar_i - L_i."""
-    lc = levi_civita_product(lie_bracket_constants(M.algebra), M.metric, tol)
+def _gamma_data(
+    M: MetricAlgebra, tol: Tolerance
+) -> tuple[AlgebraStructure, AlgebraStructure, np.ndarray]:
+    """The bracket, the Levi-Civita constants and the stack gamma[i] = Lbar_i - L_i."""
+    bracket = lie_bracket_constants(M.algebra)
+    lc = levi_civita_product(bracket, M.metric, tol)
     gamma = (lc.constants - M.algebra.constants).transpose(0, 2, 1)
-    return lc, gamma
+    return bracket, lc, gamma
 
 
 def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -98,7 +101,7 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
     be symmetric for the metric; this is verified and a violation raises.
     """
     x = np.asarray(x, dtype=float)
-    _, gamma = _gamma_data(M, tol)
+    gamma = _gamma_data(M, tol)[2]
     op = np.einsum("i,ilk->lk", x, gamma)
     if check_hessian(M.algebra, M.metric, tol):
         m = M.metric.matrix @ op
@@ -114,9 +117,8 @@ def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Biline
     form of the product (the route through the metric product is
     independent), and the disagreement raises OracleMismatch.
     """
-    _, gamma = _gamma_data(M, tol)
-    tr_gamma = _traces(gamma)
-    beta = -np.einsum("ijk,k->ij", M.algebra.constants, tr_gamma)
+    gamma = _gamma_data(M, tol)[2]
+    beta = -np.einsum("ijk,k->ij", M.algebra.constants, _traces(gamma))
     direct = koszul_form(M.algebra).matrix
     thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix)
     _enforce({"second trace form": _max_abs(beta - direct)}, thr, OracleMismatch)
@@ -147,32 +149,31 @@ def base_curvature(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> BaseCurvat
     compatible = bool(check_left_symmetric(M.algebra, tol)) and bool(
         check_hessian(M.algebra, M.metric, tol)
     )
-    return _base_curvature(M, compatible, tol)
+    return _base_curvature(M, compatible, tol)[0]
 
 
-def _base_curvature(M: MetricAlgebra, compatible: bool, tol: Tolerance) -> BaseCurvature:
-    """base_curvature with the flat-and-compatible verdict already known."""
-    lc, gamma = _gamma_data(M, tol)
+def _base_curvature(
+    M: MetricAlgebra, compatible: bool, tol: Tolerance
+) -> tuple[BaseCurvature, np.ndarray]:
+    """base_curvature with the flat-and-compatible verdict already known, and tr gamma."""
+    bracket, lc, gamma = _gamma_data(M, tol)
     c = lc.constants
-    cb = lie_bracket_constants(M.algebra).constants
     cc = _compose(c, c.transpose(1, 0, 2))  # cc[a,b,i,l] = sum_m c[a,b,m] c[i,m,l]
-    K = _compose(cb, c)  # ijm,mkl->ijkl
+    K = _compose(bracket.constants, c)  # ijm,mkl->ijkl
     K -= cc.transpose(2, 0, 1, 3)  # jkm,iml->ijkl
     K += cc.transpose(0, 2, 1, 3)  # ikm,jml->ijkl
     del cc  # freed before the gamma cross-check builds its own n^4 arrays
     ricci = np.einsum("ajbj->ab", K)
+    tr_gamma = _traces(gamma)
 
     if compatible:
         thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, c)
         pair = _compose(gamma, gamma.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # ilm,jmk->ijlk
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
         _enforce({"curvature operator": _max_abs(K - k_gamma)}, thr, OracleMismatch)
-        tr_gamma = _traces(gamma)
-        ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum(
-            "amb,m->ab", gamma, tr_gamma
-        )
+        ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum("amb,m->ab", gamma, tr_gamma)
         _enforce({"Ricci form": _max_abs(ricci - ric_gamma)}, thr, OracleMismatch)
-    return BaseCurvature(lc=lc, gamma=gamma, K=K, ricci=BilinearForm(ricci))
+    return BaseCurvature(lc=lc, gamma=gamma, K=K, ricci=BilinearForm(ricci)), tr_gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,13 +181,13 @@ class CurvatureReport:
     """Ricci data of the double-space metric, in base coordinates.
 
     tb_ricci_hh, tb_ricci_vv and tb_ricci_hv are the horizontal-horizontal,
-    vertical-vertical and mixed blocks of the double-space Ricci form, and
-    base_ricci is the Ricci form of the metric product downstairs.  beta is
-    the trace form, which equals -tb_ricci_hh and -tb_ricci_vv when the pair
-    satisfies the compatibility identity.  einstein_mu is the best
-    proportionality factor against the block metric, einstein_residual the
-    worst deviation from exact proportionality, and hessian_residual records
-    how far the pair is from the compatibility identity.
+    vertical-vertical and mixed blocks of the double-space Ricci form, the
+    Ricci form of g + g for a compatible pair only; base_ricci is the Ricci
+    form of the metric product downstairs, and beta the trace form, which
+    equals -tb_ricci_hh and -tb_ricci_vv for a compatible pair.  einstein_mu
+    is the best proportionality factor against the block metric,
+    einstein_residual the worst deviation from exact proportionality, and
+    hessian_residual how far the pair is from the compatibility identity.
     """
 
     base_ricci: BilinearForm
@@ -215,15 +216,14 @@ class CurvatureReport:
 def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> CurvatureReport:
     """Ricci blocks of the canonical metric on the double space h + h.
 
-    Requires the product to be flat (left-symmetric).  Each block is the
-    trace over the coordinate index of the six curvature component
-    formulas, written as contractions of K, gamma and the metric product;
-    the mixed block is zero because every component formula has a zero
-    argument when one slot is horizontal and the other vertical.  When the
-    pair satisfies the compatibility identity, both diagonal blocks must
-    equal -beta and disagreement raises OracleMismatch; otherwise the
-    blocks are reported as computed and hessian_residual records the
-    defect.
+    Requires the product to be flat (left-symmetric).  Summed over a frame,
+    the six curvature component formulas leave, with s(x, y) = tr(Z ->
+    Lbar_{gamma_x Z} y) and u(y) = tr(Z -> Lbar_Z y) + tr gamma_y,
+        hh(x, y) = ric(x, y) + tr gamma_{Lbar_x y} - tr(gamma_x gamma_y),
+        vv(x, y) = s(x, y) + s(y, x) - u(gamma_x y),
+    and a zero mixed block.  For a compatible pair the blocks are the Ricci
+    form of g + g and must equal -beta, or OracleMismatch is raised; for any
+    other metric they are not, and hessian_residual records the defect.
     """
     flat = check_left_symmetric(M.algebra, tol)
     if not flat:
@@ -234,16 +234,15 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
 def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) -> CurvatureReport:
     """tangent_bundle_ricci for a product known to be flat, with trace form beta."""
     hess = check_hessian(M.algebra, M.metric, tol)
-    base = _base_curvature(M, bool(hess), tol)
-    G, K = base.gamma, base.K
-    Lb = base.lc.constants.transpose(0, 2, 1)  # Lb[i] = matrix of Lbar_{e_i}
+    base, tr = _base_curvature(M, bool(hess), tol)
+    G, Lb = base.gamma, base.lc.constants.transpose(0, 2, 1)  # Lb[i] = matrix of Lbar_{e_i}
     g = M.metric.matrix
     n = M.dim
     e = np.einsum
-    hh = (e("akbk->ab", K) - e("akm,bmk->ab", Lb, G) + e("apb,pkk->ab", Lb, G)
-          + e("bkm,amk->ab", G, Lb) - e("bkm,amk->ab", G, G))
-    vv = (-e("kkm,amb->ab", Lb, G) + e("kpa,pkb->ab", Lb, G) + e("akm,kmb->ab", G, Lb)
-          - e("bkm,kma->ab", G, G) + e("akm,kmb->ab", G, G) - e("kkm,amb->ab", G, G))
+    # the other frame-sum terms cancel: tr(Lb_a G_b) = tr(G_b Lb_a), G[a, k, m] == G[m, k, a]
+    hh = base.ricci.matrix + e("apb,p->ab", Lb, tr) - e("bkm,amk->ab", G, G)
+    s = e("akm,kmb->ab", G, Lb)
+    vv = s + s.T - e("m,amb->ab", e("kkm->m", Lb) + tr, G)
 
     if hess:
         blocks = {
@@ -251,10 +250,10 @@ def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) ->
             "double-space Ricci block vv": _max_abs(vv + beta.matrix),
             "double-space Ricci block hh-vv": _max_abs(hh - vv),
         }
-        _enforce(blocks, tol.eps * residual_scale(M.algebra.constants, g, K), OracleMismatch)
+        _enforce(blocks, tol.eps * residual_scale(M.algebra.constants, g, base.K), OracleMismatch)
 
     mu = float(np.trace(np.linalg.solve(g, hh)) / n) if n else 0.0
-    einstein_residual = max(_max_abs(hh - mu * g) or 0.0, _max_abs(vv - mu * g) or 0.0)
+    einstein_residual = _worst_of([_max_abs(hh - mu * g), _max_abs(vv - mu * g)], default=0.0)
     return CurvatureReport(
         base_ricci=base.ricci,
         tb_ricci_hh=BilinearForm(hh),

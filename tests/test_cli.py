@@ -337,6 +337,19 @@ def test_json_output_writes_non_finite_residuals_as_null(tmp_path, capsys):
         assert doc["checks"][0]["residual"] is None
 
 
+@pytest.mark.parametrize(
+    "argv", [["check"], ["koszul"], ["geometry"], ["check", "--lsa"], ["decompose"]], ids=" ".join
+)
+def test_overflowing_products_fail_without_a_usage_error(tmp_path, argv, capsys):
+    # a valid file whose products overflow fails its predicate (exit 1), not its parse (exit 2)
+    c = np.random.default_rng(0).standard_normal((3, 3, 3)) * 1e155
+    p = tmp_path / "overflow.json"
+    p.write_text(render_algebra_file(AlgebraStructure(c)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([argv[0], str(p), *argv[1:]]) == 1
+    assert "Gram matrix" not in capsys.readouterr().err
+
+
 def test_cached_parser_keeps_calls_isolated(tmp_path, dim2_file, capsys):
     assert cli._build_parser() is cli._build_parser()
     tuned, plain = tmp_path / "tuned.json", tmp_path / "plain.json"

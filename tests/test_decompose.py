@@ -5,6 +5,8 @@ rho); the signature must not move under a change of basis because it only
 depends on the isomorphism class.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,16 @@ def test_eigensplit_refusals():
     with pytest.raises(BlockNotSkew) as info:
         eigensplit(np.diag([0.0, 1.0]), np.eye(2))
     assert (info.value.name, info.value.residual) == ("B1", 1.0)
+
+
+def test_eigensplit_off_diagonal_residual_keeps_a_nan(monkeypatch):
+    # _max_abs measures B1, B2 and then the two off-diagonal blocks; a NaN in the
+    # second block must win the fold, as it would fail _enforce
+    measured = iter([0.0, 0.0, 0.0, float("nan")])
+    module = importlib.import_module("leftsym.decompose")  # the package name is the function
+    monkeypatch.setattr(module, "_max_abs", lambda t: next(measured))
+    split = eigensplit(np.diag([0.0, 1.0]), np.diag([0.5, 1.0]))
+    assert np.isnan(split.residuals["A_offdiagonal"])
 
 
 def test_perturbed_flat_part_is_refused_by_stage():

@@ -66,6 +66,25 @@ def test_koszul_form_nilpotent(a0):
     assert not is_positive_definite(B)
 
 
+def test_koszul_form_refuses_overflowing_products():
+    # finite coefficients whose trace form overflows to inf
+    A = AlgebraStructure(np.random.default_rng(0).standard_normal((3, 3, 3)) * 1e155)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PreconditionFailed):
+        koszul_form(A)
+
+
+def test_bilinear_form_symmetrizes_without_overflow():
+    big = np.array([[1.7e308, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(BilinearForm(big).matrix, big)
+    skewed = BilinearForm(np.array([[1.0, 1.7e308], [1.5e308, 1.0]]))
+    assert skewed.matrix[0, 1] == skewed.matrix[1, 0] == 1.7e308 / 2.0 + 1.5e308 / 2.0
+    assert skewed.asymmetry == 1.7e308 - 1.5e308
+    assert BilinearForm(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])).asymmetry == np.inf
+    # below half the float range the mean is (m + m.T) / 2, bit for bit
+    m = np.random.default_rng(3).standard_normal((6, 6))
+    np.testing.assert_array_equal(BilinearForm(m).matrix, (m + m.T) / 2.0)
+
+
 def test_trace_one_form(dim2):
     # alpha[k] = -tr(L_{e_k}); L_H = diag(1/2, 1)
     np.testing.assert_allclose(trace_one_form(dim2), np.array([0.0, -1.5]), atol=1e-15)

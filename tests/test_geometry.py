@@ -6,6 +6,7 @@ the base Ricci form is -(1/4) I, and both diagonal Ricci blocks of the
 double space equal -(3/2) I while the mixed block vanishes.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from leftsym import (
     PreconditionFailed,
     base_curvature,
     build_corollary1,
+    build_corollary2,
     build_milnor,
     change_basis,
     einstein_check,
@@ -34,6 +36,7 @@ from leftsym import (
     tangent_bundle_ricci,
     trace_one_form,
 )
+from leftsym import geometry
 from leftsym.catalog import catalog_build
 
 LSPK_NAMES = ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
@@ -250,13 +253,32 @@ def test_diagonal_blocks_agree_across_catalog(name):
     assert np.max(np.abs(rep.tb_ricci_hv)) <= 1e-10
 
 
-@pytest.mark.parametrize("metric", ["trace", "trace3", "spd"])
-@pytest.mark.parametrize("name", LSPK_NAMES)
+def _flat_n8() -> AlgebraStructure:
+    a = np.random.default_rng(8).standard_normal((7, 7))
+    return build_corollary1(7, (a - a.T) / 2.0)
+
+
+def _product_n8() -> AlgebraStructure:
+    h = np.random.default_rng(8).standard_normal(7)
+    M, _ = build_milnor(MilnorSpec(7, h / np.linalg.norm(h)))
+    return build_corollary2(M)
+
+
+# the catalog, plus the flat and product families at geometry-einstein's largest size
+ORACLE_BUILDS = {name: functools.partial(catalog_build, name) for name in LSPK_NAMES}
+ORACLE_BUILDS.update(flat_n8=_flat_n8, product_n8=_product_n8)
+
+
+@pytest.mark.parametrize(
+    "name, metric",
+    [(name, metric) for name in LSPK_NAMES for metric in ("spd", "trace3", "trace")]
+    + [("flat_n8", "spd"), ("product_n8", "spd")],
+)
 def test_blocks_match_frame_sum_oracle(name, metric):
     # a seeded orthogonal transport leaves no basis-aligned zeros to hide behind;
     # the random metric is not a Hessian partner, so only the oracle pins it
-    rng = np.random.default_rng(LSPK_NAMES.index(name))
-    A = catalog_build(name)
+    rng = np.random.default_rng(list(ORACLE_BUILDS).index(name))
+    A = ORACLE_BUILDS[name]()
     q, _ = np.linalg.qr(rng.standard_normal((A.dim, A.dim)))
     A = change_basis(A, q)
     B = koszul_form(A).matrix
@@ -272,6 +294,21 @@ def test_blocks_match_frame_sum_oracle_degenerate(a0_metric):
     for M in (_with_koszul(build_corollary1(0)), a0_metric):
         rep = tangent_bundle_ricci(M)
         assert_blocks_match_oracle(M, rep.tb_ricci_hh.matrix, rep.tb_ricci_vv.matrix)
+
+
+def test_one_bracket_per_call(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return lie_bracket_constants(A)
+
+    monkeypatch.setattr(geometry, "lie_bracket_constants", counted)
+    A = catalog_build("lspk_dim4")
+    einstein_check(A)
+    assert len(calls) == 1
+    tangent_bundle_ricci(_with_koszul(A))
+    assert len(calls) == 2
 
 
 def test_nilpotent_double_space_is_ricci_flat(a0_metric):
