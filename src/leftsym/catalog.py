@@ -20,20 +20,19 @@ from typing import Callable
 import numpy as np
 
 from .construct import MilnorSpec, build_milnor, kdim2_family
-from .core import AlgebraStructure, Tolerance, _worst_of
+from .core import AlgebraStructure, Check, Tolerance, _conjunction, residual_scale
 from .decompose import decompose
 from .errors import FixtureBroken, ResidualError, UnknownEntry
 from .forms import (
     BilinearForm,
     MetricAlgebra,
-    PredicateReport,
     check_commutative,
     check_k_hessian,
     check_left_symmetric,
     is_positive_definite,
     koszul_form,
 )
-from .forms import _report, _traces, _worst
+from .forms import _traces, _worst
 
 RT6 = math.sqrt(6.0)
 RT3 = math.sqrt(3.0)
@@ -459,31 +458,30 @@ def _parts(built) -> tuple[AlgebraStructure, BilinearForm | None]:
     return built, None
 
 
-def catalog_verify(
-    name: str, params: dict | None = None, tol: Tolerance = Tolerance()
-) -> PredicateReport:
+def catalog_verify(name: str, params: dict | None = None, tol: Tolerance = Tolerance()) -> Check:
     """Rebuild an entry and replay its declared predicate suite.
 
-    Raises FixtureBroken naming the first failing predicate; on success the
-    report carries the worst residual seen across the whole suite.
+    Raises FixtureBroken naming the first failing predicate; on success it
+    returns the conjunction of the suite's checks, those of decompose included.
     """
     entry = catalog_entry(name)
     resolved = entry.resolve(params)
     built = entry.builder(**resolved)
     A, metric = _parts(built)
-    seen: list[float | None] = []
+    checks: list[Check] = []
 
-    def run(predicate: str, rep: PredicateReport) -> None:
-        seen.append(rep.max_residual)
-        if not rep:
-            raise FixtureBroken(name, predicate, rep.max_residual)
+    def run(check: Check, predicate: str | None = None) -> None:
+        checks.append(check)
+        if not check:
+            raise FixtureBroken(name, predicate or check.name, check.residual)
 
     if entry.expected_koszul is not None:
         want = entry.expected_koszul(resolved)
-        run("koszul match", _report(_worst(koszul_form(A).matrix - want), tol, A.constants, want))
+        worst, at = _worst(koszul_form(A).matrix - want)
+        run(Check("koszul match", worst, tol.eps * residual_scale(A.constants, want), at))
 
     if entry.kind == "lspk":
-        run("left-symmetric", check_left_symmetric(A, tol))
+        run(check_left_symmetric(A, tol))
         B = koszul_form(A)
         if not is_positive_definite(B, tol):
             raise FixtureBroken(name, "positive definite trace form")
@@ -495,26 +493,25 @@ def catalog_verify(
                 raise FixtureBroken(name, exc.name, exc.residual) from exc
             if dec.signature[:2] != (n1, n2):
                 raise FixtureBroken(name, f"signature {dec.signature[:2]} != {(n1, n2)}")
-            err = abs(dec.rho - rho)
-            run("rho match", PredicateReport(holds=err <= tol.eps * max(1.0, rho), max_residual=err))
-            # decompose certified each residual against its own scaled threshold
-            seen.extend(dec.residuals.values())
+            run(Check("rho match", abs(dec.rho - rho), tol.eps * residual_scale(rho)))
+            checks.extend(dec.checks)
     elif entry.kind == "khessian":
         assert metric is not None
         k = entry.expected_k(resolved)
-        run("k-hessian", check_k_hessian(A, metric, k, tol))
+        run(check_k_hessian(A, metric, k, tol), "k-hessian")
     elif entry.kind == "nilpotent":
-        run("left-symmetric", check_left_symmetric(A, tol))
+        run(check_left_symmetric(A, tol))
     else:  # pragma: no cover - registry is static
         raise FixtureBroken(name, f"unknown kind {entry.kind}")
 
-    for check in entry.extra_checks:
-        if check == "trace_free":
-            run("trace-free multiplications", _report(_worst(_traces(A.constants)), tol, A.constants))
-        elif check == "commutative":
-            run("commutative", check_commutative(A, tol))
+    for extra in entry.extra_checks:
+        if extra == "trace_free":
+            worst, at = _worst(_traces(A.constants))
+            run(Check("trace-free multiplications", worst, tol.eps * residual_scale(A.constants), at))
+        elif extra == "commutative":
+            run(check_commutative(A, tol))
 
-    return PredicateReport(holds=True, max_residual=_worst_of(seen, default=0.0))
+    return _conjunction(checks)
 
 
 def sample_params(name: str, rng: np.random.Generator) -> dict:

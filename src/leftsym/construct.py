@@ -15,14 +15,14 @@ order of L_x, which makes L_h exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
 
 from ._systems import system_residuals
-from .core import AlgebraStructure, Tolerance, mult_operator, residual_scale
-from .core import _accumulate, _enforce, _frozen, _max_abs, _slab_worst, _worst_of
+from .core import AlgebraStructure, Check, Tolerance, mult_operator, residual_scale
+from .core import _accumulate, _conjunction, _enforce, _frozen, _max_abs, _slab_worst
 from .decompose import LSPKDecomposition
 from .errors import (
     DimensionMismatch,
@@ -40,7 +40,6 @@ from .errors import (
 from .forms import (
     BilinearForm,
     MetricAlgebra,
-    PredicateReport,
     check_hessian,
     check_k_hessian,
     check_left_symmetric,
@@ -158,28 +157,22 @@ class LSPKData:
         return self.n1 + self.n2 + 1
 
 
-def data_residuals(data: LSPKData) -> dict[str, float | None]:
-    """All compatibility-equation residuals of the data, by name."""
-    return {
-        "omega1_symmetric": _max_abs(data.omega1 - data.omega1.transpose(1, 0, 2)),
-        "omega2_symmetric": _max_abs(data.omega2 - data.omega2.transpose(1, 0, 2)),
-        **system_residuals(
-            data.c2, data.rho1, data.rho2, data.omega1, data.omega2,
-            data.b1, data.b2, data.g1, data.g2,
-        ),
-    }
-
-
-def _data_scale(data: LSPKData) -> float:
-    return residual_scale(
+def _data_checks(data: LSPKData, tol: Tolerance) -> tuple[Check, ...]:
+    """The compatibility equations of the data, each against eps times the scale of the data."""
+    fields = (
         data.c2, data.rho1, data.rho2, data.omega1, data.omega2, data.b1, data.b2, data.g1, data.g2
     )
+    return system_residuals(*fields, tol.eps * residual_scale(*fields))
 
 
-def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> PredicateReport:
-    """Whether the data satisfies its full compatibility system."""
-    worst = _worst_of(data_residuals(data).values(), default=0.0)
-    return PredicateReport(holds=bool(worst <= tol.eps * _data_scale(data)), max_residual=worst)
+def data_residuals(data: LSPKData) -> dict[str, float | None]:
+    """All compatibility-equation residuals of the data, by name."""
+    return {check.name: check.residual for check in _data_checks(data, Tolerance())}
+
+
+def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> Check:
+    """Whether the data satisfies its full compatibility system (their conjunction)."""
+    return _conjunction(_data_checks(data, tol))
 
 
 def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> AlgebraStructure:
@@ -189,7 +182,7 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
     it must be left-symmetric and its trace form must equal
     rho * diag(g1, g2, 1) with rho = n1/2 + n2 + 1.
     """
-    _enforce(data_residuals(data), tol.eps * _data_scale(data), ValidationFailed)
+    _enforce(_data_checks(data, tol), ValidationFailed)
 
     n1, n2 = data.n1, data.n2
     n = data.dim
@@ -208,16 +201,15 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
     c[iH, iH, iH] = 1.0
     A = AlgebraStructure(c, name=name)
 
-    rep = check_left_symmetric(A, tol)
-    if not rep:
-        raise VerificationFailed("assembled product is not left-symmetric", rep.max_residual)
+    flat = check_left_symmetric(A, tol)
+    _enforce([replace(flat, name="assembled product is not left-symmetric")], VerificationFailed)
     rho = n1 / 2.0 + n2 + 1.0
     predicted = np.zeros((n, n))
     predicted[s1, s1] = rho * data.g1
     predicted[s2, s2] = rho * data.g2
     predicted[iH, iH] = rho
     resid = _max_abs(koszul_form(A).matrix - predicted)
-    _enforce({"trace_form": resid}, tol.eps * residual_scale(c, predicted), KoszulMismatch)
+    _enforce([Check("trace_form", resid, tol.eps * residual_scale(c, predicted))], KoszulMismatch)
     return A
 
 
@@ -247,7 +239,7 @@ def build_corollary1(
     if n < 0:
         raise DimensionMismatch(f"part dimension must be nonnegative, got {n}")
     d = _skew_field(skew, n)
-    _enforce({"skew": _max_abs(d + d.T)}, tol.eps * residual_scale(d), NotSkew)
+    _enforce([Check("skew", _max_abs(d + d.T), tol.eps * residual_scale(d))], NotSkew)
     return build_lspk(LSPKData(n1=n, n2=0, b1=d), tol, name=f"flatpart{n}")
 
 
@@ -267,19 +259,17 @@ def build_corollary2(
 
     thr = tol.eps * residual_scale(c, g, d)
 
-    _enforce({"trace_free": _max_abs(_traces(c))}, thr, HypothesisFailed)
-
-    rep = check_hessian(A, h.metric, tol)
-    if not rep:
-        raise HypothesisFailed("hessian", rep.max_residual)
+    _enforce([Check("trace_free", _max_abs(_traces(c)), thr)], HypothesisFailed)
+    _enforce([check_hessian(A, h.metric, tol)], HypothesisFailed)
 
     gd = g @ d
-    hypotheses = {
-        "sectional": _slab_worst(n, _left_symmetry_slabs(c, _metric_sectional(g, -1.0)))[0],
-        "skew": _max_abs(gd + gd.T),
-        "derivation": _max_abs(_derivation_defect(d, c)),
-    }
-    _enforce(hypotheses, thr, HypothesisFailed)
+    sectional = _slab_worst(n, _left_symmetry_slabs(c, _metric_sectional(g, -1.0)))[0]
+    hypotheses = (
+        Check("sectional", sectional, thr),
+        Check("skew", _max_abs(gd + gd.T), thr),
+        Check("derivation", _max_abs(_derivation_defect(d, c)), thr),
+    )
+    _enforce(hypotheses, HypothesisFailed)
 
     data = LSPKData(n1=0, n2=n, c2=c, b2=d, g2=g)
     label = f"{A.name}+H" if A.name else "productpart"
@@ -387,14 +377,12 @@ def build_milnor(spec: MilnorSpec, tol: Tolerance = Tolerance()) -> tuple[Metric
         raise ZeroH("the defining vector must be nonzero")
     c = _annihilate(_rank_one_constants(g, h), h)
     A = AlgebraStructure(c, name=f"rankone{spec.dim}")
-    lh = mult_operator(A, h)
+    lh = _max_abs(mult_operator(A, h))
     thr = tol.eps * residual_scale(c, h)
-    _enforce({"left multiplication by h does not vanish": _max_abs(lh)}, thr, VerificationFailed)
-    rep = check_k_hessian(A, BilinearForm(g), k, tol)
-    if not rep:
-        raise VerificationFailed(
-            "constructed algebra fails its defining identities", rep.max_residual
-        )
+    _enforce([Check("left multiplication by h does not vanish", lh, thr)], VerificationFailed)
+    identities = check_k_hessian(A, BilinearForm(g), k, tol)
+    _enforce([replace(identities, name="constructed algebra fails its defining identities")],
+             VerificationFailed)
     return MetricAlgebra(A, BilinearForm(g)), k
 
 
@@ -421,7 +409,8 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
     m = c.transpose(1, 2, 0).reshape(n * n, n)
     _, sigma, vt = np.linalg.svd(m)
     sigma = np.concatenate([sigma, np.zeros(n - sigma.size)])
-    best = np.inf
+    relation = "kernel vector does not reproduce the structure constants"
+    best = Check(relation, np.inf, thr)
     for idx in np.argsort(sigma):
         u = vt[idx]
         norm2 = float(u @ g @ u)
@@ -429,16 +418,16 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
             continue
         base = u * np.sqrt(-k / norm2)
         for h in (base, -base):
-            resid = _max_abs(c - _rank_one_constants(g, h))
-            if resid <= thr:
+            found = Check(relation, _max_abs(c - _rank_one_constants(g, h)), thr)
+            if found:
                 return h
-            best = min(best, resid)
+            best = min(best, found, key=lambda f: f.residual)
         if sigma[idx] > thr:
             # no later candidate is closer to the kernel; stop early
             break
     if float(np.min(sigma)) > thr:
         raise NoKernelVector("no vector annihilated by every left multiplication")
-    raise VerificationFailed("kernel vector does not reproduce the structure constants", best)
+    _enforce([best], VerificationFailed)  # raises: every candidate above failed
 
 
 def kdim2_family(
@@ -475,8 +464,8 @@ def kdim2_family(
     A = AlgebraStructure(c, name=f"planar{family}")
     traces = _max_abs(_traces(c))
     thr = tol.eps * residual_scale(c)
-    _enforce({"left multiplications are not trace-free": traces}, thr, VerificationFailed)
-    rep = check_k_hessian(A, BilinearForm.identity(2), k, tol)
-    if not rep:
-        raise VerificationFailed("planar family fails its defining identities", rep.max_residual)
+    _enforce([Check("left multiplications are not trace-free", traces, thr)], VerificationFailed)
+    identities = check_k_hessian(A, BilinearForm.identity(2), k, tol)
+    _enforce([replace(identities, name="planar family fails its defining identities")],
+             VerificationFailed)
     return MetricAlgebra(A, BilinearForm.identity(2))

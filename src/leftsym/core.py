@@ -66,21 +66,20 @@ class Tolerance:
 
 
 def residual_scale(*arrays: np.ndarray) -> float:
-    """max(1, largest absolute entry) over the given tensors.
+    """max(1, largest absolute entry) over the given tensors; NaN when an entry is NaN.
 
-    Predicates accept a residual r when r <= eps * residual_scale(...), so
-    tolerances follow the magnitude of the structure constants involved.
+    A relation measured on these tensors holds when its residual is at most
+    eps * residual_scale(...), so tolerances follow the magnitude of the data.
     """
-    m = 1.0
-    for a in arrays:
-        m = max(m, _max_abs(np.asarray(a, dtype=float)) or 0.0)
-    return m
+    return _worst_of([1.0, *(_max_abs(np.asarray(a, dtype=float)) for a in arrays)])
 
 
 def _worst_of(values, default: float | None = None) -> float | None:
     """Largest of the values that are not None (default when there are none); NaN wins."""
-    live = [v for v in values if v is not None]
-    return float(np.max(live)) if live else default
+    live = [float(v) for v in values if v is not None]
+    if not live:
+        return default
+    return math.nan if any(v != v for v in live) else max(live)
 
 
 def _max_abs(t: np.ndarray) -> float | None:
@@ -88,12 +87,45 @@ def _max_abs(t: np.ndarray) -> float | None:
     return None if t.size == 0 else float(np.max(np.abs(t)))
 
 
-def _enforce(residuals: dict, threshold: float, error: type) -> dict:
-    """Raise error(name, value) for the first value not <= threshold; None passes, NaN fails."""
-    for name, value in residuals.items():
-        if value is not None and not value <= threshold:
-            raise error(name, value)
-    return residuals
+@dataclass(frozen=True, slots=True)
+class Check:
+    """A named relation with its residual, threshold and, when located, witness indices.
+
+    holds is the one pass/fail rule of the library: a vacuous relation (residual
+    None) passes, NaN fails, otherwise residual <= threshold.
+    """
+
+    name: str
+    residual: float | None
+    threshold: float
+    witness: tuple[int, ...] | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.residual is None or bool(self.residual <= self.threshold)
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    @property
+    def max_residual(self) -> float:
+        """The residual, 0.0 for a vacuous relation."""
+        return 0.0 if self.residual is None else self.residual
+
+
+def _enforce(checks, error: type):
+    """Raise error(name, residual) for the first check that does not hold."""
+    for check in checks:
+        if not check.holds:
+            raise error(check.name, check.residual)
+
+
+def _conjunction(checks) -> Check:
+    """The verdict of checks taken together: the first failing one, else the largest residual."""
+    for check in checks:
+        if not check.holds:
+            return check
+    return max(checks, key=lambda c: c.max_residual)
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,10 +17,10 @@ The pipeline runs in four stages, each of which certifies what it uses:
    compatibility systems S1, S2, S3-1..S3-8 plus the flatness and
    representation conditions hold.
 
-Every relation is evaluated as a whole-tensor contraction; residuals are
-recorded by name in the returned LSPKDecomposition (None marks a relation
-that is vacuous because one of the parts is zero dimensional), and the
-first relation beyond tolerance raises.
+Every relation is a whole-tensor contraction, kept by name as a core.Check
+in the stage's result (residual None marks a relation that is vacuous
+because one of the parts is zero dimensional), and the first relation
+beyond its threshold raises; koszul_blocks is allowed ten times the others.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._systems import system_residuals
-from .core import AlgebraStructure, Tolerance, change_basis, multiply, residual_scale
+from .core import AlgebraStructure, Check, Tolerance, change_basis, multiply, residual_scale
 from .core import _compose, _enforce, _max_abs, _restrict, _slab_worst, _worst_of
 from .errors import (
     BlockNotSkew,
@@ -43,8 +43,9 @@ from .errors import (
     SystemASViolated,
     SystemViolated,
 )
-from .forms import BilinearForm, check_hessian, check_left_symmetric, is_positive_definite, koszul_form
-from .forms import _derivation_defect, _left_symmetry_slabs, _operator_sectional, _traces
+from .forms import check_left_symmetric, is_positive_definite, koszul_form
+from .forms import _derivation_defect, _hessian_defect, _left_symmetry_slabs, _operator_sectional
+from .forms import _traces, _worst
 
 _CLUSTER_TOL = 1e-6  # clustering width for the S-spectrum around {0, 1}
 
@@ -58,8 +59,8 @@ def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.n
     if not is_positive_definite(B, tol):
         raise NotPositiveDefinite("trace form is not positive definite")
     H = np.linalg.solve(B.matrix, _traces(A.constants))
-    resid = _max_abs(multiply(A, H, H) - H)
-    _enforce({"H*H-H": resid}, tol.eps * residual_scale(A.constants, H), IdempotentCheckFailed)
+    thr = tol.eps * residual_scale(A.constants, H)
+    _enforce([Check("H*H-H", _max_abs(multiply(A, H, H) - H), thr)], IdempotentCheckFailed)
     return H
 
 
@@ -86,8 +87,15 @@ def _orthonormalize(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
     return u
 
 
+class _Staged:
+    @property
+    def residuals(self) -> dict[str, float | None]:
+        """The residual of each check, by name."""
+        return {check.name: check.residual for check in self.checks}
+
+
 @dataclass(frozen=True, eq=False)
-class HSplit:
+class HSplit(_Staged):
     """Stage-2 result: the complement of H with its induced data.
 
     h_basis columns are ambient vectors, orthonormal for <,> = B/rho.
@@ -103,7 +111,7 @@ class HSplit:
     A_op: np.ndarray
     circ: AlgebraStructure
     gram: np.ndarray
-    residuals: dict
+    checks: tuple[Check, ...]
 
 
 def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) -> HSplit:
@@ -140,26 +148,27 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
     as3 = _compose(cc - cc.transpose(1, 0, 2), st) - (s_right.transpose(1, 0, 2) - s_right)
     as4 = _derivation_defect(A_op, cc) + _compose(st, cc)  # + S(e_i) o e_j
 
-    residuals: dict[str, float | None] = {
-        "XH_stays_in_h": _max_abs(xh @ w_H),
-        "HX_stays_in_h": _max_abs(hx @ w_H),
-        "hh_H_component": _max_abs(h_coeff - eye),
-        "gram_identity": _max_abs(gram - eye),
-        "AS-1": check_hessian(circ, BilinearForm.identity(m), tol).max_residual,
-        "AS-2": _slab_worst(m, _left_symmetry_slabs(cc, _operator_sectional(S)))[0],
-        "AS-3": _max_abs(as3),
-        "AS-4": _max_abs(as4),
-        "AS-5": _max_abs(S - (A_op + A_op.T - eye)),
-        "AS-6": _max_abs(S @ A_op - A_op @ S - (S @ S - S)),
-        "AS-7": _max_abs(_traces(cc)),
-        "AS-S-symmetric": _max_abs(S - S.T),
-    }
-    _enforce(residuals, tol.eps * residual_scale(c, S, A_op, cc), SystemASViolated)
-    return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, circ=circ, gram=gram, residuals=residuals)
+    thr = tol.eps * residual_scale(c, S, A_op, cc)
+    checks = (
+        Check("XH_stays_in_h", _max_abs(xh @ w_H), thr),
+        Check("HX_stays_in_h", _max_abs(hx @ w_H), thr),
+        Check("hh_H_component", _max_abs(h_coeff - eye), thr),
+        Check("gram_identity", _max_abs(gram - eye), thr),
+        Check("AS-1", _worst(_hessian_defect(cc, eye))[0], thr),
+        Check("AS-2", _slab_worst(m, _left_symmetry_slabs(cc, _operator_sectional(S)))[0], thr),
+        Check("AS-3", _max_abs(as3), thr),
+        Check("AS-4", _max_abs(as4), thr),
+        Check("AS-5", _max_abs(S - (A_op + A_op.T - eye)), thr),
+        Check("AS-6", _max_abs(S @ A_op - A_op @ S - (S @ S - S)), thr),
+        Check("AS-7", _max_abs(_traces(cc)), thr),
+        Check("AS-S-symmetric", _max_abs(S - S.T), thr),
+    )
+    _enforce(checks, SystemASViolated)
+    return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, circ=circ, gram=gram, checks=checks)
 
 
 @dataclass(frozen=True, eq=False)
-class EigenSplit:
+class EigenSplit(_Staged):
     """Stage-3 result: eigenbases of S (coordinates in the h basis) and the
     skew blocks of A_op on them."""
 
@@ -167,7 +176,7 @@ class EigenSplit:
     h2: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
-    residuals: dict
+    checks: tuple[Check, ...]
 
 
 def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) -> EigenSplit:
@@ -185,16 +194,18 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
 
     B1 = u1.T @ A_op @ u1 - np.eye(n1) / 2.0
     B2 = u2.T @ A_op @ u2 - np.eye(n2)
+    thr = tol.eps * residual_scale(S, A_op)
     skew1 = _max_abs(B1 + B1.T)
     skew2 = _max_abs(B2 + B2.T)
-    _enforce({"B1": skew1, "B2": skew2}, tol.eps * residual_scale(S, A_op), BlockNotSkew)
+    _enforce([Check("B1", skew1, thr), Check("B2", skew2, thr)], BlockNotSkew)  # named by block
     off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
-    residuals = {"B1_skew_split": skew1, "B2_skew_split": skew2, "A_offdiagonal": off}
-    return EigenSplit(h1=u1, h2=u2, B1=B1, B2=B2, residuals=residuals)
+    checks = (Check("B1_skew_split", skew1, thr), Check("B2_skew_split", skew2, thr),
+              Check("A_offdiagonal", off, thr))  # implied by AS-6, recorded only
+    return EigenSplit(h1=u1, h2=u2, B1=B1, B2=B2, checks=checks)
 
 
 @dataclass(frozen=True, eq=False)
-class LSPKDecomposition:
+class LSPKDecomposition(_Staged):
     """Full structure data of a decomposed algebra.
 
     basis_h1/basis_h2 columns and H are ambient vectors; together they are
@@ -219,7 +230,7 @@ class LSPKDecomposition:
     omega1: np.ndarray
     omega2: np.ndarray
     circ2: AlgebraStructure
-    residuals: dict
+    checks: tuple[Check, ...]
 
     @property
     def dim_h1(self) -> int:
@@ -256,31 +267,25 @@ def extract_structure(
     circ2 = AlgebraStructure(c2, name=f"{A.name}:circ2" if A.name else "circ2")
     B1, B2 = esplit.B1, esplit.B2
 
-    extras: dict[str, float | None] = {
-        "circ1": _max_abs(cc[s1, s1, s1]),
-        "mixed_12_block": _max_abs(cc[s1, s2, s1]),
-        "mixed_21_block": _max_abs(cc[s2, s1, s2]),
-        "omega1_symmetric": _max_abs(omega1 - omega1.transpose(1, 0, 2)),
-        "omega2_symmetric": _max_abs(omega2 - omega2.transpose(1, 0, 2)),
-    }
-    sys_res = system_residuals(c2, rho1, rho2, omega1, omega2, B1, B2, np.eye(n1), np.eye(n2))
+    thr = tol.eps * residual_scale(A.constants, cc, B1, B2)
+    blocks = (
+        Check("circ1", _max_abs(cc[s1, s1, s1]), thr),
+        Check("mixed_12_block", _max_abs(cc[s1, s2, s1]), thr),
+        Check("mixed_21_block", _max_abs(cc[s2, s1, s2]), thr),
+        *system_residuals(c2, rho1, rho2, omega1, omega2, B1, B2, np.eye(n1), np.eye(n2), thr),
+    )
 
     basis_h1 = hsplit.h_basis @ u1
     basis_h2 = hsplit.h_basis @ u2
     basis = np.column_stack([basis_h1, basis_h2, hsplit.H])
-    B = koszul_form(A)
-    tail: dict[str, float | None] = {
-        "koszul_blocks": _max_abs(basis.T @ B.matrix @ basis - hsplit.rho * np.eye(A.dim)),
-        "rho_formula": abs(hsplit.rho - (n1 / 2.0 + n2 + 1.0)),
-    }
+    gram = basis.T @ koszul_form(A).matrix @ basis
+    tail = (
+        Check("koszul_blocks", _max_abs(gram - hsplit.rho * np.eye(A.dim)), 10.0 * thr),
+        Check("rho_formula", abs(hsplit.rho - (n1 / 2.0 + n2 + 1.0)), thr),
+    )
 
-    thr = tol.eps * residual_scale(A.constants, cc, B1, B2)
-    _enforce({"circ1": extras["circ1"]}, thr, Circ1NonZero)
-    _enforce({**extras, **sys_res}, thr, SystemViolated)
-    _enforce({"koszul_blocks": tail["koszul_blocks"]}, 10.0 * thr, SystemViolated)
-    _enforce({"rho_formula": tail["rho_formula"]}, thr, SystemViolated)
-
-    residuals = {**hsplit.residuals, **esplit.residuals, **extras, **sys_res, **tail}
+    _enforce(blocks[:1], Circ1NonZero)  # circ1 has its own error class
+    _enforce(blocks + tail, SystemViolated)
     return LSPKDecomposition(
         H=hsplit.H,
         rho=hsplit.rho,
@@ -296,7 +301,7 @@ def extract_structure(
         omega1=omega1,
         omega2=omega2,
         circ2=circ2,
-        residuals=residuals,
+        checks=hsplit.checks + esplit.checks + blocks + tail,
     )
 
 

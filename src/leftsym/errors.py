@@ -2,8 +2,8 @@
 
 Every failure a caller can act on gets its own class; all inherit from
 LeftSymError so scripts can catch the whole family at once.  A certified
-relation that fails raises a ResidualError subclass, which carries the
-relation's name and its measured residual as attributes.
+relation is a core.Check; core._enforce, and nothing else, raises a
+ResidualError subclass for a failing one, with its name and residual.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Bilinear forms and the numeric predicates certifying algebra axioms.
 
-Predicates never answer with a bare bool: they return a PredicateReport
-with the worst residual and the basis triple attaining it, and they accept
-a residual r when r <= tol.eps * residual_scale(data).  All identities are
-evaluated on basis tuples by whole-tensor contractions, so a report covers
-every multilinear instance of the identity at once.  Each identity is written
+Predicates return a core.Check: the worst residual, the basis triple attaining
+it and the threshold tol.eps * residual_scale(data); a conjunction reports its
+first failing part.  All identities are evaluated on basis tuples by
+whole-tensor contractions, so a check covers every multilinear instance of
+the identity at once.  Each identity is written
 once on plain arrays; the split systems, the decomposition stages and the
 constructions evaluate the same contractions through them:
 
@@ -22,15 +22,16 @@ constructions evaluate the same contractions through them:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     AlgebraStructure,
+    Check,
     Tolerance,
     _compose,
+    _conjunction,
     _enforce,
     _max_abs,
     _restrict,
@@ -48,22 +49,6 @@ from .errors import (
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class PredicateReport:
-    """Outcome of a numeric check: worst residual plus where it happened.
-
-    witness holds the basis indices attaining the worst residual (None when
-    the check has no located witness, e.g. definiteness).
-    """
-
-    holds: bool
-    max_residual: float
-    witness: tuple[int, ...] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,23 +120,6 @@ def _worst(resid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     flat = int(np.argmax(np.abs(resid)))
     idx = np.unravel_index(flat, resid.shape)
     return float(np.abs(resid.flat[flat])), tuple(int(i) for i in idx[:3])
-
-
-def _report(found: tuple, tol: Tolerance, *scale_from: np.ndarray) -> PredicateReport:
-    """Report a (worst, witness) pair from _worst or _slab_worst; a vacuous relation reports 0."""
-    worst, witness = found
-    worst = 0.0 if worst is None else worst
-    return PredicateReport(
-        holds=bool(worst <= tol.eps * residual_scale(*scale_from)),
-        max_residual=worst,
-        witness=witness,
-    )
-
-
-def _joint(*reports: PredicateReport) -> PredicateReport:
-    """Conjunction of reports; residual and witness come from the worst one (NaN wins)."""
-    worse = max(reports, key=lambda r: (math.isnan(r.max_residual), r.max_residual))
-    return PredicateReport(all(r.holds for r in reports), worse.max_residual, worse.witness)
 
 
 def _traces(c: np.ndarray) -> np.ndarray:
@@ -253,38 +221,40 @@ def trace_one_form(A: AlgebraStructure) -> np.ndarray:
     return -_traces(A.constants)
 
 
-def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> PredicateReport:
-    """Definiteness test: smallest eigenvalue above the scaled tolerance.
+def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> Check:
+    """Definiteness: residual -lambda_min against threshold -eps * residual_scale(F).
 
-    max_residual reports the negated smallest eigenvalue, so large negative
-    values mean comfortably positive definite.
+    Large negative residuals mean comfortably positive definite.
     """
+    thr = -tol.eps * residual_scale(F.matrix)
     if F.dim == 0:
-        return PredicateReport(holds=True, max_residual=0.0, witness=None)
-    lam_min = float(np.linalg.eigvalsh(F.matrix)[0])
-    thr = tol.eps * residual_scale(F.matrix)
-    return PredicateReport(holds=bool(lam_min > thr), max_residual=-lam_min, witness=None)
+        return Check("positive definite", None, thr)
+    return Check("positive definite", -float(np.linalg.eigvalsh(F.matrix)[0]), thr)
 
 
-def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
+def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     """Associator symmetric in its first two arguments."""
     c = A.constants
-    return _report(_slab_worst(A.dim, _left_symmetry_slabs(c)), tol, c)
+    worst, at = _slab_worst(A.dim, _left_symmetry_slabs(c))
+    return Check("left-symmetric", worst, tol.eps * residual_scale(c), at)
 
 
-def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
-    return _report(_worst(A.constants - A.constants.transpose(1, 0, 2)), tol, A.constants)
+def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
+    c = A.constants
+    worst, at = _worst(c - c.transpose(1, 0, 2))
+    return Check("commutative", worst, tol.eps * residual_scale(c), at)
 
 
-def check_associative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
+def check_associative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     assoc = _assoc_slabs(A.constants)
-    return _report(_slab_worst(A.dim, lambda lo, hi: assoc(lo, hi)[0]), tol, A.constants)
+    worst, at = _slab_worst(A.dim, lambda lo, hi: assoc(lo, hi)[0])
+    return Check("associative", worst, tol.eps * residual_scale(A.constants), at)
 
 
-def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
+def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     """Right symmetry (x*y)*z = (x*z)*y together with left symmetry.
 
-    The report covers the conjunction, so holds means the algebra is
+    The check covers the conjunction, so holds means the algebra is
     Novikov, not merely right-symmetric.
     """
     c = A.constants
@@ -293,49 +263,49 @@ def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicat
         left = _compose(c, c[:, :, lo:hi])  # (e_i e_j) e_k, slabs over the last index
         return left - left.transpose(0, 2, 1, 3)
 
-    return _joint(
-        _report(_slab_worst(A.dim, right_symmetry, axis=3), tol, c),
-        _report(_slab_worst(A.dim, _left_symmetry_slabs(c)), tol, c),
-    )
+    worst, at = _slab_worst(A.dim, right_symmetry, axis=3)
+    right = Check("right-symmetric", worst, tol.eps * residual_scale(c), at)
+    return _conjunction((right, check_left_symmetric(A, tol)))
 
 
-def check_hessian(A: AlgebraStructure, F: BilinearForm, tol: Tolerance = Tolerance()) -> PredicateReport:
+def check_hessian(A: AlgebraStructure, F: BilinearForm, tol: Tolerance = Tolerance()) -> Check:
     """Compatibility <x*y - y*x, z> = <y*z, x> - <x*z, y> on basis triples."""
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
     c, g = A.constants, F.matrix
-    return _report(_worst(_hessian_defect(c, g)), tol, c, g)
+    worst, at = _worst(_hessian_defect(c, g))
+    return Check("hessian", worst, tol.eps * residual_scale(c, g), at)
 
 
-def check_koszul_identity(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
+def check_koszul_identity(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     """check_hessian against the algebra's own trace form."""
     return check_hessian(A, koszul_form(A), tol)
 
 
 def check_k_hessian(
     A: AlgebraStructure, F: BilinearForm, k: float, tol: Tolerance = Tolerance()
-) -> PredicateReport:
-    """Hessian compatibility plus the sectional identity
+) -> Check:
+    """The sectional identity
 
     ass(x,y,z) - ass(y,x,z) = k (<x,z> y - <y,z> x)
 
-    checked jointly; the report covers the worse of the two.
+    together with Hessian compatibility; the check is the conjunction of
+    the parts "sectional" and "hessian".
     """
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
     c, g = A.constants, F.matrix
-    r_sec = _report(
-        _slab_worst(A.dim, _left_symmetry_slabs(c, _metric_sectional(g, k))), tol, c, g, np.array([k])
-    )
-    return _joint(r_sec, check_hessian(A, F, tol))
+    worst, at = _slab_worst(A.dim, _left_symmetry_slabs(c, _metric_sectional(g, k)))
+    sectional = Check("sectional", worst, tol.eps * residual_scale(c, g, np.array([k])), at)
+    return _conjunction((sectional, check_hessian(A, F, tol)))
 
 
 def _require_antisymmetric(A: AlgebraStructure, tol: Tolerance) -> None:
     resid = _max_abs(A.constants + A.constants.transpose(1, 0, 2))
-    _enforce({"antisymmetric": resid}, tol.eps * residual_scale(A.constants), NotAntisymmetric)
+    _enforce([Check("antisymmetric", resid, tol.eps * residual_scale(A.constants))], NotAntisymmetric)
 
 
-def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> PredicateReport:
+def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     """Jacobi identity for antisymmetric constants.
 
     Raises NotAntisymmetric when the constants are not a candidate bracket.
@@ -348,7 +318,8 @@ def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Predicate
         t = _compose(c, c[:, :, lo:hi])
         return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
 
-    return _report(_slab_worst(A.dim, jacobi, axis=3), tol, c)
+    worst, at = _slab_worst(A.dim, jacobi, axis=3)
+    return Check("jacobi", worst, tol.eps * residual_scale(c), at)
 
 
 def is_solvable(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> bool:
@@ -441,10 +412,11 @@ def rn_isomorphism(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndar
         )
         p = p[:, order]
         final = change_basis(A, p, tol)
-        resid = _max_abs(final.constants - canonical)
-        last_resid = min(last_resid, resid)
-        if resid <= tol.eps * residual_scale(final.constants):
+        thr = tol.eps * residual_scale(final.constants)
+        check = Check("idempotent basis", _max_abs(final.constants - canonical), thr)
+        if check:
             return p
+        last_resid = min(last_resid, check.residual)
     raise DiagonalizationFailed(
         f"no idempotent basis found within tolerance, best residual {last_resid:.3e}"
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgebraStructure, Tolerance, lie_bracket_constants, residual_scale
+from .core import AlgebraStructure, Check, Tolerance, lie_bracket_constants, residual_scale
 from .core import _compose, _enforce, _max_abs, _worst_of
 from .errors import (
     NotEinstein,
@@ -76,11 +76,12 @@ def levi_civita_product(
     out = AlgebraStructure(lc, name=label)
 
     ops = np.einsum("lm,imk->ilk", g, lc.transpose(0, 2, 1))  # g Lbar_i
-    checks = {
-        "metric product is not metric": _max_abs(ops + ops.transpose(0, 2, 1)),
-        "commutator does not match the bracket": _max_abs(lc - lc.transpose(1, 0, 2) - cb),
-    }
-    _enforce(checks, tol.eps * residual_scale(cb, g, lc), VerificationFailed)
+    thr = tol.eps * residual_scale(cb, g, lc)
+    checks = (
+        Check("metric product is not metric", _max_abs(ops + ops.transpose(0, 2, 1)), thr),
+        Check("commutator does not match the bracket", _max_abs(lc - lc.transpose(1, 0, 2) - cb), thr),
+    )
+    _enforce(checks, VerificationFailed)
     return out
 
 
@@ -106,7 +107,7 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
     if check_hessian(M.algebra, M.metric, tol):
         m = M.metric.matrix @ op
         thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, x)
-        _enforce({"gamma operator not symmetric": _max_abs(m - m.T)}, thr, VerificationFailed)
+        _enforce([Check("gamma operator not symmetric", _max_abs(m - m.T), thr)], VerificationFailed)
     return op
 
 
@@ -121,7 +122,7 @@ def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Biline
     beta = -np.einsum("ijk,k->ij", M.algebra.constants, _traces(gamma))
     direct = koszul_form(M.algebra).matrix
     thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix)
-    _enforce({"second trace form": _max_abs(beta - direct)}, thr, OracleMismatch)
+    _enforce([Check("second trace form", _max_abs(beta - direct), thr)], OracleMismatch)
     return BilinearForm(beta)
 
 
@@ -170,9 +171,9 @@ def _base_curvature(
         thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, c)
         pair = _compose(gamma, gamma.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # ilm,jmk->ijlk
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
-        _enforce({"curvature operator": _max_abs(K - k_gamma)}, thr, OracleMismatch)
+        _enforce([Check("curvature operator", _max_abs(K - k_gamma), thr)], OracleMismatch)
         ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum("amb,m->ab", gamma, tr_gamma)
-        _enforce({"Ricci form": _max_abs(ricci - ric_gamma)}, thr, OracleMismatch)
+        _enforce([Check("Ricci form", _max_abs(ricci - ric_gamma), thr)], OracleMismatch)
     return BaseCurvature(lc=lc, gamma=gamma, K=K, ricci=BilinearForm(ricci)), tr_gamma
 
 
@@ -185,9 +186,10 @@ class CurvatureReport:
     Ricci form of g + g for a compatible pair only; base_ricci is the Ricci
     form of the metric product downstairs, and beta the trace form, which
     equals -tb_ricci_hh and -tb_ricci_vv for a compatible pair.  einstein_mu
-    is the best proportionality factor against the block metric,
-    einstein_residual the worst deviation from exact proportionality, and
-    hessian_residual how far the pair is from the compatibility identity.
+    is the best proportionality factor against the block metric, einstein
+    the worst deviation from exact proportionality against eps times the
+    scale of the algebra and beta (not of the metric), and hessian_residual
+    how far the pair is from the compatibility identity.
     """
 
     base_ricci: BilinearForm
@@ -196,7 +198,7 @@ class CurvatureReport:
     tb_ricci_hv: np.ndarray
     beta: BilinearForm
     einstein_mu: float
-    einstein_residual: float
+    einstein: Check
     hessian_residual: float
 
     def as_dict(self) -> dict:
@@ -208,7 +210,7 @@ class CurvatureReport:
             "tb_ricci_hv": self.tb_ricci_hv.tolist(),
             "beta": self.beta.matrix.tolist(),
             "einstein_mu": self.einstein_mu,
-            "einstein_residual": self.einstein_residual,
+            "einstein_residual": self.einstein.max_residual,
             "hessian_residual": self.hessian_residual,
         }
 
@@ -245,15 +247,17 @@ def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) ->
     vv = s + s.T - e("m,amb->ab", e("kkm->m", Lb) + tr, G)
 
     if hess:
-        blocks = {
-            "double-space Ricci block hh": _max_abs(hh + beta.matrix),
-            "double-space Ricci block vv": _max_abs(vv + beta.matrix),
-            "double-space Ricci block hh-vv": _max_abs(hh - vv),
-        }
-        _enforce(blocks, tol.eps * residual_scale(M.algebra.constants, g, base.K), OracleMismatch)
+        thr = tol.eps * residual_scale(M.algebra.constants, g, base.K)
+        blocks = (
+            Check("double-space Ricci block hh", _max_abs(hh + beta.matrix), thr),
+            Check("double-space Ricci block vv", _max_abs(vv + beta.matrix), thr),
+            Check("double-space Ricci block hh-vv", _max_abs(hh - vv), thr),
+        )
+        _enforce(blocks, OracleMismatch)
 
     mu = float(np.trace(np.linalg.solve(g, hh)) / n) if n else 0.0
-    einstein_residual = _worst_of([_max_abs(hh - mu * g), _max_abs(vv - mu * g)], default=0.0)
+    worst = _worst_of([_max_abs(hh - mu * g), _max_abs(vv - mu * g)])
+    einstein = Check("einstein", worst, tol.eps * residual_scale(M.algebra.constants, beta.matrix))
     return CurvatureReport(
         base_ricci=base.ricci,
         tb_ricci_hh=BilinearForm(hh),
@@ -261,7 +265,7 @@ def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) ->
         tb_ricci_hv=np.zeros((n, n)),
         beta=beta,
         einstein_mu=mu,
-        einstein_residual=einstein_residual,
+        einstein=einstein,
         hessian_residual=hess.max_residual,
     )
 
@@ -286,6 +290,5 @@ def einstein_check(
         raise NotLSPK("trace form is not positive definite")
     M = MetricAlgebra(A, BilinearForm(alpha_scale * B.matrix))
     report = _double_space_ricci(M, B, tol)
-    thr = tol.eps * residual_scale(A.constants, B.matrix)
-    _enforce({"einstein": report.einstein_residual}, thr, NotEinstein)
+    _enforce([report.einstein], NotEinstein)
     return report.einstein_mu

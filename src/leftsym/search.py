@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import DIM5_BRANCHES, catalog_verify
+from .core import Check
 from .errors import FixtureBroken, PreconditionFailed, UnknownSystem
-from .forms import PredicateReport
 
 ROOT_RESIDUAL = 1e-10  # max-norm acceptance threshold for a converged point
 DEDUP_RADIUS = 1e-6  # max-norm radius identifying two converged points
@@ -167,7 +167,7 @@ def verify_roots_build(
     root: Sequence[float] | float,
     beta: float = 0.0,
     lam: float = 1.0,
-) -> PredicateReport:
+) -> Check:
     """Feed a found root into the matching catalog entry and verify it.
 
     The root is snapped to the exact surd parameter of the entry (within

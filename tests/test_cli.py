@@ -160,6 +160,19 @@ def test_geometry_einstein_scale(dim2_file, capsys):
     assert "mu = -0.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e9, 1e12])
+def test_geometry_einstein_verdict_ignores_the_metric_scale(tmp_path, s, capsys):
+    # diag(1, 2) is not Einstein for lspk_dim2 (residual 0.75 at every scale)
+    p = tmp_path / "metric.json"
+    p.write_text(render_algebra_file(catalog_build("lspk_dim2"), BilinearForm(np.diag([s, 2 * s]))))
+    assert run(["geometry", str(p), "--einstein", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["einstein"] is False
+    assert run(["geometry", str(p), "--einstein"]) == 1
+    assert capsys.readouterr().err == (
+        "failure: Ricci not proportional to the metric, residual 7.500e-01\n"
+    )
+
+
 def test_geometry_tb_json(dim2_file, capsys):
     assert run(["geometry", dim2_file, "--tb-ricci", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -348,6 +361,17 @@ def test_overflowing_products_fail_without_a_usage_error(tmp_path, argv, capsys)
     with np.errstate(over="ignore", invalid="ignore"):
         assert run([argv[0], str(p), *argv[1:]]) == 1
     assert "Gram matrix" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "koszul", "geometry", "decompose"])
+def test_overflowing_products_print_one_failure_line(tmp_path, command, capsys):
+    # no np.errstate here: run() keeps numpy's overflow warnings out of stderr
+    c = np.random.default_rng(0).standard_normal((3, 3, 3)) * 1e155
+    p = tmp_path / "overflow.json"
+    p.write_text(render_algebra_file(AlgebraStructure(c)))
+    assert run([command, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and err.count("\n") == 1
 
 
 def test_cached_parser_keeps_calls_isolated(tmp_path, dim2_file, capsys):

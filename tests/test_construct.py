@@ -155,12 +155,16 @@ def test_construction_data_refuses_non_finite_entries(bad):
 
 
 def test_validate_data_never_holds_with_an_overflowing_residual():
-    # finite data whose commutator overflows to inf - inf = NaN
-    data = LSPKData(n1=1, n2=1, rho1=np.array([[[1e200]]]))
+    # finite data whose commutator overflows to inf - inf = NaN; the verdict is the
+    # first failing equation, so it names the trace (1e200) before the NaN commutator,
+    # and for a traceless action it is the NaN itself
+    big = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = validate_data(data)
+        rep = validate_data(LSPKData(n1=1, n2=1, rho1=np.array([[[big]]])))
+        assert not rep and (rep.name, rep.residual) == ("theo-i-trace", big)
+        rep = validate_data(LSPKData(n1=1, n2=2, rho1=np.array([[[0.0, big], [-big, 0.0]]])))
     assert not rep
-    assert np.isnan(rep.max_residual)
+    assert rep.name == "theo-i-commute" and np.isnan(rep.max_residual)
 
 
 def test_milnor_left_translation_is_trivial():

@@ -28,7 +28,7 @@ from leftsym import (
     mult_operator,
     multiply,
 )
-from leftsym.core import _compose, _enforce, _restrict, _worst_of
+from leftsym.core import Check, _compose, _enforce, _restrict, _worst_of
 
 _coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
@@ -120,20 +120,35 @@ def test_tolerance_from_env(monkeypatch):
         Tolerance(-1.0)
 
 
+def _checks(threshold: float, **residuals) -> tuple:
+    return tuple(Check(name, value, threshold) for name, value in residuals.items())
+
+
 def test_enforce_raises_first_residual_above_threshold():
-    ok = {"vacuous": None, "at": 1.0, "below": 0.5}
-    assert _enforce(ok, 1.0, ResidualError) is ok
-    assert ok == {"vacuous": None, "at": 1.0, "below": 0.5}
+    ok = _checks(1.0, vacuous=None, at=1.0, below=0.5)
+    _enforce(ok, ResidualError)
+    assert [c.holds for c in ok] == [True, True, True]
     with pytest.raises(ResidualError) as info:
-        _enforce({"fine": 0.1, "first": 1.5, "second": 3.0}, 1.0, ResidualError)
+        _enforce(_checks(1.0, fine=0.1, first=1.5, second=3.0), ResidualError)
     assert (info.value.name, info.value.residual) == ("first", 1.5)
 
 
 def test_enforce_fails_a_nan_residual():
     # "passes when it is at most the threshold": NaN is not at most anything
     with pytest.raises(ResidualError) as info:
-        _enforce({"fine": 0.1, "broken": float("nan")}, 1.0, ResidualError)
+        _enforce(_checks(1.0, fine=0.1, broken=float("nan")), ResidualError)
     assert info.value.name == "broken" and np.isnan(info.value.residual)
+
+
+def test_residual_scale_keeps_a_nan():
+    assert np.isnan(leftsym.residual_scale(np.array([np.nan])))
+    assert np.isnan(leftsym.residual_scale(np.ones(2), np.array([1.0, np.nan])))
+    assert leftsym.residual_scale() == 1.0
+    # a relation scaled by NaN data fails by name, whatever its residual
+    scaled = Check("scaled by NaN", 0.0, 1e-9 * leftsym.residual_scale(np.array([np.nan])))
+    with pytest.raises(ResidualError) as info:
+        _enforce([scaled], ResidualError)
+    assert info.value.name == "scaled by NaN"
 
 
 def test_worst_of_propagates_nan_from_any_position():

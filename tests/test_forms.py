@@ -35,8 +35,8 @@ from leftsym import (
     trace_one_form,
 )
 from leftsym.catalog import catalog_build, sl2_bracket
-from leftsym.construct import build_corollary1, kdim2_family
-from leftsym.forms import PredicateReport, _joint
+from leftsym.construct import MilnorSpec, build_corollary1, build_milnor, kdim2_family
+from leftsym.core import Check, _conjunction
 
 _angle = st.floats(min_value=0.0, max_value=6.2, allow_nan=False, allow_infinity=False)
 
@@ -142,6 +142,19 @@ def test_k_hessian_predicate():
     assert not check_k_hessian(M.algebra, M.metric, 0.0)
 
 
+def test_k_hessian_reports_its_failing_part():
+    # the sectional part passes (5.97e-9 against 9e-9) and the hessian part fails:
+    # the conjunction reports the hessian part, not the larger passing residual
+    M, k = build_milnor(MilnorSpec(3, np.array([3.0, 0.0, 0.0])))
+    noise = 5e-10 * np.random.default_rng(3).standard_normal((3, 3, 3))
+    A = AlgebraStructure(M.algebra.constants + noise)
+    rep = check_k_hessian(A, M.metric, k)
+    assert not rep
+    assert rep == check_hessian(A, M.metric)
+    assert rep.name == "hessian" and rep.witness == (0, 1, 0)
+    assert abs(rep.residual - 4.88e-9) <= 1e-11 and abs(rep.threshold - 3e-9) <= 1e-18
+
+
 def test_jacobi_and_solvable(dim2):
     br = lie_bracket_constants(dim2)
     assert check_jacobi(br)
@@ -218,8 +231,8 @@ def test_predicate_report_is_truthy(dim2):
 
 
 def test_joint_reports_a_nan_residual_from_either_side():
-    bad, good = PredicateReport(False, float("nan"), (0, 1)), PredicateReport(True, 1.0, (2,))
-    for reports in [(bad, good), (good, bad)]:
-        joint = _joint(*reports)
+    bad, good = Check("bad", float("nan"), 2.0, (0, 1)), Check("good", 1.0, 2.0, (2,))
+    for checks in [(bad, good), (good, bad)]:
+        joint = _conjunction(checks)
         assert joint.holds is False
         assert np.isnan(joint.max_residual) and joint.witness == (0, 1)

@@ -236,7 +236,7 @@ def test_tangent_bundle_ricci_frozen(dim2):
     np.testing.assert_allclose(rep.base_ricci.matrix, -0.25 * np.eye(2), atol=1e-14)
     np.testing.assert_allclose(rep.beta.matrix, 1.5 * np.eye(2), atol=1e-12)
     assert abs(rep.einstein_mu + 1.0) <= 1e-12
-    assert rep.einstein_residual <= 1e-12
+    assert rep.einstein and rep.einstein.residual <= 1e-12
     assert rep.hessian_residual <= 1e-12
 
 
