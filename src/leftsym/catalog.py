@@ -29,7 +29,6 @@ from .forms import (
     check_commutative,
     check_k_hessian,
     check_left_symmetric,
-    is_positive_definite,
     koszul_form,
 )
 from .forms import _traces, _worst
@@ -90,7 +89,7 @@ class CatalogEntry:
 
     expected_koszul maps the resolved params to the trace form matrix (a
     zero matrix for the trace-free families); expected_signature to the
-    decomposition signature when the entry is an LSPK; expected_k to the
+    decomposition signature, required of an LSPK entry; expected_k to the
     sectional constant when the entry is a metric k-Hessian algebra.
     kind is one of "lspk", "khessian", "nilpotent" and selects the
     predicate suite run by catalog_verify.
@@ -481,28 +480,23 @@ def catalog_verify(name: str, params: dict | None = None, tol: Tolerance = Toler
         run(Check("koszul match", worst, tol.eps * residual_scale(A.constants, want), at))
 
     if entry.kind == "lspk":
-        run(check_left_symmetric(A, tol))
-        B = koszul_form(A)
-        if not is_positive_definite(B, tol):
-            raise FixtureBroken(name, "positive definite trace form")
-        if entry.expected_signature is not None:
-            n1, n2, rho = entry.expected_signature(resolved)
-            try:
-                dec = decompose(A, tol)
-            except ResidualError as exc:
-                raise FixtureBroken(name, exc.name, exc.residual) from exc
-            if dec.signature[:2] != (n1, n2):
-                raise FixtureBroken(name, f"signature {dec.signature[:2]} != {(n1, n2)}")
-            run(Check("rho match", abs(dec.rho - rho), tol.eps * residual_scale(rho)))
-            checks.extend(dec.checks)
+        # decompose certifies left symmetry and the definite trace form itself
+        n1, n2, rho = entry.expected_signature(resolved)
+        try:
+            dec = decompose(A, tol)
+        except ResidualError as exc:
+            raise FixtureBroken(name, exc.name, exc.residual) from exc
+        got = dec.signature[:2]
+        mismatch = float(max(abs(got[0] - n1), abs(got[1] - n2)))
+        run(Check("signature", mismatch, 0.0), f"signature {got} != {(n1, n2)}")
+        run(Check("rho match", abs(dec.rho - rho), tol.eps * residual_scale(rho)))
+        checks.extend(dec.checks)
     elif entry.kind == "khessian":
         assert metric is not None
         k = entry.expected_k(resolved)
         run(check_k_hessian(A, metric, k, tol), "k-hessian")
-    elif entry.kind == "nilpotent":
+    else:  # "nilpotent", the last kind of the static registry
         run(check_left_symmetric(A, tol))
-    else:  # pragma: no cover - registry is static
-        raise FixtureBroken(name, f"unknown kind {entry.kind}")
 
     for extra in entry.extra_checks:
         if extra == "trace_free":

@@ -55,8 +55,7 @@ def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
     if v.shape != (n, n):
         raise DimensionMismatch(f"{label} must have shape ({n}, {n}), got {v.shape}")
     form = BilinearForm(v)
-    if not is_positive_definite(form):
-        raise NotPositiveDefinite(f"{label} is not positive definite")
+    _enforce([replace(is_positive_definite(form), name=f"positive definite {label}")], NotPositiveDefinite)
     return form.matrix
 
 
@@ -373,8 +372,7 @@ def build_milnor(spec: MilnorSpec, tol: Tolerance = Tolerance()) -> tuple[Metric
     """
     g, h = spec.metric, spec.h_vec
     k = -float(h @ (g @ h))
-    if -k <= tol.eps * residual_scale(g, h):
-        raise ZeroH("the defining vector must be nonzero")
+    _enforce([Check("<h, h> > 0", k, -tol.eps * residual_scale(g, h))], ZeroH)  # k = -<h, h>
     c = _annihilate(_rank_one_constants(g, h), h)
     A = AlgebraStructure(c, name=f"rankone{spec.dim}")
     lh = _max_abs(mult_operator(A, h))
@@ -395,11 +393,7 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
     """
     if k >= 0:
         raise PreconditionFailed(f"requires k < 0, got {k}")
-    rep = check_k_hessian(M.algebra, M.metric, k, tol)
-    if not rep:
-        raise PreconditionFailed(
-            f"not a k-Hessian algebra at k = {k}, residual {rep.max_residual:.3e}"
-        )
+    _enforce([check_k_hessian(M.algebra, M.metric, k, tol)], HypothesisFailed)
     c = M.algebra.constants
     g = M.metric.matrix
     n = M.dim
@@ -425,8 +419,7 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
         if sigma[idx] > thr:
             # no later candidate is closer to the kernel; stop early
             break
-    if float(np.min(sigma)) > thr:
-        raise NoKernelVector("no vector annihilated by every left multiplication")
+    _enforce([Check("kernel vector", float(np.min(sigma)), thr)], NoKernelVector)
     _enforce([best], VerificationFailed)  # raises: every candidate above failed
 
 

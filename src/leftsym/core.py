@@ -256,14 +256,19 @@ def change_basis(A: AlgebraStructure, P: np.ndarray, tol: Tolerance = Tolerance(
     """Structure constants in the basis f_a = sum_i P[i, a] e_i.
 
     P carries the new basis as columns in old coordinates.  Raises
-    SingularMatrix when |det P| <= eps.
+    SingularMatrix unless the condition number ||P||_1 ||P^-1||_1 is below
+    1/eps, so the verdict does not change when P is rescaled.
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (A.dim, A.dim):
         raise DimensionMismatch(f"expected ({A.dim}, {A.dim}) matrix, got {P.shape}")
-    det = np.linalg.det(P)
-    if not np.isfinite(det) or abs(det) <= tol.eps:
-        raise SingularMatrix(f"basis matrix has |det| = {abs(det):.3e}")
-    Pinv = np.linalg.inv(P)
+    try:
+        Pinv = np.linalg.inv(P)
+        with np.errstate(over="ignore"):  # the 1-norms; one that overflows is inf, and refused
+            cond = float(np.abs(P).sum(0).max(initial=0.0)) * float(np.abs(Pinv).sum(0).max(initial=0.0))
+    except np.linalg.LinAlgError:  # exactly singular
+        cond = math.inf
+    if not cond * tol.eps < 1.0:
+        raise SingularMatrix(f"basis matrix has condition number {cond:.3e}")
     c = _compose(_restrict(A.constants, P), Pinv.T)
     return AlgebraStructure(c, name=A.name)

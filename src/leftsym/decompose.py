@@ -20,12 +20,14 @@ The pipeline runs in four stages, each of which certifies what it uses:
 Every relation is a whole-tensor contraction, kept by name as a core.Check
 in the stage's result (residual None marks a relation that is vacuous
 because one of the parts is zero dimensional), and the first relation
-beyond its threshold raises; koszul_blocks is allowed ten times the others.
+beyond its threshold raises under that name (the checks of find_idempotent_H
+and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
+others, and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,18 +38,19 @@ from .errors import (
     BlockNotSkew,
     Circ1NonZero,
     DiagonalizationFailed,
+    HypothesisFailed,
     IdempotentCheckFailed,
     NotPositiveDefinite,
-    PreconditionFailed,
     SpectrumNotZeroOne,
     SystemASViolated,
     SystemViolated,
 )
-from .forms import check_left_symmetric, is_positive_definite, koszul_form
-from .forms import _derivation_defect, _hessian_defect, _left_symmetry_slabs, _operator_sectional
-from .forms import _traces, _worst
+from .forms import check_left_symmetric, koszul_form
+from .forms import _definite_trace_form, _derivation_defect, _hessian_defect, _left_symmetry_slabs
+from .forms import _operator_sectional, _traces, _worst
 
 _CLUSTER_TOL = 1e-6  # clustering width for the S-spectrum around {0, 1}
+_SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))  # x >= this is x > 0 as a Check threshold
 
 
 def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -55,9 +58,8 @@ def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.n
 
     Solves B(H, x) = tr(L_x) for H and verifies H*H = H.
     """
-    B = koszul_form(A)
-    if not is_positive_definite(B, tol):
-        raise NotPositiveDefinite("trace form is not positive definite")
+    B, definite = _definite_trace_form(A, tol)
+    _enforce([definite], NotPositiveDefinite)
     H = np.linalg.solve(B.matrix, _traces(A.constants))
     thr = tol.eps * residual_scale(A.constants, H)
     _enforce([Check("H*H-H", _max_abs(multiply(A, H, H) - H), thr)], IdempotentCheckFailed)
@@ -68,22 +70,22 @@ def _orthonormalize(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gram-Schmidt for the inner product g, as Cholesky QR run twice: u -> u R^-1, g(u, u) = R^T R.
 
     Raises NotPositiveDefinite when g takes a negative value on the span of the
-    columns, and DiagonalizationFailed when a column degenerates.
+    columns, and DiagonalizationFailed when a Cholesky pivot falls to 1e-12 of their scale.
     """
     u = cols.astype(float)
     floor = 1e-12 * residual_scale(cols)
     for _ in range(2):
         gram = u.T @ g @ u
         try:
-            r = np.linalg.cholesky(gram).T
+            low = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            r = None
-        if r is None or (r.diagonal() <= floor).any():
+            low = np.zeros_like(gram)  # the factorization met a pivot that is not positive
+        pivot = Check("Cholesky pivot", -float(low.diagonal().min(initial=np.inf)), -floor)
+        if not pivot:
             lam = float(np.linalg.eigvalsh(gram)[0])
-            if lam < 0.0:
-                raise NotPositiveDefinite(f"form takes the negative value {lam:.3e} on the complement")
-            raise DiagonalizationFailed("complement basis degenerated during orthonormalization")
-        u = np.linalg.solve(r.T, u.T).T
+            _enforce([Check("positive definite on the complement", -lam, 0.0)], NotPositiveDefinite)
+            _enforce([pivot], DiagonalizationFailed)
+        u = np.linalg.solve(low, u.T).T
     return u
 
 
@@ -119,8 +121,8 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
     n = A.dim
     B = koszul_form(A)
     rho = B.value(H, H)
-    if rho <= 0:
-        raise NotPositiveDefinite(f"B(H, H) = {rho:.3e} is not positive")
+    positive = Check("B(H,H)", -rho, -_SMALLEST_POSITIVE)  # rho > 0, unchanged by a rescaling
+    _enforce([positive], NotPositiveDefinite)
     inner = B.matrix / rho
 
     _, _, vt = np.linalg.svd((B.matrix @ H).reshape(1, -1))
@@ -150,6 +152,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
 
     thr = tol.eps * residual_scale(c, S, A_op, cc)
     checks = (
+        positive,
         Check("XH_stays_in_h", _max_abs(xh @ w_H), thr),
         Check("HX_stays_in_h", _max_abs(hx @ w_H), thr),
         Check("hh_H_component", _max_abs(h_coeff - eye), thr),
@@ -163,7 +166,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
         Check("AS-7", _max_abs(_traces(cc)), thr),
         Check("AS-S-symmetric", _max_abs(S - S.T), thr),
     )
-    _enforce(checks, SystemASViolated)
+    _enforce(checks[1:], SystemASViolated)
     return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, circ=circ, gram=gram, checks=checks)
 
 
@@ -183,24 +186,21 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
     """Split the complement along the {0, 1} spectrum of S."""
     S_sym = (S + S.T) / 2.0
     mu, u = np.linalg.eigh(S_sym) if S.size else (np.zeros(0), np.zeros((0, 0)))
-    near0 = np.abs(mu) <= _CLUSTER_TOL
-    near1 = np.abs(mu - 1.0) <= _CLUSTER_TOL
-    if not np.all(near0 | near1):
-        bad = mu[~(near0 | near1)]
-        raise SpectrumNotZeroOne(f"S has eigenvalues {bad} away from {{0, 1}}")
-    u1 = u[:, near0]
-    u2 = u[:, near1]
+    spectrum = Check("S_spectrum", _max_abs(np.minimum(np.abs(mu), np.abs(mu - 1.0))), _CLUSTER_TOL)
+    _enforce([spectrum], SpectrumNotZeroOne)
+    u1 = u[:, np.abs(mu) <= _CLUSTER_TOL]
+    u2 = u[:, np.abs(mu - 1.0) <= _CLUSTER_TOL]
     n1, n2 = u1.shape[1], u2.shape[1]
 
     B1 = u1.T @ A_op @ u1 - np.eye(n1) / 2.0
     B2 = u2.T @ A_op @ u2 - np.eye(n2)
     thr = tol.eps * residual_scale(S, A_op)
-    skew1 = _max_abs(B1 + B1.T)
-    skew2 = _max_abs(B2 + B2.T)
-    _enforce([Check("B1", skew1, thr), Check("B2", skew2, thr)], BlockNotSkew)  # named by block
+    skew = (Check("B1", _max_abs(B1 + B1.T), thr), Check("B2", _max_abs(B2 + B2.T), thr))
     off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
-    checks = (Check("B1_skew_split", skew1, thr), Check("B2_skew_split", skew2, thr),
-              Check("A_offdiagonal", off, thr))  # implied by AS-6, recorded only
+    offdiagonal = Check("A_offdiagonal", off, thr)  # implied by AS-6
+    _enforce(skew, BlockNotSkew)
+    _enforce([offdiagonal], SystemASViolated)
+    checks = (spectrum, *skew, offdiagonal)
     return EigenSplit(h1=u1, h2=u2, B1=B1, B2=B2, checks=checks)
 
 
@@ -306,11 +306,11 @@ def extract_structure(
 
 
 def decompose(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> LSPKDecomposition:
-    """Run the full pipeline; each stage raises on its own failures."""
-    rep = check_left_symmetric(A, tol)
-    if not rep:
-        raise PreconditionFailed(f"not left-symmetric, residual {rep.max_residual:.3e}")
+    """Run the full pipeline; each stage raises on its own failures, after left symmetry, its first check."""
+    flat = check_left_symmetric(A, tol)
+    _enforce([flat], HypothesisFailed)
     H = find_idempotent_H(A, tol)
     hs = split_h(A, H, tol)
     es = eigensplit(hs.S, hs.A_op, tol)
-    return extract_structure(A, hs, es, tol)
+    dec = extract_structure(A, hs, es, tol)
+    return replace(dec, checks=(flat,) + dec.checks)

@@ -3,7 +3,8 @@
 Every failure a caller can act on gets its own class; all inherit from
 LeftSymError so scripts can catch the whole family at once.  A certified
 relation is a core.Check; core._enforce, and nothing else, raises a
-ResidualError subclass for a failing one, with its name and residual.
+ResidualError subclass for a failing one, with its name and residual; every
+refusal on a measured relation is such a subclass, the others refuse arguments.
 """
 
 from __future__ import annotations
@@ -45,12 +46,16 @@ class NotAntisymmetric(ResidualError):
     message = "constants not antisymmetric, residual {residual:.3e}"
 
 
-class NotLieBracket(LeftSymError):
+class NotLieBracket(ResidualError):
     """Constants fail antisymmetry or the Jacobi identity."""
 
+    message = "not a Lie bracket: {name} fails, residual {residual:.3e}"
 
-class NotPositiveDefinite(LeftSymError):
-    """A bilinear form required to be positive definite is not."""
+
+class NotPositiveDefinite(ResidualError):
+    """A form required to be positive definite is not; residual is minus its least value."""
+
+    message = "{name} fails, residual {residual:.3e}"
 
 
 class NotSkew(ResidualError):
@@ -60,11 +65,13 @@ class NotSkew(ResidualError):
 
 
 class PreconditionFailed(LeftSymError):
-    """An operation's precondition does not hold for the given input."""
+    """An argument out of range, or a trace form that overflows; see also HypothesisFailed."""
 
 
-class DiagonalizationFailed(LeftSymError):
+class DiagonalizationFailed(ResidualError):
     """A diagonalization-based routine could not produce a usable basis."""
+
+    message = "no usable basis: {name} fails, residual {residual:.3e}"
 
 
 class IdempotentCheckFailed(ResidualError):
@@ -79,8 +86,10 @@ class SystemASViolated(ResidualError):
     message = "relation {name} violated, residual {residual:.3e}"
 
 
-class SpectrumNotZeroOne(LeftSymError):
-    """The scaling operator has eigenvalues away from {0, 1}."""
+class SpectrumNotZeroOne(ResidualError):
+    """The scaling operator has eigenvalues away from {0, 1}; residual is the largest distance."""
+
+    message = "{name}: an eigenvalue lies {residual:.3e} away from {{0, 1}}"
 
 
 class BlockNotSkew(ResidualError):
@@ -113,18 +122,22 @@ class KoszulMismatch(ResidualError):
     message = "trace form mismatch, residual {residual:.3e}"
 
 
-class HypothesisFailed(ResidualError):
-    """A named hypothesis of a construction recipe fails."""
+class HypothesisFailed(ResidualError, PreconditionFailed):
+    """A measured hypothesis of a construction recipe or an operation fails."""
 
     message = "hypothesis '{name}' fails, residual {residual:.3e}"
 
 
-class ZeroH(LeftSymError):
-    """The defining vector of a pointed construction is zero."""
+class ZeroH(ResidualError):
+    """The defining vector of a pointed construction is zero; residual is minus its squared length."""
+
+    message = "the defining vector is zero, residual {residual:.3e}"
 
 
-class NoKernelVector(LeftSymError):
-    """No common kernel vector of the left multiplications exists."""
+class NoKernelVector(ResidualError):
+    """No common kernel vector of the left multiplications exists; residual is the least singular value."""
+
+    message = "no vector annihilated by every left multiplication, residual {residual:.3e}"
 
 
 class VerificationFailed(ResidualError):
@@ -139,8 +152,10 @@ class OracleMismatch(ResidualError):
     message = "{name}: independent routes disagree by {residual:.3e}"
 
 
-class NotLSPK(LeftSymError):
+class NotLSPK(ResidualError):
     """The algebra is not left-symmetric with positive definite trace form."""
+
+    message = "not an LSPK algebra: {name} fails, residual {residual:.3e}"
 
 
 class NotEinstein(ResidualError):

@@ -22,7 +22,7 @@ constructions evaluate the same contractions through them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .core import (
 from .errors import (
     DiagonalizationFailed,
     DimensionMismatch,
+    HypothesisFailed,
     NotAntisymmetric,
     PreconditionFailed,
 )
@@ -113,10 +114,10 @@ class MetricAlgebra:
         return self.algebra.dim
 
 
-def _worst(resid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-    """Largest absolute entry and (up to) the first three of its indices."""
+def _worst(resid: np.ndarray) -> tuple[float | None, tuple[int, ...] | None]:
+    """Largest absolute entry and (up to) the first three of its indices; (None, None) when empty."""
     if resid.size == 0:
-        return 0.0, None
+        return None, None
     flat = int(np.argmax(np.abs(resid)))
     idx = np.unravel_index(flat, resid.shape)
     return float(np.abs(resid.flat[flat])), tuple(int(i) for i in idx[:3])
@@ -232,6 +233,12 @@ def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> Check
     return Check("positive definite", -float(np.linalg.eigvalsh(F.matrix)[0]), thr)
 
 
+def _definite_trace_form(A: AlgebraStructure, tol: Tolerance) -> tuple[BilinearForm, Check]:
+    """The trace form and its definiteness, as the check "positive definite trace form"."""
+    B = koszul_form(A)
+    return B, replace(is_positive_definite(B, tol), name="positive definite trace form")
+
+
 def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     """Associator symmetric in its first two arguments."""
     c = A.constants
@@ -326,19 +333,21 @@ def is_solvable(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> bool:
     """Whether the Lie algebra given by antisymmetric constants is solvable.
 
     Runs the derived series with numeric rank decisions: span dimensions
-    come from singular values above eps * sigma_max.
+    come from singular values above eps * sigma_max, and a derived algebra
+    is zero when sigma_max is at most eps * max|C|: both scale with the data.
     """
     _require_antisymmetric(A, tol)
     n = A.dim
     if n == 0:
         return True
+    zero = tol.eps * _max_abs(A.constants)
     basis = np.eye(n)
     rank = n
     while True:
         # basis keeps at least one column, so w is never empty
         w = _restrict(A.constants, basis).reshape(-1, n)
         _, sigma, vt = np.linalg.svd(w, full_matrices=False)
-        if sigma[0] <= tol.eps:
+        if sigma[0] <= zero:
             return True
         new_rank = int(np.sum(sigma > tol.eps * sigma[0]))
         if new_rank == 0:
@@ -358,22 +367,15 @@ def rn_isomorphism(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndar
     """Basis matrix P carrying A onto the coordinatewise product on R^n.
 
     Requires A commutative, left-symmetric, with positive definite trace
-    form; such an algebra has a unique basis of orthogonal idempotents up
+    form (HypothesisFailed names the one that fails); such an algebra has a unique basis of orthogonal idempotents up
     to order.  Strategy: orthonormalize the trace form, split a random
     combination of the (then symmetric) left multiplications, rescale the
     eigenvectors to idempotents, and order them by their largest original
     coordinate so the canonical algebra returns the identity matrix.
     """
-    rep_lsa = check_left_symmetric(A, tol)
-    if not rep_lsa:
-        raise PreconditionFailed(f"not left-symmetric, residual {rep_lsa.max_residual:.3e}")
-    rep_comm = check_commutative(A, tol)
-    if not rep_comm:
-        raise PreconditionFailed(f"not commutative, residual {rep_comm.max_residual:.3e}")
-    B = koszul_form(A)
-    rep_pd = is_positive_definite(B, tol)
-    if not rep_pd:
-        raise PreconditionFailed("trace form not positive definite")
+    _enforce([check_left_symmetric(A, tol), check_commutative(A, tol)], HypothesisFailed)
+    B, definite = _definite_trace_form(A, tol)
+    _enforce([definite], HypothesisFailed)
 
     n = A.dim
     w, v = np.linalg.eigh(B.matrix)
@@ -384,7 +386,7 @@ def rn_isomorphism(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndar
     for i in range(n):
         canonical[i, i, i] = 1.0
 
-    last_resid = np.inf
+    best = Check("idempotent basis", np.inf, 0.0)  # stands when every attempt is skipped
     for attempt in range(8):
         rng = np.random.default_rng(20240517 + attempt)
         coeff = rng.standard_normal(n)
@@ -416,7 +418,5 @@ def rn_isomorphism(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndar
         check = Check("idempotent basis", _max_abs(final.constants - canonical), thr)
         if check:
             return p
-        last_resid = min(last_resid, check.residual)
-    raise DiagonalizationFailed(
-        f"no idempotent basis found within tolerance, best residual {last_resid:.3e}"
-    )
+        best = min(best, check, key=lambda c: c.residual)
+    _enforce([best], DiagonalizationFailed)  # raises: no attempt above held

@@ -25,19 +25,19 @@ They are the Ricci form of g + g on the Lie algebra of TG, checked against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import AlgebraStructure, Check, Tolerance, lie_bracket_constants, residual_scale
-from .core import _compose, _enforce, _max_abs, _worst_of
+from .core import _check_vector, _compose, _enforce, _max_abs, _worst_of
 from .errors import (
+    HypothesisFailed,
     NotEinstein,
     NotLieBracket,
     NotLSPK,
     NotPositiveDefinite,
     OracleMismatch,
-    PreconditionFailed,
     VerificationFailed,
 )
 from .forms import (
@@ -49,7 +49,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
-from .forms import _traces
+from .forms import _definite_trace_form, _traces
 
 
 def levi_civita_product(
@@ -61,11 +61,9 @@ def levi_civita_product(
     verifies the defining properties (skew left multiplications, commutator
     equal to the bracket) on the result.
     """
-    rep = check_jacobi(bracket, tol)
-    if not rep:
-        raise NotLieBracket(f"Jacobi identity fails, residual {rep.max_residual:.3e}")
-    if not is_positive_definite(metric, tol):
-        raise NotPositiveDefinite("metric is not positive definite")
+    _enforce([check_jacobi(bracket, tol)], NotLieBracket)
+    _enforce([replace(is_positive_definite(metric, tol), name="positive definite metric")],
+             NotPositiveDefinite)
     cb = bracket.constants
     g = metric.matrix
     n = bracket.dim
@@ -101,7 +99,7 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
     When the pair satisfies the metric compatibility identity, gamma_x must
     be symmetric for the metric; this is verified and a violation raises.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_vector(M.algebra, x)
     gamma = _gamma_data(M, tol)[2]
     op = np.einsum("i,ilk->lk", x, gamma)
     if check_hessian(M.algebra, M.metric, tol):
@@ -227,9 +225,7 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
     form of g + g and must equal -beta, or OracleMismatch is raised; for any
     other metric they are not, and hessian_residual records the defect.
     """
-    flat = check_left_symmetric(M.algebra, tol)
-    if not flat:
-        raise PreconditionFailed(f"product is not flat, residual {flat.max_residual:.3e}")
+    _enforce([check_left_symmetric(M.algebra, tol)], HypothesisFailed)
     return _double_space_ricci(M, koszul_form(M.algebra), tol)
 
 
@@ -282,12 +278,9 @@ def einstein_check(
     """
     if not (alpha_scale > 0 and np.isfinite(alpha_scale)):
         raise ValueError(f"alpha_scale must be positive and finite, got {alpha_scale}")
-    rep = check_left_symmetric(A, tol)
-    if not rep:
-        raise NotLSPK(f"not left-symmetric, residual {rep.max_residual:.3e}")
-    B = koszul_form(A)
-    if not is_positive_definite(B, tol):
-        raise NotLSPK("trace form is not positive definite")
+    _enforce([check_left_symmetric(A, tol)], NotLSPK)
+    B, definite = _definite_trace_form(A, tol)
+    _enforce([definite], NotLSPK)
     M = MetricAlgebra(A, BilinearForm(alpha_scale * B.matrix))
     report = _double_space_ricci(M, B, tol)
     _enforce([report.einstein], NotEinstein)

@@ -98,6 +98,30 @@ def test_change_basis_rejects_singular(a0):
         change_basis(a0, np.eye(3))
 
 
+@pytest.mark.filterwarnings("error")
+def test_change_basis_judges_the_condition_number_not_the_determinant(a0):
+    A10 = AlgebraStructure(np.random.default_rng(0).standard_normal((10, 10, 10)))
+    scaled = change_basis(A10, 0.1 * np.eye(10))  # det 1e-10, perfectly conditioned
+    np.testing.assert_allclose(scaled.constants, 0.1 * A10.constants, rtol=1e-15)
+    near = 1e6 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])  # det about 1, condition about 4e12
+    for P in (near, np.zeros((2, 2)), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(SingularMatrix):
+            change_basis(a0, P)
+    assert change_basis(a0, near, Tolerance(1e-13)).dim == 2  # below 1/eps
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_rescaled_rn_isomorphism(n):
+    rng = np.random.default_rng(n)
+    P = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (n, n))
+    canonical = np.zeros((n, n, n))
+    canonical[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    for scale in (1e2, 1e4, 1e6):  # the trace-form basis has det scale^-n
+        twisted = change_basis(AlgebraStructure(scale * canonical), P)
+        back = change_basis(twisted, leftsym.rn_isomorphism(twisted)).constants
+        assert np.max(np.abs(back - canonical)) <= 1e-9, scale
+
+
 def test_structure_tensor_validation():
     with pytest.raises(DimensionMismatch):
         AlgebraStructure(np.zeros((2, 2)))

@@ -96,13 +96,14 @@ def test_eigensplit_refusals():
 
 
 def test_eigensplit_off_diagonal_residual_keeps_a_nan(monkeypatch):
-    # _max_abs measures B1, B2 and then the two off-diagonal blocks; a NaN in the
-    # second block must win the fold, as it would fail _enforce
-    measured = iter([0.0, 0.0, 0.0, float("nan")])
+    # _max_abs measures the spectrum, B1, B2 and then the two off-diagonal blocks;
+    # a NaN in the second block must win the fold and fail A_offdiagonal
+    measured = iter([0.0, 0.0, 0.0, 0.0, float("nan")])
     module = importlib.import_module("leftsym.decompose")  # the package name is the function
     monkeypatch.setattr(module, "_max_abs", lambda t: next(measured))
-    split = eigensplit(np.diag([0.0, 1.0]), np.diag([0.5, 1.0]))
-    assert np.isnan(split.residuals["A_offdiagonal"])
+    with pytest.raises(SystemASViolated) as info:
+        eigensplit(np.diag([0.0, 1.0]), np.diag([0.5, 1.0]))
+    assert info.value.name == "A_offdiagonal" and np.isnan(info.value.residual)
 
 
 def test_perturbed_flat_part_is_refused_by_stage():

@@ -31,10 +31,12 @@ from leftsym import (
     is_solvable,
     koszul_form,
     lie_bracket_constants,
+    find_idempotent_H,
     rn_isomorphism,
+    split_h,
     trace_one_form,
 )
-from leftsym.catalog import catalog_build, sl2_bracket
+from leftsym.catalog import catalog_build, catalog_entry, catalog_list, sl2_bracket
 from leftsym.construct import MilnorSpec, build_corollary1, build_milnor, kdim2_family
 from leftsym.core import Check, _conjunction
 
@@ -164,6 +166,29 @@ def test_jacobi_and_solvable(dim2):
     assert not is_solvable(sl2)
     with pytest.raises(Exception):
         check_jacobi(dim2)  # not antisymmetric
+
+
+@pytest.mark.parametrize("k", range(-14, 15, 2))
+def test_solvability_ignores_a_rescaling(k):
+    assert not is_solvable(AlgebraStructure(10.0**k * sl2_bracket().constants))
+    for name in (e for e in catalog_list() if catalog_entry(e).kind == "lspk"):
+        bracket = lie_bracket_constants(catalog_build(name)).constants
+        assert is_solvable(AlgebraStructure(10.0**k * bracket)), name
+
+
+def test_every_predicate_is_vacuous_at_dimension_zero():
+    A, F = AlgebraStructure(np.zeros((0, 0, 0))), BilinearForm(np.zeros((0, 0)))
+    checks = [
+        check_left_symmetric(A), check_commutative(A), check_associative(A), check_novikov(A),
+        check_jacobi(A), check_hessian(A, F), check_koszul_identity(A), check_k_hessian(A, F, -1.0),
+        is_positive_definite(F),
+    ]
+    assert [(c.residual, c.witness, c.holds, c.max_residual) for c in checks] == [(None, None, True, 0.0)] * 9
+
+
+def test_split_h_on_a_line_has_a_vacuous_as1():
+    A = catalog_build("rn_canonical", {"n": 1})
+    assert split_h(A, find_idempotent_H(A)).residuals["AS-1"] is None
 
 
 def test_jacobi_rejects_non_antisymmetric_constants():

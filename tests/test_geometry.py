@@ -15,6 +15,7 @@ import pytest
 from leftsym import (
     AlgebraStructure,
     BilinearForm,
+    DimensionMismatch,
     MetricAlgebra,
     MilnorSpec,
     NotLSPK,
@@ -161,6 +162,13 @@ def test_gamma_is_linear_in_x(dim2):
     got = gamma_operator(M, 2.0 * e - 3.0 * H)
     want = 2.0 * gamma_operator(M, e) - 3.0 * gamma_operator(M, H)
     np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def test_gamma_refuses_a_misshapen_vector_before_any_work(dim2, monkeypatch):
+    monkeypatch.setattr(geometry, "_gamma_data", lambda M, tol: pytest.fail("built gamma"))
+    for x in (np.zeros(3), np.zeros((2, 1)), 1.0):
+        with pytest.raises(DimensionMismatch):
+            gamma_operator(_with_koszul(dim2), x)
 
 
 @pytest.mark.parametrize("name", LSPK_NAMES)
