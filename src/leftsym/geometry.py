@@ -21,10 +21,19 @@ Two identities that hold for every metric, cyclicity of the trace and
 gamma_x y = gamma_y x, leave three terms per block (tangent_bundle_ricci).
 They are the Ricci form of g + g on the Lie algebra of TG, checked against
 -beta, for a Hessian pair only (lspk_dim2, diag(1, 2): 0.25 off in hh, 1.5 in vv).
+
+The bracket, the verified Levi-Civita constants, the gamma stack and the
+Hessian check of a metric algebra are computed once per (M, Tolerance) and
+kept in one read-only record (_gamma_data) while M lives: gamma_operator,
+second_koszul_form, base_curvature, tangent_bundle_ricci and einstein_check
+all read them from it.  Building the record costs one n^5 Levi-Civita check;
+each gamma_operator call after it costs n^3.  A refusal is never kept, so
+every call on a refused pair refuses again.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,14 +92,39 @@ def levi_civita_product(
     return out
 
 
-def _gamma_data(
-    M: MetricAlgebra, tol: Tolerance
-) -> tuple[AlgebraStructure, AlgebraStructure, np.ndarray]:
-    """The bracket, the Levi-Civita constants and the stack gamma[i] = Lbar_i - L_i."""
-    bracket = lie_bracket_constants(M.algebra)
-    lc = levi_civita_product(bracket, M.metric, tol)
-    gamma = (lc.constants - M.algebra.constants).transpose(0, 2, 1)
-    return bracket, lc, gamma
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """The Levi-Civita data of one metric algebra at one tolerance; every array is read-only.
+
+    gamma[i] = Lbar_i - L_i, hessian is check_hessian of the pair and scale is
+    residual_scale(C, g), so _worst_of([scale, _max_abs(t)]) is residual_scale(C, g, t)
+    without measuring C and g again.  Nothing here refers back to the metric algebra.
+    """
+
+    bracket: AlgebraStructure
+    lc: AlgebraStructure
+    gamma: np.ndarray
+    hessian: Check
+    scale: float
+
+
+# metric algebra (hashed by identity) -> {Tolerance: _Geometry}; an entry goes with its algebra
+_RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _gamma_data(M: MetricAlgebra, tol: Tolerance) -> _Geometry:
+    """The geometry record of M at tol, built on first use; a refusal raises and keeps nothing."""
+    rec = _RECORDS.get(M, {}).get(tol)
+    if rec is None:
+        c, g = M.algebra.constants, M.metric.matrix
+        hessian = check_hessian(M.algebra, M.metric, tol)
+        bracket = lie_bracket_constants(M.algebra)
+        lc = levi_civita_product(bracket, M.metric, tol)
+        diff = lc.constants - c
+        diff.setflags(write=False)
+        rec = _Geometry(bracket, lc, diff.transpose(0, 2, 1), hessian, residual_scale(c, g))
+        _RECORDS.setdefault(M, {})[tol] = rec
+    return rec
 
 
 def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -98,13 +132,16 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
 
     When the pair satisfies the metric compatibility identity, gamma_x must
     be symmetric for the metric; this is verified and a violation raises.
+    The Levi-Civita product and the compatibility verdict come from the
+    record of (M, tol), built by the first call, so each further call costs
+    one n^3 contraction and its symmetry check.
     """
     x = _check_vector(M.algebra, x)
-    gamma = _gamma_data(M, tol)[2]
-    op = np.einsum("i,ilk->lk", x, gamma)
-    if check_hessian(M.algebra, M.metric, tol):
+    rec = _gamma_data(M, tol)
+    op = np.einsum("i,ilk->lk", x, rec.gamma)
+    if rec.hessian:
         m = M.metric.matrix @ op
-        thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, x)
+        thr = tol.eps * _worst_of([rec.scale, _max_abs(x)])
         _enforce([Check("gamma operator not symmetric", _max_abs(m - m.T), thr)], VerificationFailed)
     return op
 
@@ -116,11 +153,10 @@ def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Biline
     form of the product (the route through the metric product is
     independent), and the disagreement raises OracleMismatch.
     """
-    gamma = _gamma_data(M, tol)[2]
-    beta = -np.einsum("ijk,k->ij", M.algebra.constants, _traces(gamma))
+    rec = _gamma_data(M, tol)
+    beta = -np.einsum("ijk,k->ij", M.algebra.constants, _traces(rec.gamma))
     direct = koszul_form(M.algebra).matrix
-    thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix)
-    _enforce([Check("second trace form", _max_abs(beta - direct), thr)], OracleMismatch)
+    _enforce([Check("second trace form", _max_abs(beta - direct), tol.eps * rec.scale)], OracleMismatch)
     return BilinearForm(beta)
 
 
@@ -129,7 +165,8 @@ class BaseCurvature:
     """Curvature data of the metric product on the base algebra.
 
     K has K[i, j, k, l] = (K(e_i, e_j) e_k)_l and ricci is the form
-    ric(X, Y) = tr(Z -> K(X, Z)Y); gamma stacks the difference operators.
+    ric(X, Y) = tr(Z -> K(X, Z)Y); gamma stacks the difference operators and
+    is the read-only array of the geometry record that gamma_operator reads.
     """
 
     lc: AlgebraStructure
@@ -143,22 +180,23 @@ def base_curvature(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> BaseCurvat
 
     When the pair satisfies the flatness and compatibility identities, K
     must equal the commutator of gamma operators and ric must equal the
-    gamma trace formula; disagreement raises OracleMismatch.
+    gamma trace formula; disagreement raises OracleMismatch.  The
+    Levi-Civita product, gamma and the compatibility verdict come from the
+    record of (M, tol) that gamma_operator shares.
     """
-    compatible = bool(check_left_symmetric(M.algebra, tol)) and bool(
-        check_hessian(M.algebra, M.metric, tol)
-    )
-    return _base_curvature(M, compatible, tol)[0]
+    flat = bool(check_left_symmetric(M.algebra, tol))
+    rec = _gamma_data(M, tol)
+    return _base_curvature(rec, flat and bool(rec.hessian), tol)[0]
 
 
 def _base_curvature(
-    M: MetricAlgebra, compatible: bool, tol: Tolerance
+    rec: _Geometry, compatible: bool, tol: Tolerance
 ) -> tuple[BaseCurvature, np.ndarray]:
-    """base_curvature with the flat-and-compatible verdict already known, and tr gamma."""
-    bracket, lc, gamma = _gamma_data(M, tol)
+    """base_curvature from the record, the flat-and-compatible verdict known; also tr gamma."""
+    lc, gamma = rec.lc, rec.gamma
     c = lc.constants
     cc = _compose(c, c.transpose(1, 0, 2))  # cc[a,b,i,l] = sum_m c[a,b,m] c[i,m,l]
-    K = _compose(bracket.constants, c)  # ijm,mkl->ijkl
+    K = _compose(rec.bracket.constants, c)  # ijm,mkl->ijkl
     K -= cc.transpose(2, 0, 1, 3)  # jkm,iml->ijkl
     K += cc.transpose(0, 2, 1, 3)  # ikm,jml->ijkl
     del cc  # freed before the gamma cross-check builds its own n^4 arrays
@@ -166,7 +204,7 @@ def _base_curvature(
     tr_gamma = _traces(gamma)
 
     if compatible:
-        thr = tol.eps * residual_scale(M.algebra.constants, M.metric.matrix, c)
+        thr = tol.eps * _worst_of([rec.scale, _max_abs(c)])
         pair = _compose(gamma, gamma.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # ilm,jmk->ijlk
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
         _enforce([Check("curvature operator", _max_abs(K - k_gamma), thr)], OracleMismatch)
@@ -231,8 +269,8 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
 
 def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) -> CurvatureReport:
     """tangent_bundle_ricci for a product known to be flat, with trace form beta."""
-    hess = check_hessian(M.algebra, M.metric, tol)
-    base, tr = _base_curvature(M, bool(hess), tol)
+    rec = _gamma_data(M, tol)
+    base, tr = _base_curvature(rec, bool(rec.hessian), tol)
     G, Lb = base.gamma, base.lc.constants.transpose(0, 2, 1)  # Lb[i] = matrix of Lbar_{e_i}
     g = M.metric.matrix
     n = M.dim
@@ -242,8 +280,8 @@ def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) ->
     s = e("akm,kmb->ab", G, Lb)
     vv = s + s.T - e("m,amb->ab", e("kkm->m", Lb) + tr, G)
 
-    if hess:
-        thr = tol.eps * residual_scale(M.algebra.constants, g, base.K)
+    if rec.hessian:
+        thr = tol.eps * _worst_of([rec.scale, _max_abs(base.K)])
         blocks = (
             Check("double-space Ricci block hh", _max_abs(hh + beta.matrix), thr),
             Check("double-space Ricci block vv", _max_abs(vv + beta.matrix), thr),
@@ -262,7 +300,7 @@ def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) ->
         beta=beta,
         einstein_mu=mu,
         einstein=einstein,
-        hessian_residual=hess.max_residual,
+        hessian_residual=rec.hessian.max_residual,
     )
 
 

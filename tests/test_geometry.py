@@ -6,8 +6,13 @@ the base Ricci form is -(1/4) I, and both diagonal Ricci blocks of the
 double space equal -(3/2) I while the mixed block vanishes.
 """
 
+import dataclasses
 import functools
+import gc
 import json
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +23,10 @@ from leftsym import (
     DimensionMismatch,
     MetricAlgebra,
     MilnorSpec,
+    NotLieBracket,
     NotLSPK,
     PreconditionFailed,
+    Tolerance,
     base_curvature,
     build_corollary1,
     build_corollary2,
@@ -317,6 +324,142 @@ def test_one_bracket_per_call(monkeypatch):
     assert len(calls) == 1
     tangent_bundle_ricci(_with_koszul(A))
     assert len(calls) == 2
+
+
+def _geometry_calls(n: int, tol: Tolerance = Tolerance()) -> list:
+    """One function per geometry call on a metric algebra, giving its arrays and numbers as bytes."""
+
+    def gamma(e):
+        return lambda M: [gamma_operator(M, e, tol).tobytes()]
+
+    def beta(M):
+        return [second_koszul_form(M, tol).matrix.tobytes()]
+
+    def base(M):
+        b = base_curvature(M, tol)
+        return [a.tobytes() for a in (b.lc.constants, b.gamma, b.K, b.ricci.matrix)]
+
+    def report(M):
+        r = tangent_bundle_ricci(M, tol)
+        arrays = (r.tb_ricci_hh.matrix, r.tb_ricci_vv.matrix, r.tb_ricci_hv, r.base_ricci.matrix,
+                  r.beta.matrix, r.einstein_mu, r.einstein.residual, r.hessian_residual)
+        return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+    return [gamma(e) for e in np.eye(n)] + [beta, base, report]
+
+
+def _transported_lspk4() -> MetricAlgebra:
+    A = catalog_build("lspk_dim4")
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((A.dim, A.dim)))
+    return _with_koszul(change_basis(A, q))
+
+
+def test_one_levi_civita_solve_per_metric_algebra(monkeypatch):
+    calls = {"levi_civita_product": 0, "check_hessian": 0}
+
+    def counted(name):
+        fn = getattr(geometry, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counted(name))
+    M = _transported_lspk4()
+    got = [out for call in _geometry_calls(M.dim) for out in call(M)]
+    assert calls == {"levi_civita_product": 1, "check_hessian": 1}
+    # a second tolerance and a replaced metric each get a record of their own
+    for call in _geometry_calls(M.dim, Tolerance(1e-10)):
+        call(M)
+    assert calls == {"levi_civita_product": 2, "check_hessian": 2}
+    M3 = dataclasses.replace(M, metric=BilinearForm(3.0 * M.metric.matrix))
+    got3 = [out for call in _geometry_calls(M.dim) for out in call(M3)]
+    assert calls == {"levi_civita_product": 3, "check_hessian": 3}
+    # each output is the same bit for bit as the same call on a freshly built algebra
+    for shared, want in ((M, got), (M3, got3)):
+        fresh = [
+            out
+            for call in _geometry_calls(M.dim)
+            for out in call(MetricAlgebra(AlgebraStructure(shared.algebra.constants),
+                                          BilinearForm(shared.metric.matrix)))
+        ]
+        assert fresh == want
+
+
+def test_a_refusal_is_never_kept():
+    rng = np.random.default_rng(3)
+    A = AlgebraStructure(rng.standard_normal((3, 3, 3)))  # not left-symmetric; bracket not Lie
+    x = rng.standard_normal((3, 3))
+    M = MetricAlgebra(A, BilinearForm(x @ x.T + 3.0 * np.eye(3)))
+    residuals = []
+    for e in (*np.eye(3), np.eye(3)[0]):
+        with pytest.raises(NotLieBracket) as info:
+            gamma_operator(M, e)
+        residuals.append(info.value.residual)
+        assert M not in geometry._RECORDS
+    assert residuals[0] > 0.0 and len(set(residuals)) == 1
+
+
+def test_the_geometry_record_cannot_be_written():
+    M = _transported_lspk4()
+    before = [gamma_operator(M, e).tobytes() for e in np.eye(M.dim)]
+    base = base_curvature(M)
+    with pytest.raises(ValueError):
+        base.gamma[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        base.gamma.base[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        base.lc.constants[0, 0, 0] = 1.0
+    gamma_operator(M, np.eye(M.dim)[0])[...] = 1.0  # a returned operator is the caller's own
+    assert [gamma_operator(M, e).tobytes() for e in np.eye(M.dim)] == before
+
+
+def test_the_geometry_record_goes_with_its_algebra():
+    kept = len(geometry._RECORDS)
+    M = _transported_lspk4()
+    n = M.dim
+    second_koszul_form(M)
+    (rec,) = geometry._RECORDS[M].values()
+    for f in dataclasses.fields(rec):
+        value = getattr(rec, f.name)
+        value = getattr(value, "constants", value)
+        assert not isinstance(value, (MetricAlgebra, BilinearForm))
+        assert np.asarray(value).size <= n**3, f.name
+    gone = weakref.ref(M)
+    del M
+    gc.collect()
+    assert gone() is None
+    assert len(geometry._RECORDS) == kept
+
+
+def test_threads_share_one_record():
+    # concurrent first calls may each build a record; the records are equal, one is kept
+    M = _transported_lspk4()
+    want = [call(_transported_lspk4()) for call in _geometry_calls(M.dim)]
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append([call(M) for call in _geometry_calls(M.dim)])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == [want] * len(threads)
+    assert len(geometry._RECORDS[M]) == 1
 
 
 def test_nilpotent_double_space_is_ricci_flat(a0_metric):
