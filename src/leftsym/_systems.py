@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Check, _compose, _max_abs, _slab_worst, _worst_of
+from .core import Check, _compose, _max_abs, _worst_of
 from .forms import (
     _derivation_defect,
     _hessian_defect,
-    _left_symmetry_slabs,
+    _left_symmetry_worst,
     _metric_sectional,
     _paired_action,
     _traces,
@@ -76,7 +76,7 @@ def system_residuals(
     # b2 is a derivation, and left traces match the action traces
     record("S2", _worst_of((
         _max_abs(_hessian_defect(c2, g2)),
-        _slab_worst(n2, _left_symmetry_slabs(c2, _metric_sectional(g2, -1.0)))[0],
+        _left_symmetry_worst(c2, _metric_sectional(g2, -1.0))[0],
         _max_abs(_derivation_defect(b2, c2)),
         _max_abs(_traces(c2) + _traces(rho2)),
     )))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._systems import system_residuals
 from .core import AlgebraStructure, Check, Tolerance, mult_operator, residual_scale
-from .core import _accumulate, _conjunction, _enforce, _frozen, _max_abs, _slab_worst
+from .core import _accumulate, _conjunction, _enforce, _frozen, _max_abs
 from .decompose import LSPKDecomposition
 from .errors import (
     DimensionMismatch,
@@ -46,7 +46,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
-from .forms import _derivation_defect, _left_symmetry_slabs, _metric_sectional, _paired_action, _traces
+from .forms import _derivation_defect, _left_symmetry_worst, _metric_sectional, _paired_action, _traces
 
 
 def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
@@ -262,7 +262,7 @@ def build_corollary2(
     _enforce([check_hessian(A, h.metric, tol)], HypothesisFailed)
 
     gd = g @ d
-    sectional = _slab_worst(n, _left_symmetry_slabs(c, _metric_sectional(g, -1.0)))[0]
+    sectional = _left_symmetry_worst(c, _metric_sectional(g, -1.0))[0]
     hypotheses = (
         Check("sectional", sectional, thr),
         Check("skew", _max_abs(gd + gd.T), thr),

@@ -24,15 +24,24 @@ associativity, Novikov, Jacobi and sectional identities) never holds the n^4
 tensor: _slab_worst evaluates it over slabs of one index, at most _SLAB_FLOATS
 (24 000) floats each, and keeps the running worst entry and its witness.  The
 cost stays that of the whole-tensor GEMMs, n^5 multiply-adds each, while the
-memory falls to one slab plus O(n^3).
+memory falls to one slab plus O(n^3).  A defect antisymmetric in its first two
+indices, the left symmetry, is evaluated on the basis pairs i <= j only: its
+slabs run over those pairs, n^5 + n^4(n+1)/2 multiply-adds in all, and memory
+holds one slab of the product e_i(e_j e_k) plus the pair slab.
 This module owns the summation order of L_x and R_x (_accumulate), and
 construct.build_milnor rounds its constants against it to make L_h exactly 0.
+
+Structure tensors and Gram matrices are read-only views of read-only arrays
+(_readonly), which setflags(write=True) cannot make writable, also after a
+pickle or copy round trip.  That is what lets _Memo keep quantities derived from
+an object, such as the trace form of an algebra, for as long as the object lives.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,13 +144,16 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
-def _slab_worst(n: int, slab, axis: int = 2) -> tuple[float | None, tuple[int, int, int] | None]:
+def _slab_worst(
+    n: int, slab, axis: int = 2, pairs: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[float | None, tuple[int, int, int] | None]:
     """Largest |d| of a rank-4 defect d over (n, n, n, n), and the first (i, j, k) attaining it.
 
     slab(lo, hi) returns a fresh array holding d restricted to lo <= index < hi of
-    axis 2 or 3; the reduction overwrites it and keeps only the running worst.  The
-    witness follows forms._worst: NaN wins, and ties go to the first entry in C order.
-    (None, None) when n == 0, a vacuous relation.
+    axis 2 or 3; the reduction overwrites it and keeps only the running worst.  With
+    pairs = (ii, jj), increasing in C order, the slab's first two axes are one axis
+    over the pairs (ii[p], jj[p]).  The witness follows forms._worst: NaN wins, and
+    ties go to the first entry in C order.  (None, None) when n == 0, a vacuous relation.
     """
     if n == 0:
         return None, None
@@ -151,10 +163,11 @@ def _slab_worst(n: int, slab, axis: int = 2) -> tuple[float | None, tuple[int, i
         d = slab(lo, min(n, lo + step))
         a = np.abs(d, out=d)
         flat = int(a.argmax())
-        ij, k = divmod(flat // a.shape[3], a.shape[2])
+        ij, k = divmod(flat // a.shape[-1], a.shape[-2])
         if axis == 2:
             k += lo
-        found.append((a.item(flat), (ij // n, ij % n, k)))
+        i, j = divmod(ij, n) if pairs is None else (int(pairs[0][ij]), int(pairs[1][ij]))
+        found.append((a.item(flat), (i, j, k)))
     return min(found, key=lambda f: (f[0] == f[0], 0.0 if f[0] != f[0] else -f[0], f[1]))
 
 
@@ -163,13 +176,43 @@ def _restrict(c: np.ndarray, U: np.ndarray) -> np.ndarray:
     return U.T @ _compose(U.T, c)  # _compose gives t[a, j, k]; @ sums j for each a
 
 
-def _frozen(a: np.ndarray, field: str) -> np.ndarray:
-    """A read-only float copy of a; a ValueError naming field refuses inf and NaN entries."""
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """A float copy of a, as a read-only view of a read-only array.
+
+    An array that owns its data can be made writable again; a view of a
+    read-only array cannot, so setflags(write=True) raises on the result.
+    """
     a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a.view()
+
+
+def _frozen(a: np.ndarray, field: str) -> np.ndarray:
+    """_readonly(a); a ValueError naming field refuses inf and NaN entries."""
+    a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError(f"{field} must be finite")
-    a.setflags(write=False)
-    return a
+    return _readonly(a)
+
+
+class _Memo(weakref.WeakKeyDictionary):
+    """owner -> {key: value}, each value built on first use and kept while the owner lives.
+
+    Owners are hashed by identity (eq=False dataclasses), and a value must not
+    refer back to its owner, or the entry would keep the owner alive.  A build
+    that raises keeps nothing, so every call on a refused owner refuses again.
+    Concurrent first uses may each build; all of them get the value stored first.
+    """
+
+    def value(self, owner, key, build):
+        entries = self.get(owner)
+        found = None if entries is None else entries.get(key)
+        if found is None:
+            built = build()  # before the owner gets an entry
+            if entries is None:
+                entries = self.setdefault(owner, {})
+            found = entries.setdefault(key, built)
+        return found
 
 
 def _accumulate(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -202,6 +245,10 @@ class AlgebraStructure:
             raise DimensionMismatch(f"constants must be (n, n, n), got {c.shape}")
         object.__setattr__(self, "constants", _frozen(c, "structure constants"))
         object.__setattr__(self, "dim", int(c.shape[0]))
+
+    def __setstate__(self, state):
+        # pickle and copy rebuild arrays writable; freeze the constants again
+        self.__dict__.update(state, constants=_frozen(state["constants"], "structure constants"))
 
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim)

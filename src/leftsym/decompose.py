@@ -23,6 +23,12 @@ because one of the parts is zero dimensional), and the first relation
 beyond its threshold raises under that name (the checks of find_idempotent_H
 and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
 others, and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
+
+The trace form, the traces and the left-symmetry measurement of the input are
+computed once per algebra (forms._ALGEBRAS): the stages and a caller's own
+check_left_symmetric or koszul_form of the same algebra share them, so one
+decompose builds one trace form and runs the n^5 left-symmetry kernel once on
+the input, once for AS-2 and once for S2.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from ._systems import system_residuals
 from .core import AlgebraStructure, Check, Tolerance, change_basis, multiply, residual_scale
-from .core import _compose, _enforce, _max_abs, _restrict, _slab_worst, _worst_of
+from .core import _compose, _enforce, _max_abs, _restrict, _worst_of
 from .errors import (
     BlockNotSkew,
     Circ1NonZero,
@@ -46,8 +52,8 @@ from .errors import (
     SystemViolated,
 )
 from .forms import check_left_symmetric, koszul_form
-from .forms import _definite_trace_form, _derivation_defect, _hessian_defect, _left_symmetry_slabs
-from .forms import _operator_sectional, _traces, _worst
+from .forms import _algebra_traces, _definite_trace_form, _derivation_defect, _hessian_defect
+from .forms import _left_symmetry_worst, _operator_sectional, _traces, _worst
 
 _CLUSTER_TOL = 1e-6  # clustering width for the S-spectrum around {0, 1}
 _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))  # x >= this is x > 0 as a Check threshold
@@ -60,7 +66,7 @@ def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.n
     """
     B, definite = _definite_trace_form(A, tol)
     _enforce([definite], NotPositiveDefinite)
-    H = np.linalg.solve(B.matrix, _traces(A.constants))
+    H = np.linalg.solve(B.matrix, _algebra_traces(A))
     thr = tol.eps * residual_scale(A.constants, H)
     _enforce([Check("H*H-H", _max_abs(multiply(A, H, H) - H), thr)], IdempotentCheckFailed)
     return H
@@ -158,7 +164,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
         Check("hh_H_component", _max_abs(h_coeff - eye), thr),
         Check("gram_identity", _max_abs(gram - eye), thr),
         Check("AS-1", _worst(_hessian_defect(cc, eye))[0], thr),
-        Check("AS-2", _slab_worst(m, _left_symmetry_slabs(cc, _operator_sectional(S)))[0], thr),
+        Check("AS-2", _left_symmetry_worst(cc, _operator_sectional(S))[0], thr),
         Check("AS-3", _max_abs(as3), thr),
         Check("AS-4", _max_abs(as4), thr),
         Check("AS-5", _max_abs(S - (A_op + A_op.T - eye)), thr),

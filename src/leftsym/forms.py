@@ -10,19 +10,31 @@ constructions evaluate the same contractions through them:
 
 - rank-3 defects as tensors from one or three GEMMs (_traces, _hessian_defect,
   _derivation_defect, _paired_action), cost n^4;
-- rank-4 defects as slabs over one index (_assoc_slabs, _left_symmetry_slabs and
-  the Novikov and Jacobi slabs), reduced by core._slab_worst to the worst entry
-  and its witness without holding the n^4 tensor.  They cost the GEMMs of the
-  whole-tensor form (n^5 multiply-adds each: two for left symmetry, one for
-  Jacobi) in one slab of at most core._SLAB_FLOATS floats plus O(n^3).
-  The paper's sectional term <e_j, e_k> X e_i - <e_i, e_k> X e_j, with X or the
-  metric the identity, is added to each slab in closed form at n^3 cost
-  (_metric_sectional, _operator_sectional).
+- rank-4 defects as slabs over one index (_assoc_slabs and the Novikov and
+  Jacobi slabs), reduced by core._slab_worst to the worst entry and its witness
+  without holding the n^4 tensor.  They cost the GEMMs of the whole-tensor form
+  (n^5 multiply-adds each) in one slab of at most core._SLAB_FLOATS floats plus
+  O(n^3).
+- the left-symmetry defect d(x, y, z) = [x, y]z - x(yz) + y(xz), which is
+  ass(x, y, z) - ass(y, x, z), through one kernel, _left_symmetry_worst: d is
+  antisymmetric in (x, y), so it is evaluated on the basis pairs i <= j only,
+  n^5 + n^4(n+1)/2 multiply-adds in slabs over k, holding one slab of
+  e_i(e_j e_k) plus the pair slab.  check_left_symmetric, check_k_hessian,
+  check_novikov, AS-2 (decompose), S2 (_systems) and the sectional hypothesis of
+  construct.build_corollary2 all reduce through it.  The paper's sectional term
+  <e_j, e_k> X e_i - <e_i, e_k> X e_j, with X or the metric the identity, is added
+  to each slab in closed form at n^3 cost (_metric_sectional, _operator_sectional).
+
+Each algebra's traces, trace form, residual_scale(C) and left-symmetry worst
+entry are computed once and kept in _ALGEBRAS while the algebra lives; a Check
+is built per call from them and the caller's Tolerance, so thresholds follow
+the tolerance as before.  An overflowing trace form raises and is never kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +46,8 @@ from .core import (
     _conjunction,
     _enforce,
     _max_abs,
+    _Memo,
+    _readonly,
     _restrict,
     _slab_worst,
     change_basis,
@@ -76,9 +90,12 @@ class BilinearForm:
             asym, sym = 2.0 * _max_abs(half - half.T), half + half.T
         else:
             asym, sym = _max_abs(m - m.T) or 0.0, (m + m.T) / 2.0
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "matrix", _readonly(sym))
         object.__setattr__(self, "asymmetry", asym)
+
+    def __setstate__(self, state):
+        # pickle and copy rebuild arrays writable; freeze the matrix again
+        self.__dict__.update(state, matrix=_readonly(state["matrix"]))
 
     @property
     def dim(self) -> int:
@@ -146,31 +163,52 @@ def _assoc_slabs(c: np.ndarray):
     return slab
 
 
-def _left_symmetry_slabs(c: np.ndarray, target=None):
-    """Slabs over k of ass(x, y, z) - ass(y, x, z) on basis triples, for _slab_worst.
+@lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, ...]:
+    """The basis pairs i <= j in C order: ii, jj, their positions p, and the rows i*n + j and j*n + i."""
+    ii, jj = np.triu_indices(n)
+    index = (ii, jj, np.arange(ii.size), ii * n + jj, jj * n + ii)
+    for a in index:
+        a.setflags(write=False)
+    return index
 
-    target(d, lo, hi), when given, adds a sectional term to each slab in place.
+
+def _left_symmetry_worst(c: np.ndarray, target=None) -> tuple[float | None, tuple[int, int, int] | None]:
+    """Largest |d| of d(e_i, e_j, e_k) = [e_i, e_j]e_k - e_i(e_j e_k) + e_j(e_i e_k), and its witness.
+
+    d = ass(x, y, z) - ass(y, x, z) is antisymmetric in (x, y), so its worst entry and
+    first witness in C order are found on the pairs i <= j.  Each slab over k takes one
+    GEMM of the bracket rows against c and one batched product q[i, j] = e_i(e_j e_k),
+    whose rows (i, j) and (j, i) give the other two terms.  The diagonal pairs stay:
+    their entries are 0, or NaN where a product overflows.  target(d, lo, hi), when
+    given, adds a sectional term in place to each slab d[p, k - lo, l].
     """
-    assoc = _assoc_slabs(c)
+    n = c.shape[0]
+    ii, jj, _, rows_ij, rows_ji = _pair_index(n)
+    bracket = c[ii, jj] - c[jj, ii]
 
     def slab(lo: int, hi: int) -> np.ndarray:
-        t, spent = assoc(lo, hi)
-        d = np.subtract(t, t.transpose(1, 0, 2, 3), out=spent.reshape(t.shape))
+        ck = np.ascontiguousarray(c[:, lo:hi])  # ck[m, k, l], or as rows (j, k): ck[j, k, m]
+        d = bracket @ ck.reshape(n, -1)  # [e_i, e_j] e_k
+        q = np.matmul(ck.reshape(-1, n), c).reshape(n * n, -1)  # q[i*n + j] = e_i (e_j e_k)
+        d -= q[rows_ij]
+        d += q[rows_ji]
+        d = d.reshape(-1, hi - lo, n)
         if target is not None:
             target(d, lo, hi)
         return d
 
-    return slab
+    return _slab_worst(n, slab, pairs=(ii, jj))
 
 
 def _metric_sectional(g: np.ndarray, factor: float):
     """Slab update adding factor * (<e_j, e_k> e_i - <e_i, e_k> e_j), in closed form at n^3 cost."""
-    ii = np.arange(g.shape[0])
+    ii, jj, pp = _pair_index(g.shape[0])[:3]
 
     def update(d: np.ndarray, lo: int, hi: int) -> None:
         gk = factor * g[:, lo:hi]
-        d[ii, :, :, ii] += gk
-        d[:, ii, :, ii] -= gk
+        d[pp, :, ii] += gk[jj]
+        d[pp, :, jj] -= gk[ii]
 
     return update
 
@@ -178,11 +216,13 @@ def _metric_sectional(g: np.ndarray, factor: float):
 def _operator_sectional(s: np.ndarray):
     """Slab update subtracting <e_j, e_k> S e_i - <e_i, e_k> S e_j for the identity metric."""
     st = s.T
+    ii, jj, pp = _pair_index(s.shape[0])[:3]
 
     def update(d: np.ndarray, lo: int, hi: int) -> None:
-        kk = np.arange(lo, hi)
-        d[:, kk, kk - lo, :] -= st[:, None, :]
-        d[kk, :, kk - lo, :] += st[None]
+        at = (lo <= jj) & (jj < hi)
+        d[pp[at], jj[at] - lo] -= st[ii[at]]
+        at = (lo <= ii) & (ii < hi)
+        d[pp[at], ii[at] - lo] += st[jj[at]]
 
     return update
 
@@ -209,17 +249,35 @@ def _paired_action(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("zyx->xyz", d) + np.einsum("zxy->xyz", d)
 
 
-def koszul_form(A: AlgebraStructure) -> BilinearForm:
-    """The trace form B(x, y) = tr(L_{x*y}); PreconditionFailed when it overflows."""
-    b = np.einsum("ijk,k->ij", A.constants, _traces(A.constants))
+# algebra (hashed by identity) -> {name: quantity}; nothing kept refers back to the algebra
+_ALGEBRAS = _Memo()
+
+
+def _algebra_traces(A: AlgebraStructure) -> np.ndarray:
+    """_traces of the structure constants, read-only, computed once per algebra."""
+    return _ALGEBRAS.value(A, "traces", lambda: _readonly(_traces(A.constants)))
+
+
+def _algebra_scale(A: AlgebraStructure) -> float:
+    """residual_scale of the structure constants, computed once per algebra."""
+    return _ALGEBRAS.value(A, "scale", lambda: residual_scale(A.constants))
+
+
+def _trace_form(A: AlgebraStructure) -> BilinearForm:
+    b = np.einsum("ijk,k->ij", A.constants, _algebra_traces(A))
     if not np.isfinite(b).all():
         raise PreconditionFailed("trace form is not finite: the products overflow")
     return BilinearForm(b)
 
 
+def koszul_form(A: AlgebraStructure) -> BilinearForm:
+    """The trace form B(x, y) = tr(L_{x*y}), built once per algebra; PreconditionFailed when it overflows."""
+    return _ALGEBRAS.value(A, "trace form", lambda: _trace_form(A))
+
+
 def trace_one_form(A: AlgebraStructure) -> np.ndarray:
     """Covector alpha with alpha[k] = -tr(L_{e_k})."""
-    return -_traces(A.constants)
+    return -_algebra_traces(A)
 
 
 def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> Check:
@@ -240,22 +298,21 @@ def _definite_trace_form(A: AlgebraStructure, tol: Tolerance) -> tuple[BilinearF
 
 
 def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
-    """Associator symmetric in its first two arguments."""
-    c = A.constants
-    worst, at = _slab_worst(A.dim, _left_symmetry_slabs(c))
-    return Check("left-symmetric", worst, tol.eps * residual_scale(c), at)
+    """Associator symmetric in its first two arguments; measured once per algebra."""
+    worst, at = _ALGEBRAS.value(A, "left symmetry", lambda: _left_symmetry_worst(A.constants))
+    return Check("left-symmetric", worst, tol.eps * _algebra_scale(A), at)
 
 
 def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     c = A.constants
     worst, at = _worst(c - c.transpose(1, 0, 2))
-    return Check("commutative", worst, tol.eps * residual_scale(c), at)
+    return Check("commutative", worst, tol.eps * _algebra_scale(A), at)
 
 
 def check_associative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     assoc = _assoc_slabs(A.constants)
     worst, at = _slab_worst(A.dim, lambda lo, hi: assoc(lo, hi)[0])
-    return Check("associative", worst, tol.eps * residual_scale(A.constants), at)
+    return Check("associative", worst, tol.eps * _algebra_scale(A), at)
 
 
 def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
@@ -271,7 +328,7 @@ def check_novikov(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
         return left - left.transpose(0, 2, 1, 3)
 
     worst, at = _slab_worst(A.dim, right_symmetry, axis=3)
-    right = Check("right-symmetric", worst, tol.eps * residual_scale(c), at)
+    right = Check("right-symmetric", worst, tol.eps * _algebra_scale(A), at)
     return _conjunction((right, check_left_symmetric(A, tol)))
 
 
@@ -302,14 +359,14 @@ def check_k_hessian(
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
     c, g = A.constants, F.matrix
-    worst, at = _slab_worst(A.dim, _left_symmetry_slabs(c, _metric_sectional(g, k)))
+    worst, at = _left_symmetry_worst(c, _metric_sectional(g, k))
     sectional = Check("sectional", worst, tol.eps * residual_scale(c, g, np.array([k])), at)
     return _conjunction((sectional, check_hessian(A, F, tol)))
 
 
 def _require_antisymmetric(A: AlgebraStructure, tol: Tolerance) -> None:
     resid = _max_abs(A.constants + A.constants.transpose(1, 0, 2))
-    _enforce([Check("antisymmetric", resid, tol.eps * residual_scale(A.constants))], NotAntisymmetric)
+    _enforce([Check("antisymmetric", resid, tol.eps * _algebra_scale(A))], NotAntisymmetric)
 
 
 def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
@@ -326,7 +383,7 @@ def check_jacobi(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
         return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
 
     worst, at = _slab_worst(A.dim, jacobi, axis=3)
-    return Check("jacobi", worst, tol.eps * residual_scale(c), at)
+    return Check("jacobi", worst, tol.eps * _algebra_scale(A), at)
 
 
 def is_solvable(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> bool:

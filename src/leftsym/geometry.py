@@ -33,13 +33,12 @@ every call on a refused pair refuses again.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import AlgebraStructure, Check, Tolerance, lie_bracket_constants, residual_scale
-from .core import _check_vector, _compose, _enforce, _max_abs, _worst_of
+from .core import _check_vector, _compose, _enforce, _max_abs, _Memo, _readonly, _worst_of
 from .errors import (
     HypothesisFailed,
     NotEinstein,
@@ -109,22 +108,21 @@ class _Geometry:
 
 
 # metric algebra (hashed by identity) -> {Tolerance: _Geometry}; an entry goes with its algebra
-_RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_RECORDS = _Memo()
 
 
 def _gamma_data(M: MetricAlgebra, tol: Tolerance) -> _Geometry:
     """The geometry record of M at tol, built on first use; a refusal raises and keeps nothing."""
-    rec = _RECORDS.get(M, {}).get(tol)
-    if rec is None:
-        c, g = M.algebra.constants, M.metric.matrix
-        hessian = check_hessian(M.algebra, M.metric, tol)
-        bracket = lie_bracket_constants(M.algebra)
-        lc = levi_civita_product(bracket, M.metric, tol)
-        diff = lc.constants - c
-        diff.setflags(write=False)
-        rec = _Geometry(bracket, lc, diff.transpose(0, 2, 1), hessian, residual_scale(c, g))
-        _RECORDS.setdefault(M, {})[tol] = rec
-    return rec
+    return _RECORDS.value(M, tol, lambda: _geometry(M, tol))
+
+
+def _geometry(M: MetricAlgebra, tol: Tolerance) -> _Geometry:
+    c, g = M.algebra.constants, M.metric.matrix
+    hessian = check_hessian(M.algebra, M.metric, tol)
+    bracket = lie_bracket_constants(M.algebra)
+    lc = levi_civita_product(bracket, M.metric, tol)
+    gamma = _readonly(lc.constants - c).transpose(0, 2, 1)
+    return _Geometry(bracket, lc, gamma, hessian, residual_scale(c, g))
 
 
 def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:

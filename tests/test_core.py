@@ -7,6 +7,7 @@ helpers are checked against the einsum spellings they replace, which live
 on here as the oracle.
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -24,10 +25,13 @@ from leftsym import (
     Tolerance,
     associator,
     change_basis,
+    koszul_form,
     lie_bracket_constants,
     mult_operator,
     multiply,
 )
+from leftsym.algfile import parse_algebra_file, render_algebra_file
+from leftsym.catalog import catalog_build
 from leftsym.core import Check, _compose, _enforce, _restrict, _worst_of
 
 _coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -133,6 +137,34 @@ def test_structure_tensor_validation():
     assert A.dim == 3
     with pytest.raises(ValueError):
         A.constants[0, 0, 0] = 1.0  # frozen
+
+
+def _round_trips(obj) -> list:
+    return [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)]
+
+
+def test_stored_arrays_can_never_be_made_writable():
+    # the trace form of an algebra is kept for as long as the algebra lives, so
+    # neither the constants nor the Gram matrix, nor a copy of them, may be written
+    A = catalog_build("lspk_dim4")
+    B = koszul_form(A)
+    algebras = [A, *_round_trips(A)]
+    grams = [B, *_round_trips(B)]
+    arrays = [X.constants for X in algebras] + [F.matrix for F in grams]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+        assert not a.base.flags.writeable
+    assert all(X.constants.tobytes() == A.constants.tobytes() for X in algebras)
+    assert all((F.matrix.tobytes(), F.asymmetry) == (B.matrix.tobytes(), B.asymmetry) for F in grams)
+    assert all((X.name, X.dim) == (A.name, A.dim) for X in algebras)
+    # the algebra file round trip stays bit-exact and read-only
+    parsed = parse_algebra_file(render_algebra_file(A, metric=B)).algebra
+    assert parsed.constants.tobytes() == A.constants.tobytes()
+    with pytest.raises(ValueError):
+        parsed.constants.setflags(write=True)
 
 
 def test_tolerance_from_env(monkeypatch):

@@ -5,7 +5,11 @@ nilpotent plane has vanishing Koszul form.  Predicate coverage pairs one
 algebra that satisfies each axiom with one that breaks it.
 """
 
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from leftsym import (
     check_koszul_identity,
     check_left_symmetric,
     check_novikov,
+    decompose,
+    einstein_check,
     is_positive_definite,
     is_solvable,
     koszul_form,
@@ -38,6 +44,7 @@ from leftsym import (
 )
 from leftsym.catalog import catalog_build, catalog_entry, catalog_list, sl2_bracket
 from leftsym.construct import MilnorSpec, build_corollary1, build_milnor, kdim2_family
+from leftsym import forms
 from leftsym.core import Check, _conjunction
 
 _angle = st.floats(min_value=0.0, max_value=6.2, allow_nan=False, allow_infinity=False)
@@ -261,3 +268,125 @@ def test_joint_reports_a_nan_residual_from_either_side():
         joint = _conjunction(checks)
         assert joint.holds is False
         assert np.isnan(joint.max_residual) and joint.witness == (0, 1)
+
+
+def _transported_lspk4() -> AlgebraStructure:
+    A = catalog_build("lspk_dim4")
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((A.dim, A.dim)))
+    return change_basis(A, q)
+
+
+def _algebra_calls(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> list:
+    """check_left_symmetric, decompose, check_novikov and einstein_check of A, as bytes and reprs."""
+    dec = decompose(A, tol)
+    arrays = (dec.H, dec.basis, dec.S, dec.A_op, dec.B1, dec.B2, dec.rho1, dec.rho2, dec.omega1,
+              dec.omega2, dec.circ2.constants)
+    return [
+        repr(check_left_symmetric(A, tol)),
+        repr((dec.signature, dec.checks)),
+        *(a.tobytes() for a in arrays),
+        repr(check_novikov(A, tol)),
+        *(repr(einstein_check(A, alpha, tol)) for alpha in (0.5, 1.0, 2.0)),
+    ]
+
+
+def _count_per_algebra_work(monkeypatch) -> dict:
+    """Counters on the left-symmetry kernel and the trace-form contraction, by structure tensor."""
+    calls = {"kernel": [], "trace form": []}
+    kernel, trace_form = forms._left_symmetry_worst, forms._trace_form
+
+    def counted_kernel(c, target=None):
+        calls["kernel"].append(c)
+        return kernel(c, target)
+
+    def counted_trace_form(A):
+        calls["trace form"].append(A.constants)
+        return trace_form(A)
+
+    monkeypatch.setattr(forms, "_left_symmetry_worst", counted_kernel)
+    monkeypatch.setattr(forms, "_trace_form", counted_trace_form)
+    return calls
+
+
+def _runs_on(calls: dict, A: AlgebraStructure) -> dict:
+    return {name: sum(c is A.constants for c in seen) for name, seen in calls.items()}
+
+
+def test_left_symmetry_and_the_trace_form_are_computed_once_per_algebra(monkeypatch):
+    calls = _count_per_algebra_work(monkeypatch)
+    A = _transported_lspk4()
+    got = _algebra_calls(A)
+    got_again = _algebra_calls(A)
+    assert _runs_on(calls, A) == {"kernel": 1, "trace form": 1}
+    assert got_again == got
+    # the same calls on a fresh copy of A give the same bytes, and measure once more
+    fresh = AlgebraStructure(A.constants)
+    assert _algebra_calls(fresh) == got
+    assert _runs_on(calls, fresh) == {"kernel": 1, "trace form": 1}
+
+
+def test_each_tolerance_gets_its_own_threshold_from_one_measurement(monkeypatch):
+    calls = _count_per_algebra_work(monkeypatch)
+    A = AlgebraStructure(np.random.default_rng(5).standard_normal((6, 6, 6)) * 3.0)
+    loose, tight = check_left_symmetric(A, Tolerance(1e-6)), check_left_symmetric(A, Tolerance(1e-12))
+    assert (loose.residual, loose.witness) == (tight.residual, tight.witness)
+    scale = np.max(np.abs(A.constants))
+    assert (loose.threshold, tight.threshold) == (1e-6 * scale, 1e-12 * scale)
+    assert _runs_on(calls, A)["kernel"] == 1
+
+
+def test_an_overflowing_trace_form_is_refused_on_every_call(monkeypatch):
+    calls = _count_per_algebra_work(monkeypatch)
+    A = AlgebraStructure(np.random.default_rng(0).standard_normal((3, 3, 3)) * 1e155)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for attempt in range(1, 4):
+            for call in (koszul_form, find_idempotent_H, check_koszul_identity):
+                with pytest.raises(PreconditionFailed):
+                    call(A)
+            assert _runs_on(calls, A)["trace form"] == 3 * attempt
+    assert "trace form" not in forms._ALGEBRAS.get(A, {})
+
+
+def test_the_per_algebra_entry_goes_with_its_algebra():
+    gc.collect()
+    kept = len(forms._ALGEBRAS)
+    A = _transported_lspk4()
+    _algebra_calls(A)
+    entries = forms._ALGEBRAS[A]
+    assert set(entries) == {"traces", "trace form", "scale", "left symmetry"}
+    for value in entries.values():
+        assert not isinstance(value, AlgebraStructure)
+        assert np.asarray(getattr(value, "matrix", value), dtype=object).size <= A.dim**2
+    gone = weakref.ref(A)
+    del A, entries
+    gc.collect()
+    assert gone() is None
+    assert len(forms._ALGEBRAS) == kept
+
+
+def test_threads_share_one_entry():
+    A = _transported_lspk4()
+    want = _algebra_calls(AlgebraStructure(A.constants))
+    got, forms_seen, errors = [], [], []
+
+    def work():
+        try:
+            got.append(_algebra_calls(A))
+            forms_seen.append(koszul_form(A))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == [want] * len(threads)
+    assert all(B is forms_seen[0] for B in forms_seen)
+    assert len(forms._ALGEBRAS[A]) == 4

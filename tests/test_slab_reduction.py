@@ -8,8 +8,11 @@ the same witness.  The sizes straddle the slab edges: n <= 12 is one slab,
 n = 13 splits into slabs of 10 and 3, and n = 24, 25 take one k per slab.
 """
 
+import ast
+import importlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +26,12 @@ from leftsym import (
     check_novikov,
     decompose,
 )
-from leftsym.construct import build_corollary1
+from leftsym import _systems, construct
+from leftsym.catalog import catalog_build
+from leftsym.construct import MilnorSpec, build_corollary1, build_corollary2, build_milnor
 from leftsym.core import _slab_worst
 from leftsym.forms import (
-    _left_symmetry_slabs,
+    _left_symmetry_worst,
     _metric_sectional,
     _operator_sectional,
     _worst,
@@ -80,7 +85,7 @@ def test_sectional_defects_match_the_full_tensor_oracle(n):
         (_operator_sectional(s), d - sectional_target(eye, s)),  # AS-2
     ]
     for target, full in cases:
-        _assert_same_worst(_slab_worst(n, _left_symmetry_slabs(c, target)), _worst(full))
+        _assert_same_worst(_left_symmetry_worst(c, target), _worst(full))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -152,3 +157,49 @@ def test_left_symmetry_and_decompose_hold_no_rank4_tensor():
     B = change_basis(build_corollary1(n - 1), Q)
     assert _peak_bytes(lambda: check_left_symmetric(A)) <= 0.5 * 8 * n**4
     assert _peak_bytes(lambda: decompose(B)) <= 0.5 * 8 * n**4
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "leftsym"
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a module reads, imports or looks up as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_only_forms_builds_a_left_symmetry_defect():
+    # outside forms (and core, which owns the reduction) no module reduces a rank-4
+    # defect slab by slab itself: a sectional or left-symmetry check goes through
+    # forms._left_symmetry_worst, or through check_left_symmetric / check_k_hessian
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("core", "forms"):
+            continue
+        assert not _names(path) & {"_slab_worst", "_assoc_slabs"}, path.name
+    for module in ("decompose", "_systems", "construct"):
+        assert "_left_symmetry_worst" in _names(SRC / f"{module}.py"), module
+
+
+def test_as2_s2_and_corollary2_reduce_through_the_kernel(monkeypatch):
+    seen = []
+
+    def counted(c, target=None):
+        seen.append(c.shape[0])
+        return _left_symmetry_worst(c, target)
+
+    for module in (importlib.import_module("leftsym.decompose"), _systems, construct):
+        monkeypatch.setattr(module, "_left_symmetry_worst", counted)
+    A = catalog_build("lspk_dim5")  # n1 = 3, n2 = 1: AS-2 on the 4-dimensional complement, S2 on n2
+    decompose(A)
+    assert seen == [4, 1]
+    seen.clear()
+    h, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
+    assert build_corollary2(h).dim == 3
+    assert seen == [2, 2]  # its sectional hypothesis, then S2 in build_lspk
