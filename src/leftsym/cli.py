@@ -257,6 +257,8 @@ def _parse_params(pairs: list[str]) -> dict:
             value = float(raw)
         except ValueError:
             raise SchemaError(f"--param {key}: {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise SchemaError(f"--param {key}: {raw!r} is not finite")
         out[key] = int(value) if value == int(value) else value
     return out
 

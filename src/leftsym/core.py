@@ -33,16 +33,16 @@ construct.build_milnor rounds its constants against it to make L_h exactly 0.
 
 Structure tensors and Gram matrices are read-only views of read-only arrays
 (_readonly), which setflags(write=True) cannot make writable, also after a
-pickle or copy round trip.  That is what lets _Memo keep quantities derived from
-an object, such as the trace form of an algebra, for as long as the object lives.
+pickle or copy round trip.  That is what lets an algebra or a metric algebra
+keep quantities derived from it, such as its trace form, in its own __dict__
+(_Owner._kept) for as long as it lives.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -195,24 +195,28 @@ def _frozen(a: np.ndarray, field: str) -> np.ndarray:
     return _readonly(a)
 
 
-class _Memo(weakref.WeakKeyDictionary):
-    """owner -> {key: value}, each value built on first use and kept while the owner lives.
+class _Owner:
+    """Base of the frozen dataclasses that keep quantities derived from them in their own __dict__.
 
-    Owners are hashed by identity (eq=False dataclasses), and a value must not
-    refer back to its owner, or the entry would keep the owner alive.  A build
-    that raises keeps nothing, so every call on a refused owner refuses again.
-    Concurrent first uses may each build; all of them get the value stored first.
+    An entry sits beside the dataclass fields under a string key (dir() sorts the
+    keys) and lives exactly as long as its owner; it must not refer back to the
+    owner.  Pickle and copy carry the fields only, and dataclasses.replace builds
+    a new owner, so no entry travels to another object.
     """
 
-    def value(self, owner, key, build):
-        entries = self.get(owner)
-        found = None if entries is None else entries.get(key)
+    def _kept(self, key: str, build):
+        """The entry under key, built by build() on first use.
+
+        A build that raises keeps nothing, so every call on a refused owner refuses
+        again.  Concurrent first uses may each build; all of them get the value stored first.
+        """
+        found = self.__dict__.get(key)
         if found is None:
-            built = build()  # before the owner gets an entry
-            if entries is None:
-                entries = self.setdefault(owner, {})
-            found = entries.setdefault(key, built)
+            found = self.__dict__.setdefault(key, build())
         return found
+
+    def __getstate__(self):
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
 
 def _accumulate(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -227,7 +231,7 @@ def _accumulate(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AlgebraStructure:
+class AlgebraStructure(_Owner):
     """An algebra on R^n, given by its structure constant tensor.
 
     constants has shape (n, n, n) with the convention spelled out in the

@@ -24,11 +24,11 @@ beyond its threshold raises under that name (the checks of find_idempotent_H
 and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
 others, and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 
-The trace form, the traces and the left-symmetry measurement of the input are
-computed once per algebra (forms._ALGEBRAS): the stages and a caller's own
-check_left_symmetric or koszul_form of the same algebra share them, so one
-decompose builds one trace form and runs the n^5 left-symmetry kernel once on
-the input, once for AS-2 and once for S2.
+The trace form and the left-symmetry measurement of the input are kept on the
+algebra itself (forms.koszul_form, forms.check_left_symmetric): the stages and
+a caller's own calls on the same algebra share them, so one decompose builds
+one trace form and runs the n^5 left-symmetry kernel once on the input, once
+for AS-2 and once for S2.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     SystemViolated,
 )
 from .forms import check_left_symmetric, koszul_form
-from .forms import _algebra_traces, _definite_trace_form, _derivation_defect, _hessian_defect
+from .forms import _definite_trace_form, _derivation_defect, _hessian_defect
 from .forms import _left_symmetry_worst, _operator_sectional, _traces, _worst
 
 _CLUSTER_TOL = 1e-6  # clustering width for the S-spectrum around {0, 1}
@@ -66,7 +66,7 @@ def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.n
     """
     B, definite = _definite_trace_form(A, tol)
     _enforce([definite], NotPositiveDefinite)
-    H = np.linalg.solve(B.matrix, _algebra_traces(A))
+    H = np.linalg.solve(B.matrix, _traces(A.constants))
     thr = tol.eps * residual_scale(A.constants, H)
     _enforce([Check("H*H-H", _max_abs(multiply(A, H, H) - H), thr)], IdempotentCheckFailed)
     return H

@@ -10,7 +10,7 @@ constructions evaluate the same contractions through them:
 
 - rank-3 defects as tensors from one or three GEMMs (_traces, _hessian_defect,
   _derivation_defect, _paired_action), cost n^4;
-- rank-4 defects as slabs over one index (_assoc_slabs and the Novikov and
+- rank-4 defects as slabs over one index (the associativity, Novikov and
   Jacobi slabs), reduced by core._slab_worst to the worst entry and its witness
   without holding the n^4 tensor.  They cost the GEMMs of the whole-tensor form
   (n^5 multiply-adds each) in one slab of at most core._SLAB_FLOATS floats plus
@@ -25,10 +25,10 @@ constructions evaluate the same contractions through them:
   <e_j, e_k> X e_i - <e_i, e_k> X e_j, with X or the metric the identity, is added
   to each slab in closed form at n^3 cost (_metric_sectional, _operator_sectional).
 
-Each algebra's traces, trace form, residual_scale(C) and left-symmetry worst
-entry are computed once and kept in _ALGEBRAS while the algebra lives; a Check
-is built per call from them and the caller's Tolerance, so thresholds follow
-the tolerance as before.  An overflowing trace form raises and is never kept.
+Each algebra's trace form, residual_scale(C) and left-symmetry worst entry are
+computed once and kept on the algebra itself (core._Owner._kept); a Check is
+built per call from them and the caller's Tolerance, so thresholds follow the
+tolerance as before.  An overflowing trace form raises and is never kept.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .core import (
     _conjunction,
     _enforce,
     _max_abs,
-    _Memo,
+    _Owner,
     _readonly,
     _restrict,
     _slab_worst,
@@ -114,7 +114,7 @@ class BilinearForm:
 
 
 @dataclass(frozen=True, eq=False)
-class MetricAlgebra:
+class MetricAlgebra(_Owner):
     """An algebra together with a positive definite metric on the same space."""
 
     algebra: AlgebraStructure
@@ -143,24 +143,6 @@ def _worst(resid: np.ndarray) -> tuple[float | None, tuple[int, ...] | None]:
 def _traces(c: np.ndarray) -> np.ndarray:
     """Trace of every slice, t[k] = sum_m c[k, m, m]; tr(L_{e_k}) for structure constants."""
     return np.einsum("kmm->k", c)
-
-
-def _assoc_slabs(c: np.ndarray):
-    """Slabs over k of T[i,j,k,:] = associator(e_i, e_j, e_k), for _slab_worst.
-
-    slab(lo, hi) returns T[:, :, lo:hi] and the spent buffer of its second GEMM,
-    free for the caller to overwrite.
-    """
-    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
-
-    def slab(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        ck = c[:, lo:hi]
-        t = _compose(c, ck)  # (e_i e_j) e_k
-        q = _compose(ck, ct)  # q[j, k, i] = e_i (e_j e_k)
-        t -= q.transpose(2, 0, 1, 3)
-        return t, q
-
-    return slab
 
 
 @lru_cache(maxsize=64)
@@ -249,22 +231,13 @@ def _paired_action(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("zyx->xyz", d) + np.einsum("zxy->xyz", d)
 
 
-# algebra (hashed by identity) -> {name: quantity}; nothing kept refers back to the algebra
-_ALGEBRAS = _Memo()
-
-
-def _algebra_traces(A: AlgebraStructure) -> np.ndarray:
-    """_traces of the structure constants, read-only, computed once per algebra."""
-    return _ALGEBRAS.value(A, "traces", lambda: _readonly(_traces(A.constants)))
-
-
 def _algebra_scale(A: AlgebraStructure) -> float:
     """residual_scale of the structure constants, computed once per algebra."""
-    return _ALGEBRAS.value(A, "scale", lambda: residual_scale(A.constants))
+    return A._kept("scale", lambda: residual_scale(A.constants))
 
 
 def _trace_form(A: AlgebraStructure) -> BilinearForm:
-    b = np.einsum("ijk,k->ij", A.constants, _algebra_traces(A))
+    b = np.einsum("ijk,k->ij", A.constants, _traces(A.constants))
     if not np.isfinite(b).all():
         raise PreconditionFailed("trace form is not finite: the products overflow")
     return BilinearForm(b)
@@ -272,12 +245,12 @@ def _trace_form(A: AlgebraStructure) -> BilinearForm:
 
 def koszul_form(A: AlgebraStructure) -> BilinearForm:
     """The trace form B(x, y) = tr(L_{x*y}), built once per algebra; PreconditionFailed when it overflows."""
-    return _ALGEBRAS.value(A, "trace form", lambda: _trace_form(A))
+    return A._kept("trace form", lambda: _trace_form(A))
 
 
 def trace_one_form(A: AlgebraStructure) -> np.ndarray:
     """Covector alpha with alpha[k] = -tr(L_{e_k})."""
-    return -_algebra_traces(A)
+    return -_traces(A.constants)
 
 
 def is_positive_definite(F: BilinearForm, tol: Tolerance = Tolerance()) -> Check:
@@ -299,7 +272,7 @@ def _definite_trace_form(A: AlgebraStructure, tol: Tolerance) -> tuple[BilinearF
 
 def check_left_symmetric(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
     """Associator symmetric in its first two arguments; measured once per algebra."""
-    worst, at = _ALGEBRAS.value(A, "left symmetry", lambda: _left_symmetry_worst(A.constants))
+    worst, at = A._kept("left symmetry", lambda: _left_symmetry_worst(A.constants))
     return Check("left-symmetric", worst, tol.eps * _algebra_scale(A), at)
 
 
@@ -310,8 +283,16 @@ def check_commutative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Chec
 
 
 def check_associative(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> Check:
-    assoc = _assoc_slabs(A.constants)
-    worst, at = _slab_worst(A.dim, lambda lo, hi: assoc(lo, hi)[0])
+    c = A.constants
+    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
+
+    def associator_slab(lo: int, hi: int) -> np.ndarray:
+        ck = c[:, lo:hi]
+        t = _compose(c, ck)  # (e_i e_j) e_k, slabs over k
+        t -= _compose(ck, ct).transpose(2, 0, 1, 3)  # [j, k, i] = e_i (e_j e_k)
+        return t
+
+    worst, at = _slab_worst(A.dim, associator_slab)
     return Check("associative", worst, tol.eps * _algebra_scale(A), at)
 
 
@@ -435,6 +416,8 @@ def rn_isomorphism(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndar
     _enforce([definite], HypothesisFailed)
 
     n = A.dim
+    if n == 0:
+        return np.zeros((0, 0))  # the empty basis; there are no idempotents to split off
     w, v = np.linalg.eigh(B.matrix)
     q = v / np.sqrt(w)[None, :]
     Aq = change_basis(A, q, tol)

@@ -24,11 +24,11 @@ They are the Ricci form of g + g on the Lie algebra of TG, checked against
 
 The bracket, the verified Levi-Civita constants, the gamma stack and the
 Hessian check of a metric algebra are computed once per (M, Tolerance) and
-kept in one read-only record (_gamma_data) while M lives: gamma_operator,
-second_koszul_form, base_curvature, tangent_bundle_ricci and einstein_check
-all read them from it.  Building the record costs one n^5 Levi-Civita check;
-each gamma_operator call after it costs n^3.  A refusal is never kept, so
-every call on a refused pair refuses again.
+kept on M itself, in one read-only record per tolerance (_gamma_data):
+gamma_operator, second_koszul_form, base_curvature, tangent_bundle_ricci and
+einstein_check all read them from it.  Building the record costs one n^5
+Levi-Civita check; each gamma_operator call after it costs n^3.  A refusal is
+never kept, so every call on a refused pair refuses again.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import AlgebraStructure, Check, Tolerance, lie_bracket_constants, residual_scale
-from .core import _check_vector, _compose, _enforce, _max_abs, _Memo, _readonly, _worst_of
+from .core import _check_vector, _compose, _enforce, _max_abs, _readonly, _worst_of
 from .errors import (
     HypothesisFailed,
     NotEinstein,
@@ -77,7 +77,7 @@ def levi_civita_product(
     n = bracket.dim
     p = _compose(cb, g)  # p[i, j, k] = <[e_i, e_j], e_k>
     rhs = p - p.transpose(2, 0, 1) + p.transpose(1, 2, 0)
-    lc = np.linalg.solve(2.0 * g, rhs.reshape(-1, n).T).T.reshape(n, n, n)
+    lc = np.linalg.solve(2.0 * g, rhs.reshape(n * n, n).T).T.reshape(n, n, n)
     label = f"{bracket.name}:lc" if bracket.name else "lc"
     out = AlgebraStructure(lc, name=label)
 
@@ -107,13 +107,10 @@ class _Geometry:
     scale: float
 
 
-# metric algebra (hashed by identity) -> {Tolerance: _Geometry}; an entry goes with its algebra
-_RECORDS = _Memo()
-
-
 def _gamma_data(M: MetricAlgebra, tol: Tolerance) -> _Geometry:
     """The geometry record of M at tol, built on first use; a refusal raises and keeps nothing."""
-    return _RECORDS.value(M, tol, lambda: _geometry(M, tol))
+    records = M._kept("geometry", dict)  # {Tolerance: _Geometry}: dir() needs string keys
+    return records.get(tol) or records.setdefault(tol, _geometry(M, tol))
 
 
 def _geometry(M: MetricAlgebra, tol: Tolerance) -> _Geometry:
@@ -262,11 +259,7 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
     other metric they are not, and hessian_residual records the defect.
     """
     _enforce([check_left_symmetric(M.algebra, tol)], HypothesisFailed)
-    return _double_space_ricci(M, koszul_form(M.algebra), tol)
-
-
-def _double_space_ricci(M: MetricAlgebra, beta: BilinearForm, tol: Tolerance) -> CurvatureReport:
-    """tangent_bundle_ricci for a product known to be flat, with trace form beta."""
+    beta = koszul_form(M.algebra)
     rec = _gamma_data(M, tol)
     base, tr = _base_curvature(rec, bool(rec.hessian), tol)
     G, Lb = base.gamma, base.lc.constants.transpose(0, 2, 1)  # Lb[i] = matrix of Lbar_{e_i}
@@ -318,6 +311,6 @@ def einstein_check(
     B, definite = _definite_trace_form(A, tol)
     _enforce([definite], NotLSPK)
     M = MetricAlgebra(A, BilinearForm(alpha_scale * B.matrix))
-    report = _double_space_ricci(M, B, tol)
+    report = tangent_bundle_ricci(M, tol)
     _enforce([report.einstein], NotEinstein)
     return report.einstein_mu

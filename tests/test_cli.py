@@ -217,6 +217,15 @@ def test_catalog_show_with_params(capsys):
     assert "kind: lspk" in out
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_catalog_refuses_a_non_finite_param(action, value, capsys):
+    assert run(["catalog", action, "lspk_dim4", "--param", f"beta={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --param beta: {value!r} is not finite\n"
+
+
 def test_catalog_verify_all(capsys):
     assert run(["catalog", "verify-all"]) == 0
     out = capsys.readouterr().out

@@ -16,15 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leftsym
+from leftsym import geometry
 from leftsym import (
     AlgebraStructure,
     DimensionMismatch,
     LeftSymError,
+    MetricAlgebra,
     ResidualError,
     SingularMatrix,
     Tolerance,
     associator,
     change_basis,
+    einstein_check,
+    gamma_operator,
     koszul_form,
     lie_bracket_constants,
     mult_operator,
@@ -143,14 +147,23 @@ def _round_trips(obj) -> list:
     return [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)]
 
 
-def test_stored_arrays_can_never_be_made_writable():
-    # the trace form of an algebra is kept for as long as the algebra lives, so
-    # neither the constants nor the Gram matrix, nor a copy of them, may be written
+def test_stored_arrays_can_never_be_made_writable(monkeypatch):
+    # an algebra keeps its trace form, and a metric algebra its geometry record, for as
+    # long as it lives, so neither the constants nor the Gram matrix, nor a copy of them,
+    # may be written; and no copy carries what the original keeps
     A = catalog_build("lspk_dim4")
     B = koszul_form(A)
+    M = MetricAlgebra(A, B)
+    gamma_operator(M, A.basis_vector(0))
+    einstein_check(A)
+    assert {"trace form", "scale", "left symmetry"} <= set(dir(A)) and "geometry" in dir(M)
     algebras = [A, *_round_trips(A)]
-    grams = [B, *_round_trips(B)]
-    arrays = [X.constants for X in algebras] + [F.matrix for F in grams]
+    metrics = [M, *_round_trips(M)]
+    grams = [B, *_round_trips(B)] + [X.metric for X in metrics]
+    assert all(set(vars(X)) == {"constants", "name", "dim"} for X in algebras[1:])
+    assert all(set(vars(X)) == {"algebra", "metric"} for X in metrics[1:])
+    arrays = [X.constants for X in algebras] + [X.algebra.constants for X in metrics]
+    arrays += [F.matrix for F in grams] + [rec.gamma for rec in vars(M)["geometry"].values()]
     for a in arrays:
         with pytest.raises(ValueError):
             a.setflags(write=True)
@@ -160,6 +173,14 @@ def test_stored_arrays_can_never_be_made_writable():
     assert all(X.constants.tobytes() == A.constants.tobytes() for X in algebras)
     assert all((F.matrix.tobytes(), F.asymmetry) == (B.matrix.tobytes(), B.asymmetry) for F in grams)
     assert all((X.name, X.dim) == (A.name, A.dim) for X in algebras)
+    # a deep copy measures its own geometry once; the original reads its kept record
+    solves = []
+    solve = geometry.levi_civita_product
+    monkeypatch.setattr(geometry, "levi_civita_product", lambda *a: solves.append(1) or solve(*a))
+    deep, x = copy.deepcopy(M), A.basis_vector(1)
+    want = gamma_operator(M, x).tobytes()
+    assert [gamma_operator(X, x).tobytes() for X in (deep, deep, M)] == [want] * 3
+    assert len(solves) == 1
     # the algebra file round trip stays bit-exact and read-only
     parsed = parse_algebra_file(render_algebra_file(A, metric=B)).algebra
     assert parsed.constants.tobytes() == A.constants.tobytes()

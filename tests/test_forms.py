@@ -5,7 +5,7 @@ nilpotent plane has vanishing Koszul form.  Predicate coverage pairs one
 algebra that satisfies each axiom with one that breaks it.
 """
 
-import gc
+import json
 import sys
 import threading
 import tracemalloc
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from leftsym import (
     AlgebraStructure,
     BilinearForm,
+    MetricAlgebra,
     NotAntisymmetric,
     PreconditionFailed,
     Tolerance,
@@ -33,18 +34,23 @@ from leftsym import (
     check_novikov,
     decompose,
     einstein_check,
+    gamma_operator,
     is_positive_definite,
     is_solvable,
     koszul_form,
     lie_bracket_constants,
     find_idempotent_H,
     rn_isomorphism,
+    second_koszul_form,
     split_h,
+    tangent_bundle_ricci,
     trace_one_form,
 )
+from leftsym.algfile import render_algebra_file
 from leftsym.catalog import catalog_build, catalog_entry, catalog_list, sl2_bracket
 from leftsym.construct import MilnorSpec, build_corollary1, build_milnor, kdim2_family
 from leftsym import forms
+from leftsym.cli import run
 from leftsym.core import Check, _conjunction
 
 _angle = st.floats(min_value=0.0, max_value=6.2, allow_nan=False, allow_infinity=False)
@@ -193,6 +199,25 @@ def test_every_predicate_is_vacuous_at_dimension_zero():
     assert [(c.residual, c.witness, c.holds, c.max_residual) for c in checks] == [(None, None, True, 0.0)] * 9
 
 
+def test_geometry_and_rn_isomorphism_are_vacuous_at_dimension_zero(tmp_path, capsys):
+    A = AlgebraStructure(np.zeros((0, 0, 0)))
+    M = MetricAlgebra(A, BilinearForm(np.zeros((0, 0))))
+    assert rn_isomorphism(A).shape == (0, 0)
+    assert einstein_check(A) == 0.0
+    assert gamma_operator(M, np.zeros(0)).shape == (0, 0)
+    assert second_koszul_form(M).matrix.shape == (0, 0)
+    report = tangent_bundle_ricci(M).as_dict()
+    assert report["tb_ricci_hh"] == report["tb_ricci_vv"] == report["beta"] == []
+    assert (report["einstein_mu"], report["einstein_residual"], report["hessian_residual"]) == (0.0,) * 3
+    path = tmp_path / "empty.json"
+    path.write_text(render_algebra_file(A))
+    for flags in ([], ["--einstein"]):
+        assert run(["geometry", str(path), "--json", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert {k: v for k, v in json.loads(captured.out).items() if k != "einstein"} == report
+
+
 def test_split_h_on_a_line_has_a_vacuous_as1():
     A = catalog_build("rn_canonical", {"n": 1})
     assert split_h(A, find_idempotent_H(A)).residuals["AS-1"] is None
@@ -312,6 +337,11 @@ def _runs_on(calls: dict, A: AlgebraStructure) -> dict:
     return {name: sum(c is A.constants for c in seen) for name, seen in calls.items()}
 
 
+def _entries(A: AlgebraStructure) -> dict:
+    """What A keeps beside its dataclass fields."""
+    return {key: value for key, value in vars(A).items() if key not in ("constants", "name", "dim")}
+
+
 def test_left_symmetry_and_the_trace_form_are_computed_once_per_algebra(monkeypatch):
     calls = _count_per_algebra_work(monkeypatch)
     A = _transported_lspk4()
@@ -344,24 +374,21 @@ def test_an_overflowing_trace_form_is_refused_on_every_call(monkeypatch):
                 with pytest.raises(PreconditionFailed):
                     call(A)
             assert _runs_on(calls, A)["trace form"] == 3 * attempt
-    assert "trace form" not in forms._ALGEBRAS.get(A, {})
+    assert "trace form" not in _entries(A)
 
 
 def test_the_per_algebra_entry_goes_with_its_algebra():
-    gc.collect()
-    kept = len(forms._ALGEBRAS)
     A = _transported_lspk4()
     _algebra_calls(A)
-    entries = forms._ALGEBRAS[A]
-    assert set(entries) == {"traces", "trace form", "scale", "left symmetry"}
+    entries = _entries(A)
+    assert set(entries) == {"trace form", "scale", "left symmetry"}
     for value in entries.values():
         assert not isinstance(value, AlgebraStructure)
         assert np.asarray(getattr(value, "matrix", value), dtype=object).size <= A.dim**2
-    gone = weakref.ref(A)
-    del A, entries
-    gc.collect()
-    assert gone() is None
-    assert len(forms._ALGEBRAS) == kept
+    gone = weakref.ref(A), weakref.ref(entries["trace form"])
+    del A, entries, value
+    # freed by reference counting alone: no entry refers back to its algebra
+    assert [ref() for ref in gone] == [None, None]
 
 
 def test_threads_share_one_entry():
@@ -389,4 +416,4 @@ def test_threads_share_one_entry():
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and got == [want] * len(threads)
     assert all(B is forms_seen[0] for B in forms_seen)
-    assert len(forms._ALGEBRAS[A]) == 4
+    assert len(_entries(A)) == 3

@@ -8,7 +8,6 @@ double space equal -(3/2) I while the mixed block vanishes.
 
 import dataclasses
 import functools
-import gc
 import json
 import sys
 import threading
@@ -399,7 +398,7 @@ def test_a_refusal_is_never_kept():
         with pytest.raises(NotLieBracket) as info:
             gamma_operator(M, e)
         residuals.append(info.value.residual)
-        assert M not in geometry._RECORDS
+        assert not vars(M).get("geometry")
     assert residuals[0] > 0.0 and len(set(residuals)) == 1
 
 
@@ -418,21 +417,19 @@ def test_the_geometry_record_cannot_be_written():
 
 
 def test_the_geometry_record_goes_with_its_algebra():
-    kept = len(geometry._RECORDS)
     M = _transported_lspk4()
     n = M.dim
     second_koszul_form(M)
-    (rec,) = geometry._RECORDS[M].values()
+    (rec,) = vars(M)["geometry"].values()
     for f in dataclasses.fields(rec):
         value = getattr(rec, f.name)
         value = getattr(value, "constants", value)
         assert not isinstance(value, (MetricAlgebra, BilinearForm))
         assert np.asarray(value).size <= n**3, f.name
-    gone = weakref.ref(M)
-    del M
-    gc.collect()
-    assert gone() is None
-    assert len(geometry._RECORDS) == kept
+    gone = weakref.ref(M), weakref.ref(rec)
+    del M, rec
+    # freed by reference counting alone: the record does not refer back to its algebra
+    assert [ref() for ref in gone] == [None, None]
 
 
 def test_threads_share_one_record():
@@ -459,7 +456,7 @@ def test_threads_share_one_record():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and got == [want] * len(threads)
-    assert len(geometry._RECORDS[M]) == 1
+    assert len(vars(M)["geometry"]) == 1
 
 
 def test_nilpotent_double_space_is_ricci_flat(a0_metric):

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and no module imports weakref.
 
-Neither pyflakes nor ruff is a dependency, so the check walks the syntax
+Neither pyflakes nor ruff is a dependency, so the checks walk the syntax
 tree with the standard library.  Package __init__ re-exports and
-__future__ imports are exempt.
+__future__ imports are exempt from the unused-import check.  What the
+library derives from an object is kept on that object (core._Owner), so no
+module needs weak references.
 """
 
 import ast
@@ -44,3 +46,24 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scanner_lists_imported_modules():
+    source = "import os.path as p, weakref\nfrom collections.abc import Mapping\nfrom .core import x\n"
+    assert imported_modules(source) == {"os", "weakref", "collections"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_weak_references(path):
+    assert "weakref" not in imported_modules(path.read_text())
