@@ -1,25 +1,28 @@
 """Residuals of the compatibility systems tying split structure data together.
 
-The same equations are needed twice: decomposition certifies data it
-extracted (where both metrics are the identity), and construction validates
-data supplied by the caller (arbitrary positive definite metrics).  Keeping
-them in one place guarantees both paths check literally the same system.
+The equations are measured once per construct.LSPKData and kept on it:
+construction validates data supplied by the caller (arbitrary positive
+definite metrics), and decomposition certifies the data it extracted (both
+metrics the identity) through the LSPKData it hands on, so that
+build_lspk(data_from_decomposition(dec)) reads decompose's measurement
+instead of repeating it.  Both paths check literally the same system, and
+each sets its own threshold against the tolerance-free residuals.
 
 Conventions: c2 is the (n2, n2, n2) product tensor on the second part,
 rho1[x] the (n2, n2) action matrix of the x-th first-part basis vector,
 rho2[x] the (n1, n1) action matrix of the x-th second-part basis vector,
 omega1 (n1, n1, n2) and omega2 (n2, n2, n1) the symmetric pairing maps,
 b1 / b2 the skew blocks, g1 / g2 the Gram matrices.  Each relation is a
-core.Check against the caller's threshold (residual None for empty index
-ranges).  The rank-4 products are _compose GEMMs; each comment gives the
-einsum it evaluates.
+(name, residual) pair, the residual None for empty index ranges.  The
+rank-4 products are _compose GEMMs; each comment gives the einsum it
+evaluates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Check, _compose, _max_abs, _worst_of
+from .core import _compose, _max_abs, _worst_of
 from .forms import (
     _derivation_defect,
     _hessian_defect,
@@ -40,13 +43,12 @@ def system_residuals(
     b2: np.ndarray,
     g1: np.ndarray,
     g2: np.ndarray,
-    threshold: float,
-) -> tuple[Check, ...]:
+) -> tuple[tuple[str, float | None], ...]:
     n2 = g2.shape[0]
-    out: list[Check] = []
+    out: list[tuple[str, float | None]] = []
 
     def record(name: str, residual: float | None) -> None:
-        out.append(Check(name, residual, threshold))
+        out.append((name, residual))
 
     record("omega1_symmetric", _max_abs(omega1 - omega1.transpose(1, 0, 2)))
     record("omega2_symmetric", _max_abs(omega2 - omega2.transpose(1, 0, 2)))

@@ -259,7 +259,7 @@ def _parse_params(pairs: list[str]) -> dict:
             raise SchemaError(f"--param {key}: {raw!r} is not a number") from None
         if not math.isfinite(value):
             raise SchemaError(f"--param {key}: {raw!r} is not finite")
-        out[key] = int(value) if value == int(value) else value
+        out[key] = value  # ParamSpec.validate makes an integer parameter an int
     return out
 
 

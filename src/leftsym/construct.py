@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._systems import system_residuals
 from .core import AlgebraStructure, Check, Tolerance, mult_operator, residual_scale
-from .core import _accumulate, _conjunction, _enforce, _frozen, _max_abs
-from .decompose import LSPKDecomposition
+from .core import _Owner, _accumulate, _conjunction, _enforce, _frozen, _max_abs, _readonly
 from .errors import (
     DimensionMismatch,
     HypothesisFailed,
@@ -48,10 +48,15 @@ from .forms import (
 )
 from .forms import _derivation_defect, _left_symmetry_worst, _metric_sectional, _paired_action, _traces
 
+if TYPE_CHECKING:
+    from .decompose import LSPKDecomposition
+
 
 def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
-    """The symmetrized Gram matrix of a metric argument (identity when omitted), checked PD."""
-    v = np.eye(n) if v is None else _frozen(v, label)
+    """The symmetrized Gram matrix of a metric argument, checked PD; an omitted one is the identity."""
+    if v is None:
+        return _readonly(np.eye(n))
+    v = _frozen(v, label)
     if v.shape != (n, n):
         raise DimensionMismatch(f"{label} must have shape ({n}, {n}), got {v.shape}")
     form = BilinearForm(v)
@@ -100,7 +105,7 @@ def derive_omegas(
 
 
 @dataclass(frozen=True, eq=False)
-class LSPKData:
+class LSPKData(_Owner):
     """Free data of the two-part decomposition.
 
     Shapes: c2 (n2, n2, n2) with the same index convention as structure
@@ -112,6 +117,10 @@ class LSPKData:
     (metrics); omitted omegas are derived from the actions and metrics.
     Shapes, finite entries and positive definiteness of the metrics are
     enforced here; the equation systems are the business of validate_data.
+    The fields are read-only, so the systems are measured once per data
+    object and kept on it (core._Owner._kept): validate_data, data_residuals
+    and build_lspk read that one measurement, each with its own threshold,
+    and the data that decompose certified carries decompose's measurement.
     """
 
     n1: int
@@ -151,22 +160,33 @@ class LSPKData:
         store("omega1", (n1, n1, n2), w1)
         store("omega2", (n2, n2, n1), w2)
 
+    def __setstate__(self, state):
+        # pickle and copy rebuild arrays writable; freeze them again
+        self.__dict__.update({k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
+
     @property
     def dim(self) -> int:
         return self.n1 + self.n2 + 1
 
+    @property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """The fields in the argument order of system_residuals."""
+        return (self.c2, self.rho1, self.rho2, self.omega1, self.omega2, self.b1, self.b2, self.g1, self.g2)
+
+    def _residuals(self) -> tuple[tuple[str, float | None], ...]:
+        """The (name, residual) pairs of the compatibility systems, measured on first use."""
+        return self._kept("systems", lambda: system_residuals(*self._arrays))
+
 
 def _data_checks(data: LSPKData, tol: Tolerance) -> tuple[Check, ...]:
     """The compatibility equations of the data, each against eps times the scale of the data."""
-    fields = (
-        data.c2, data.rho1, data.rho2, data.omega1, data.omega2, data.b1, data.b2, data.g1, data.g2
-    )
-    return system_residuals(*fields, tol.eps * residual_scale(*fields))
+    thr = tol.eps * data._kept("scale", lambda: residual_scale(*data._arrays))
+    return tuple(Check(name, residual, thr) for name, residual in data._residuals())
 
 
 def data_residuals(data: LSPKData) -> dict[str, float | None]:
     """All compatibility-equation residuals of the data, by name."""
-    return {check.name: check.residual for check in _data_checks(data, Tolerance())}
+    return dict(data._residuals())
 
 
 def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> Check:
@@ -213,18 +233,12 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
 
 
 def data_from_decomposition(dec: LSPKDecomposition) -> LSPKData:
-    """Repackage decomposition output as construction data (identity metrics)."""
-    return LSPKData(
-        n1=dec.dim_h1,
-        n2=dec.dim_h2,
-        c2=dec.circ2.constants,
-        rho1=dec.rho1,
-        rho2=dec.rho2,
-        omega1=dec.omega1,
-        omega2=dec.omega2,
-        b1=dec.B1,
-        b2=dec.B2,
-    )
+    """The construction data that decompose certified (identity metrics).
+
+    It is the object decompose measured the systems on, so build_lspk of it
+    reads that measurement and does not evaluate the systems again.
+    """
+    return dec.data
 
 
 def build_corollary1(

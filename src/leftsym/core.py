@@ -93,7 +93,7 @@ def _worst_of(values, default: float | None = None) -> float | None:
 
 def _max_abs(t: np.ndarray) -> float | None:
     """Largest absolute entry, or None for an empty tensor (a vacuous relation)."""
-    return None if t.size == 0 else float(np.max(np.abs(t)))
+    return None if t.size == 0 else float(np.abs(t).max())
 
 
 @dataclass(frozen=True, slots=True)

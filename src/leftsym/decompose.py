@@ -28,7 +28,11 @@ The trace form and the left-symmetry measurement of the input are kept on the
 algebra itself (forms.koszul_form, forms.check_left_symmetric): the stages and
 a caller's own calls on the same algebra share them, so one decompose builds
 one trace form and runs the n^5 left-symmetry kernel once on the input, once
-for AS-2 and once for S2.
+for AS-2 and once for S2.  The systems of stage 4 are measured on the
+construct.LSPKData that the decomposition carries and keeps; the rebuild
+build_lspk(data_from_decomposition(dec)) reads that measurement, so the round
+trip measures the systems once and runs the kernel four times, the fourth on
+the rebuilt algebra.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._systems import system_residuals
+from .construct import LSPKData
 from .core import AlgebraStructure, Check, Tolerance, change_basis, multiply, residual_scale
 from .core import _compose, _enforce, _max_abs, _restrict, _worst_of
 from .errors import (
@@ -219,7 +223,9 @@ class LSPKDecomposition(_Staged):
     identity in this basis).  Operator-family tensors follow the convention
     rho1[x][l, m] = l-coordinate of the action of the x-th h1 basis vector
     on the m-th h2 basis vector, and omega1[x, y, :] is an h2-coordinate
-    vector (symmetric in x, y); mirrored for rho2/omega2.
+    vector (symmetric in x, y); mirrored for rho2/omega2.  These arrays and
+    B1/B2 are read through data, the construction data with identity
+    metrics, which keeps the measurement of the systems that certified them.
     """
 
     H: np.ndarray
@@ -229,14 +235,16 @@ class LSPKDecomposition(_Staged):
     basis: np.ndarray
     S: np.ndarray
     A_op: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    rho1: np.ndarray
-    rho2: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
     circ2: AlgebraStructure
+    data: LSPKData
     checks: tuple[Check, ...]
+
+    B1 = property(lambda self: self.data.b1)
+    B2 = property(lambda self: self.data.b2)
+    rho1 = property(lambda self: self.data.rho1)
+    rho2 = property(lambda self: self.data.rho2)
+    omega1 = property(lambda self: self.data.omega1)
+    omega2 = property(lambda self: self.data.omega2)
 
     @property
     def dim_h1(self) -> int:
@@ -265,20 +273,25 @@ def extract_structure(
     cc = circ_split.constants
     s1, s2 = slice(0, n1), slice(n1, n1 + n2)
 
-    c2 = np.ascontiguousarray(cc[s2, s2, s2])
-    omega1 = np.ascontiguousarray(cc[s1, s1, s2])
-    omega2 = np.ascontiguousarray(cc[s2, s2, s1])
-    rho1 = np.ascontiguousarray(cc[s1, s2, s2]).transpose(0, 2, 1)
-    rho2 = np.ascontiguousarray(cc[s2, s1, s1]).transpose(0, 2, 1)
-    circ2 = AlgebraStructure(c2, name=f"{A.name}:circ2" if A.name else "circ2")
-    B1, B2 = esplit.B1, esplit.B2
+    data = LSPKData(
+        n1=n1,
+        n2=n2,
+        c2=cc[s2, s2, s2],
+        rho1=cc[s1, s2, s2].transpose(0, 2, 1),
+        rho2=cc[s2, s1, s1].transpose(0, 2, 1),
+        omega1=cc[s1, s1, s2],
+        omega2=cc[s2, s2, s1],
+        b1=esplit.B1,
+        b2=esplit.B2,
+    )
+    circ2 = AlgebraStructure(data.c2, name=f"{A.name}:circ2" if A.name else "circ2")
 
-    thr = tol.eps * residual_scale(A.constants, cc, B1, B2)
+    thr = tol.eps * residual_scale(A.constants, cc, data.b1, data.b2)
     blocks = (
         Check("circ1", _max_abs(cc[s1, s1, s1]), thr),
         Check("mixed_12_block", _max_abs(cc[s1, s2, s1]), thr),
         Check("mixed_21_block", _max_abs(cc[s2, s1, s2]), thr),
-        *system_residuals(c2, rho1, rho2, omega1, omega2, B1, B2, np.eye(n1), np.eye(n2), thr),
+        *(Check(name, residual, thr) for name, residual in data._residuals()),
     )
 
     basis_h1 = hsplit.h_basis @ u1
@@ -300,13 +313,8 @@ def extract_structure(
         basis=basis,
         S=hsplit.S,
         A_op=hsplit.A_op,
-        B1=B1,
-        B2=B2,
-        rho1=rho1,
-        rho2=rho2,
-        omega1=omega1,
-        omega2=omega2,
         circ2=circ2,
+        data=data,
         checks=hsplit.checks + esplit.checks + blocks + tail,
     )
 

@@ -226,6 +226,35 @@ def test_catalog_refuses_a_non_finite_param(action, value, capsys):
     assert captured.err == f"error: --param beta: {value!r} is not finite\n"
 
 
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_catalog_refusal_names_a_large_param_as_given(action, capsys):
+    # an integral float reaches ParamSpec.validate as a float, not as its 301-digit int
+    assert run(["catalog", action, "lspk_dim4", "--param", "beta=1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter beta = 1e+300 above 3.0\n"
+
+
+@pytest.mark.parametrize("action", ["show", "export"])
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("rn_canonical", ["n=3"]),
+        ("rn_canonical", ["n=3.0"]),
+        ("milnor", ["n=3", "h_scale=2"]),
+        ("lspk_dim5", ["branch=3", "beta=0.5", "lam=1"]),
+        ("lspk_dim3_case3", ["sign=1"]),
+        ("lspk_dim4", ["alpha_sign=1.0", "beta=0.7", "lam=1.3"]),
+    ],
+)
+def test_catalog_params_at_their_defaults_print_the_default_output(action, name, params, capsys):
+    # each value given is the entry's default, so the output is byte for byte the default one
+    assert run(["catalog", action, name]) == 0
+    default = capsys.readouterr().out
+    assert run(["catalog", action, name, *(a for p in params for a in ("--param", p))]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_catalog_verify_all(capsys):
     assert run(["catalog", "verify-all"]) == 0
     out = capsys.readouterr().out

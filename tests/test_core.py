@@ -8,6 +8,7 @@ on here as the oracle.
 """
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -27,12 +28,15 @@ from leftsym import (
     Tolerance,
     associator,
     change_basis,
+    data_from_decomposition,
+    decompose,
     einstein_check,
     gamma_operator,
     koszul_form,
     lie_bracket_constants,
     mult_operator,
     multiply,
+    validate_data,
 )
 from leftsym.algfile import parse_algebra_file, render_algebra_file
 from leftsym.catalog import catalog_build
@@ -148,22 +152,31 @@ def _round_trips(obj) -> list:
 
 
 def test_stored_arrays_can_never_be_made_writable(monkeypatch):
-    # an algebra keeps its trace form, and a metric algebra its geometry record, for as
-    # long as it lives, so neither the constants nor the Gram matrix, nor a copy of them,
-    # may be written; and no copy carries what the original keeps
+    # an algebra keeps its trace form, a metric algebra its geometry record, and split
+    # data the residuals of its systems, for as long as it lives, so neither the
+    # constants, the Gram matrix nor the data, nor a copy of them, may be written; and
+    # no copy carries what the original keeps
     A = catalog_build("lspk_dim4")
     B = koszul_form(A)
     M = MetricAlgebra(A, B)
     gamma_operator(M, A.basis_vector(0))
     einstein_check(A)
+    data = data_from_decomposition(decompose(A))
+    validate_data(data)
     assert {"trace form", "scale", "left symmetry"} <= set(dir(A)) and "geometry" in dir(M)
+    assert {"systems", "scale"} <= set(dir(data))
     algebras = [A, *_round_trips(A)]
     metrics = [M, *_round_trips(M)]
     grams = [B, *_round_trips(B)] + [X.metric for X in metrics]
+    datas = [data, *_round_trips(data)]
+    fields = [f.name for f in dataclasses.fields(data)]
     assert all(set(vars(X)) == {"constants", "name", "dim"} for X in algebras[1:])
     assert all(set(vars(X)) == {"algebra", "metric"} for X in metrics[1:])
+    assert all(set(vars(X)) == set(fields) for X in datas[1:])
+    assert all(validate_data(X) == validate_data(data) for X in datas[1:])
     arrays = [X.constants for X in algebras] + [X.algebra.constants for X in metrics]
     arrays += [F.matrix for F in grams] + [rec.gamma for rec in vars(M)["geometry"].values()]
+    arrays += [getattr(X, f) for X in datas for f in fields[2:]]
     for a in arrays:
         with pytest.raises(ValueError):
             a.setflags(write=True)

@@ -6,6 +6,9 @@ below build each defect as one tensor, the way the identities read on paper,
 and the reduction must report the same worst entry (to 1e-13 of its size) and
 the same witness.  The sizes straddle the slab edges: n <= 12 is one slab,
 n = 13 splits into slabs of 10 and 3, and n = 24, 25 take one k per slab.
+The last tests count the kernel runs and the measurements of the split systems
+that a decompose and its rebuild make, and scan the syntax tree for the one
+place the systems are measured.
 """
 
 import ast
@@ -19,17 +22,22 @@ import pytest
 
 from leftsym import (
     AlgebraStructure,
+    Tolerance,
     change_basis,
     check_associative,
     check_jacobi,
     check_left_symmetric,
     check_novikov,
+    data_from_decomposition,
+    data_residuals,
     decompose,
+    residual_scale,
+    validate_data,
 )
-from leftsym import _systems, construct
-from leftsym.catalog import catalog_build
-from leftsym.construct import MilnorSpec, build_corollary1, build_corollary2, build_milnor
-from leftsym.core import _slab_worst
+from leftsym import _systems, construct, forms
+from leftsym.catalog import catalog_build, catalog_list
+from leftsym.construct import MilnorSpec, build_corollary1, build_corollary2, build_lspk, build_milnor
+from leftsym.core import Check, _conjunction, _slab_worst
 from leftsym.forms import (
     _left_symmetry_worst,
     _metric_sectional,
@@ -197,9 +205,102 @@ def test_as2_s2_and_corollary2_reduce_through_the_kernel(monkeypatch):
     for module in (importlib.import_module("leftsym.decompose"), _systems, construct):
         monkeypatch.setattr(module, "_left_symmetry_worst", counted)
     A = catalog_build("lspk_dim5")  # n1 = 3, n2 = 1: AS-2 on the 4-dimensional complement, S2 on n2
-    decompose(A)
+    dec = decompose(A)
     assert seen == [4, 1]
+    build_lspk(data_from_decomposition(dec))
+    assert seen == [4, 1]  # the rebuild reads decompose's S2, with no kernel call on c2
     seen.clear()
     h, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
     assert build_corollary2(h).dim == 3
     assert seen == [2, 2]  # its sectional hypothesis, then S2 in build_lspk
+
+
+def _product_part(n, seed):
+    """The transported product-part algebra of dimension n (n1 = 0, n2 = n - 1), as in perfbench."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(n - 1)
+    M, _ = build_milnor(MilnorSpec(n - 1, h / np.linalg.norm(h)))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return change_basis(build_corollary2(M), Q)
+
+
+def test_decompose_and_rebuild_measure_the_systems_once(monkeypatch):
+    systems, kernel = [], []
+
+    def counted_systems(*arrays):
+        systems.append(arrays[0].shape[0])
+        return _systems.system_residuals(*arrays)
+
+    def counted_kernel(c, target=None):
+        kernel.append(c.shape[0])
+        return _left_symmetry_worst(c, target)
+
+    monkeypatch.setattr(construct, "system_residuals", counted_systems)
+    for module in (forms, importlib.import_module("leftsym.decompose"), _systems, construct):
+        monkeypatch.setattr(module, "_left_symmetry_worst", counted_kernel)
+    dec = decompose(catalog_build("lspk_dim5"))
+    data = data_from_decomposition(dec)
+    assert validate_data(data) and data_residuals(data)
+    rebuilt = build_lspk(data)
+    assert rebuilt.dim == 5
+    assert systems == [1]  # one measurement, on c2 with n2 = 1
+    assert kernel == [5, 4, 1, 5]  # the input, AS-2, S2, the rebuilt algebra
+
+
+ROUND_TRIP = [name for name in catalog_list() if name.startswith("lspk_")] + ["product12"]
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_rebuild_reads_the_measurement_decompose_kept(name):
+    A = _product_part(12, 12) if name == "product12" else catalog_build(name)
+    dec = decompose(A)
+    checks = dec.checks
+    data = data_from_decomposition(dec)
+    arrays = (data.c2, data.rho1, data.rho2, data.omega1, data.omega2, data.b1, data.b2, data.g1, data.g2)
+    fresh = _systems.system_residuals(*arrays)  # measured again on the data's own fields
+    for tol in (Tolerance(), Tolerance(1e-14)):
+        thr = tol.eps * residual_scale(*arrays)
+        assert validate_data(data, tol) == _conjunction([Check(n, r, thr) for n, r in fresh])
+    assert data_residuals(data) == dict(fresh)
+    build_lspk(data)
+    assert dec.checks is checks
+    by_name = {c.name: c for c in checks}
+    assert [(n, by_name[n].residual) for n, _ in fresh] == list(fresh)
+
+
+def _call_sites(source: str, name: str) -> list[str]:
+    """The enclosing definition (dotted, "" at module level) of every call of name in source."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_call_site_scanner_names_the_enclosing_definition():
+    source = (
+        "x = f(1)\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return self._kept('k', lambda: mod.f(g(f(2))))\n"
+    )
+    assert _call_sites(source, "f") == ["", "K.m", "K.m"]
+    assert _call_sites(source, "h") == []
+
+
+def test_the_systems_are_measured_in_one_place():
+    # every relation of S1-S3 reaches a caller through the measurement that
+    # LSPKData keeps, so a second measuring path cannot grow back unseen
+    sites = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _call_sites(path.read_text(), "system_residuals")]
+    assert sites == [("construct", "LSPKData._residuals")]
