@@ -180,7 +180,7 @@ class LSPKData(_Owner):
 
 def _data_checks(data: LSPKData, tol: Tolerance) -> tuple[Check, ...]:
     """The compatibility equations of the data, each against eps times the scale of the data."""
-    thr = tol.eps * data._kept("scale", lambda: residual_scale(*data._arrays))
+    thr = tol.eps * residual_scale(*data._arrays)
     return tuple(Check(name, residual, thr) for name, residual in data._residuals())
 
 

@@ -227,12 +227,21 @@ def test_catalog_refuses_a_non_finite_param(action, value, capsys):
 
 
 @pytest.mark.parametrize("action", ["show", "export"])
-def test_catalog_refusal_names_a_large_param_as_given(action, capsys):
-    # an integral float reaches ParamSpec.validate as a float, not as its 301-digit int
-    assert run(["catalog", action, "lspk_dim4", "--param", "beta=1e300"]) == 2
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("beta=1e300", "parameter beta = 1e+300 above 3.0"),
+        ("beta=5", "parameter beta = 5.0 above 3.0"),
+        ("lam=0", "parameter lam = 0.0 below 0.05"),
+    ],
+)
+def test_catalog_refusal_names_a_real_param_as_a_float(action, param, message, capsys):
+    # a real parameter reaches ParamSpec.validate as a float, integral or not, so a
+    # large one is named as 1e+300, not as its 301-digit int
+    assert run(["catalog", action, "lspk_dim4", "--param", param]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: parameter beta = 1e+300 above 3.0\n"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("action", ["show", "export"])

@@ -164,7 +164,7 @@ def test_stored_arrays_can_never_be_made_writable(monkeypatch):
     data = data_from_decomposition(decompose(A))
     validate_data(data)
     assert {"trace form", "scale", "left symmetry"} <= set(dir(A)) and "geometry" in dir(M)
-    assert {"systems", "scale"} <= set(dir(data))
+    assert "systems" in dir(data)
     algebras = [A, *_round_trips(A)]
     metrics = [M, *_round_trips(M)]
     grams = [B, *_round_trips(B)] + [X.metric for X in metrics]
