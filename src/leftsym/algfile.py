@@ -10,7 +10,7 @@ stdlib json plus schema validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -246,11 +246,10 @@ def parse_lspk_data(text: str) -> LSPKData:
     (n1, n2, n2), rho2 (n2, n1, n1), omega1 (n1, n1, n2), omega2
     (n2, n2, n1); product tensor c2 (n2, n2, n2).  Omitted pieces take the
     construction defaults (identity metrics, zero maps, derived omegas).
-    Shapes are checked by LSPKData; a mismatch is a SchemaError here.
+    The keys are the fields of LSPKData, which checks the shapes; a
+    mismatch is a SchemaError here.
     """
-    doc = _load_object(
-        text, {"n1", "n2", "g1", "g2", "b1", "b2", "rho1", "rho2", "omega1", "omega2", "c2"}
-    )
+    doc = _load_object(text, {f.name for f in dataclass_fields(LSPKData)})
     n1, n2 = _as_count(doc.get("n1"), "n1"), _as_count(doc.get("n2"), "n2")
     arrays = {key: _as_array(v, key) for key, v in doc.items() if key not in ("n1", "n2")}
     try:

@@ -59,19 +59,19 @@ class ParamSpec:
     integer: bool = False
 
     def validate(self, value: float) -> float:
-        if self.integer:
-            if value != int(value):
-                raise ValueError(f"parameter {self.name} must be an integer, got {value}")
-            value = int(value)
-        if self.choices is not None:
-            if value not in self.choices:
-                raise ValueError(f"parameter {self.name} must be one of {self.choices}")
-            return value
+        """The checked value, an int for an integer parameter (converted after the range check)."""
+        if self.integer and value != int(value):
+            raise ValueError(f"parameter {self.name} must be an integer, got {value}")
+        # named as an int below 2**53, where every integer is a float, and as given beyond,
+        # so n = 1e300 reads 1e+300, not its 301 digits
+        shown = int(value) if self.integer and abs(value) < 2**53 else value
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"parameter {self.name} must be one of {self.choices}")
         if self.low is not None and value < self.low:
-            raise ValueError(f"parameter {self.name} = {value} below {self.low}")
+            raise ValueError(f"parameter {self.name} = {shown} below {self.low}")
         if self.high is not None and value > self.high:
-            raise ValueError(f"parameter {self.name} = {value} above {self.high}")
-        return value
+            raise ValueError(f"parameter {self.name} = {shown} above {self.high}")
+        return int(value) if self.integer else value
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.choices is not None:

@@ -56,27 +56,13 @@ def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
     """The symmetrized Gram matrix of a metric argument, checked PD; an omitted one is the identity."""
     if v is None:
         return _readonly(np.eye(n))
-    v = _frozen(v, label)
-    if v.shape != (n, n):
-        raise DimensionMismatch(f"{label} must have shape ({n}, {n}), got {v.shape}")
-    form = BilinearForm(v)
+    form = BilinearForm(_frozen(v, label, (n, n)))
     _enforce([replace(is_positive_definite(form), name=f"positive definite {label}")], NotPositiveDefinite)
     return form.matrix
 
 
-def _skew_field(skew: np.ndarray | None, n: int) -> np.ndarray:
-    """The (n, n) skew-operator argument of the one-part builders, zero when omitted."""
-    d = np.zeros((n, n)) if skew is None else _frozen(skew, "skew operator")
-    if d.shape != (n, n):
-        raise DimensionMismatch(f"skew operator must have shape ({n}, {n}), got {d.shape}")
-    return d
-
-
 def derive_omegas(
-    rho1: np.ndarray,
-    rho2: np.ndarray,
-    g1: np.ndarray,
-    g2: np.ndarray,
+    rho1: np.ndarray, rho2: np.ndarray, g1: np.ndarray, g2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pairing maps determined by the actions and the metrics.
 
@@ -84,24 +70,19 @@ def derive_omegas(
     omega2 the g1-dual of the mirrored expression; these are forced, not
     free data.
     """
-    n1, n2 = g1.shape[0], g2.shape[0]
-    if n2:
-        rhs1 = _paired_action(g1, rho2)
-        try:
-            omega1 = np.linalg.solve(g2, rhs1.reshape(-1, n2).T).T.reshape(n1, n1, n2)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(f"second metric is singular: {exc}") from exc
-    else:
-        omega1 = np.zeros((n1, n1, 0))
-    if n1:
-        rhs2 = _paired_action(g2, rho1)
-        try:
-            omega2 = np.linalg.solve(g1, rhs2.reshape(-1, n1).T).T.reshape(n2, n2, n1)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(f"first metric is singular: {exc}") from exc
-    else:
-        omega2 = np.zeros((n2, n2, 0))
-    return omega1, omega2
+    return _metric_dual(g1, g2, rho2, "second"), _metric_dual(g2, g1, rho1, "first")
+
+
+def _metric_dual(g: np.ndarray, g_dual: np.ndarray, rho: np.ndarray, which: str) -> np.ndarray:
+    """One omega of derive_omegas: the g_dual-dual of <rho(.)X, Y>_g symmetrized; which names g_dual."""
+    n, m = g.shape[0], g_dual.shape[0]
+    if not m:
+        return np.zeros((n, n, 0))
+    rhs = _paired_action(g, rho)
+    try:
+        return np.linalg.solve(g_dual, rhs.reshape(-1, m).T).T.reshape(n, n, m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"{which} metric is singular: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +98,10 @@ class LSPKData(_Owner):
     (metrics); omitted omegas are derived from the actions and metrics.
     Shapes, finite entries and positive definiteness of the metrics are
     enforced here; the equation systems are the business of validate_data.
+    This class owns the format of the split data: _layout places each
+    product field in the algebra on h1 + h2 + R H (build_lspk writes
+    through it, decompose.extract_structure reads through it), and rho is
+    the law n1/2 + n2 + 1 that build_lspk predicts and decompose certifies.
     The fields are read-only, so the systems are measured once per data
     object and kept on it (core._Owner._kept): validate_data, data_residuals
     and build_lspk read that one measurement, each with its own threshold,
@@ -142,10 +127,7 @@ class LSPKData(_Owner):
 
         def store(key: str, shape: tuple[int, ...], fallback) -> None:
             v = getattr(self, key)
-            v = _frozen(fallback if v is None else v, key)
-            if v.shape != shape:
-                raise DimensionMismatch(f"{key} must have shape {shape}, got {v.shape}")
-            object.__setattr__(self, key, v)
+            object.__setattr__(self, key, _frozen(fallback if v is None else v, key, shape))
 
         store("c2", (n2, n2, n2), np.zeros((n2, n2, n2)))
         store("rho1", (n1, n2, n2), np.zeros((n1, n2, n2)))
@@ -160,13 +142,27 @@ class LSPKData(_Owner):
         store("omega1", (n1, n1, n2), w1)
         store("omega2", (n2, n2, n1), w2)
 
-    def __setstate__(self, state):
-        # pickle and copy rebuild arrays writable; freeze them again
-        self.__dict__.update({k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
-
     @property
     def dim(self) -> int:
         return self.n1 + self.n2 + 1
+
+    @property
+    def rho(self) -> float:
+        """B(H, H) of the assembled algebra, n1/2 + n2 + 1: its trace form is rho * diag(g1, g2, 1)."""
+        return self.n1 / 2.0 + self.n2 + 1.0
+
+    @staticmethod
+    def _layout(n1: int, n2: int) -> tuple[tuple[str, tuple[slice, ...], tuple[int, ...]], ...]:
+        """(field, block, axes): where each product field sits in the tensor on (h1, h2, H).
+        Each axes is its own inverse, so one transpose writes a field and reads it back."""
+        s1, s2 = slice(0, n1), slice(n1, n1 + n2)
+        return (
+            ("c2", (s2, s2, s2), (0, 1, 2)),
+            ("rho1", (s1, s2, s2), (0, 2, 1)),
+            ("rho2", (s2, s1, s1), (0, 2, 1)),
+            ("omega1", (s1, s1, s2), (0, 1, 2)),
+            ("omega2", (s2, s2, s1), (0, 1, 2)),
+        )
 
     @property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -197,9 +193,9 @@ def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> Check:
 def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> AlgebraStructure:
     """Assemble the algebra on h1 + h2 + R H from validated data.
 
-    Basis order is (h1 basis, h2 basis, H).  The result is cross-checked:
-    it must be left-symmetric and its trace form must equal
-    rho * diag(g1, g2, 1) with rho = n1/2 + n2 + 1.
+    Basis order is (h1 basis, h2 basis, H), and the product fields sit in
+    the blocks of LSPKData._layout.  The result is cross-checked: it must be
+    left-symmetric and its trace form must equal data.rho * diag(g1, g2, 1).
     """
     _enforce(_data_checks(data, tol), ValidationFailed)
 
@@ -207,13 +203,10 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
     n = data.dim
     s1, s2, iH = slice(0, n1), slice(n1, n1 + n2), n - 1
     c = np.zeros((n, n, n))
+    for key, block, axes in LSPKData._layout(n1, n2):
+        c[block] = getattr(data, key).transpose(axes)
     c[s1, s1, iH] = data.g1
-    c[s1, s1, s2] = data.omega1
     c[s2, s2, iH] = data.g2
-    c[s2, s2, s2] = data.c2
-    c[s2, s2, s1] = data.omega2
-    c[s1, s2, s2] = data.rho1.transpose(0, 2, 1)
-    c[s2, s1, s1] = data.rho2.transpose(0, 2, 1)
     c[iH, s1, s1] = (data.b1 + np.eye(n1) / 2.0).T
     c[iH, s2, s2] = (data.b2 + np.eye(n2)).T
     c[s2, iH, s2] = np.eye(n2)
@@ -222,11 +215,10 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
 
     flat = check_left_symmetric(A, tol)
     _enforce([replace(flat, name="assembled product is not left-symmetric")], VerificationFailed)
-    rho = n1 / 2.0 + n2 + 1.0
     predicted = np.zeros((n, n))
-    predicted[s1, s1] = rho * data.g1
-    predicted[s2, s2] = rho * data.g2
-    predicted[iH, iH] = rho
+    predicted[s1, s1] = data.rho * data.g1
+    predicted[s2, s2] = data.rho * data.g2
+    predicted[iH, iH] = data.rho
     resid = _max_abs(koszul_form(A).matrix - predicted)
     _enforce([Check("trace_form", resid, tol.eps * residual_scale(c, predicted))], KoszulMismatch)
     return A
@@ -251,7 +243,7 @@ def build_corollary1(
     """
     if n < 0:
         raise DimensionMismatch(f"part dimension must be nonnegative, got {n}")
-    d = _skew_field(skew, n)
+    d = _frozen(np.zeros((n, n)) if skew is None else skew, "skew operator", (n, n))
     _enforce([Check("skew", _max_abs(d + d.T), tol.eps * residual_scale(d))], NotSkew)
     return build_lspk(LSPKData(n1=n, n2=0, b1=d), tol, name=f"flatpart{n}")
 
@@ -268,7 +260,7 @@ def build_corollary2(
     n = h.dim
     A, g = h.algebra, h.metric.matrix
     c = A.constants
-    d = _skew_field(skew, n)
+    d = _frozen(np.zeros((n, n)) if skew is None else skew, "skew operator", (n, n))
 
     thr = tol.eps * residual_scale(c, g, d)
 
@@ -305,10 +297,7 @@ class MilnorSpec:
         n = self.dim
         if n <= 0:
             raise DimensionMismatch(f"dimension must be positive, got {n}")
-        v = _frozen(self.h_vec, "h_vec")
-        if v.shape != (n,):
-            raise DimensionMismatch(f"h_vec must have shape ({n},), got {v.shape}")
-        object.__setattr__(self, "h_vec", v)
+        object.__setattr__(self, "h_vec", _frozen(self.h_vec, "h_vec", (n,)))
         object.__setattr__(self, "metric", _metric_field(self.metric, "metric", n))
 
 

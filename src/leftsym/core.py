@@ -187,21 +187,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-def _frozen(a: np.ndarray, field: str) -> np.ndarray:
-    """_readonly(a); a ValueError naming field refuses inf and NaN entries."""
+def _frozen(a: np.ndarray, field: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """_readonly(a), refusing inf and NaN entries and, given a shape, any other shape.
+
+    Both refusals name field: a ValueError for an entry, a DimensionMismatch for the shape.
+    """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError(f"{field} must be finite")
+    if shape is not None and a.shape != shape:
+        raise DimensionMismatch(f"{field} must have shape {shape}, got {a.shape}")
     return _readonly(a)
 
 
 class _Owner:
-    """Base of the frozen dataclasses that keep quantities derived from them in their own __dict__.
+    """Base of the frozen dataclasses with read-only arrays, which may keep derived quantities.
 
-    An entry sits beside the dataclass fields under a string key (dir() sorts the
-    keys) and lives exactly as long as its owner; it must not refer back to the
-    owner.  Pickle and copy carry the fields only, and dataclasses.replace builds
-    a new owner, so no entry travels to another object.
+    An entry sits beside the dataclass fields in the owner's own __dict__ under a
+    string key (dir() sorts the keys) and lives exactly as long as its owner; it
+    must not refer back to the owner.  Pickle and copy carry the fields only and
+    freeze the arrays among them again (_frozen); dataclasses.replace builds a new
+    owner, so no entry travels to another object.
     """
 
     def _kept(self, key: str, build):
@@ -217,6 +223,10 @@ class _Owner:
 
     def __getstate__(self):
         return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+    def __setstate__(self, state):
+        # pickle and copy rebuild arrays writable; freeze them again, refusing non-finite ones
+        self.__dict__.update({k: _frozen(v, k) if isinstance(v, np.ndarray) else v for k, v in state.items()})
 
 
 def _accumulate(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -249,10 +259,6 @@ class AlgebraStructure(_Owner):
             raise DimensionMismatch(f"constants must be (n, n, n), got {c.shape}")
         object.__setattr__(self, "constants", _frozen(c, "structure constants"))
         object.__setattr__(self, "dim", int(c.shape[0]))
-
-    def __setstate__(self, state):
-        # pickle and copy rebuild arrays writable; freeze the constants again
-        self.__dict__.update(state, constants=_frozen(state["constants"], "structure constants"))
 
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim)

@@ -15,7 +15,9 @@ The pipeline runs in four stages, each of which certifies what it uses:
 4. extract_structure: the product blocks over the two eigenspaces give the
    structure data (rho1, rho2, omega1, omega2, circ2), and the full
    compatibility systems S1, S2, S3-1..S3-8 plus the flatness and
-   representation conditions hold.
+   representation conditions hold.  construct.LSPKData owns the format of
+   that data: the blocks are read through LSPKData._layout, the table that
+   build_lspk writes through, and rho is certified against LSPKData.rho.
 
 Every relation is a whole-tensor contraction, kept by name as a core.Check
 in the stage's result (residual None marks a relation that is vacuous
@@ -43,7 +45,7 @@ import numpy as np
 
 from .construct import LSPKData
 from .core import AlgebraStructure, Check, Tolerance, change_basis, multiply, residual_scale
-from .core import _compose, _enforce, _max_abs, _restrict, _worst_of
+from .core import _Owner, _compose, _enforce, _max_abs, _readonly, _restrict, _worst_of
 from .errors import (
     BlockNotSkew,
     Circ1NonZero,
@@ -215,23 +217,23 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
 
 
 @dataclass(frozen=True, eq=False)
-class LSPKDecomposition(_Staged):
+class LSPKDecomposition(_Staged, _Owner):
     """Full structure data of a decomposed algebra.
 
-    basis_h1/basis_h2 columns and H are ambient vectors; together they are
-    orthonormal for <,> = B/rho (so the trace form is rho times the
-    identity in this basis).  Operator-family tensors follow the convention
-    rho1[x][l, m] = l-coordinate of the action of the x-th h1 basis vector
-    on the m-th h2 basis vector, and omega1[x, y, :] is an h2-coordinate
-    vector (symmetric in x, y); mirrored for rho2/omega2.  These arrays and
-    B1/B2 are read through data, the construction data with identity
-    metrics, which keeps the measurement of the systems that certified them.
+    The columns of basis are ambient vectors, (h1 basis, h2 basis, H) in
+    that order, orthonormal for <,> = B/rho (so the trace form is rho times
+    the identity in this basis); basis, S and A_op are read-only, also after
+    a pickle or copy, and basis_h1, basis_h2 and H are views of the columns
+    of basis.  Operator-family tensors follow the convention rho1[x][l, m] =
+    l-coordinate of the action of the x-th h1 basis vector on the m-th h2
+    basis vector, and omega1[x, y, :] is an h2-coordinate vector (symmetric
+    in x, y); mirrored for rho2/omega2.
+    These arrays, B1/B2 and the part dimensions are read through data, the
+    construction data with identity metrics, which keeps the measurement of
+    the systems that certified them.
     """
 
-    H: np.ndarray
     rho: float
-    basis_h1: np.ndarray
-    basis_h2: np.ndarray
     basis: np.ndarray
     S: np.ndarray
     A_op: np.ndarray
@@ -245,14 +247,11 @@ class LSPKDecomposition(_Staged):
     rho2 = property(lambda self: self.data.rho2)
     omega1 = property(lambda self: self.data.omega1)
     omega2 = property(lambda self: self.data.omega2)
-
-    @property
-    def dim_h1(self) -> int:
-        return self.basis_h1.shape[1]
-
-    @property
-    def dim_h2(self) -> int:
-        return self.basis_h2.shape[1]
+    dim_h1 = property(lambda self: self.data.n1)
+    dim_h2 = property(lambda self: self.data.n2)
+    basis_h1 = property(lambda self: self.basis[:, : self.data.n1])
+    basis_h2 = property(lambda self: self.basis[:, self.data.n1 : -1])
+    H = property(lambda self: self.basis[:, -1])
 
     @property
     def signature(self) -> tuple[int, int, float]:
@@ -273,17 +272,8 @@ def extract_structure(
     cc = circ_split.constants
     s1, s2 = slice(0, n1), slice(n1, n1 + n2)
 
-    data = LSPKData(
-        n1=n1,
-        n2=n2,
-        c2=cc[s2, s2, s2],
-        rho1=cc[s1, s2, s2].transpose(0, 2, 1),
-        rho2=cc[s2, s1, s1].transpose(0, 2, 1),
-        omega1=cc[s1, s1, s2],
-        omega2=cc[s2, s2, s1],
-        b1=esplit.B1,
-        b2=esplit.B2,
-    )
+    fields = {key: cc[block].transpose(axes) for key, block, axes in LSPKData._layout(n1, n2)}
+    data = LSPKData(n1=n1, n2=n2, b1=esplit.B1, b2=esplit.B2, **fields)
     circ2 = AlgebraStructure(data.c2, name=f"{A.name}:circ2" if A.name else "circ2")
 
     thr = tol.eps * residual_scale(A.constants, cc, data.b1, data.b2)
@@ -294,25 +284,20 @@ def extract_structure(
         *(Check(name, residual, thr) for name, residual in data._residuals()),
     )
 
-    basis_h1 = hsplit.h_basis @ u1
-    basis_h2 = hsplit.h_basis @ u2
-    basis = np.column_stack([basis_h1, basis_h2, hsplit.H])
+    basis = _readonly(np.column_stack([hsplit.h_basis @ u1, hsplit.h_basis @ u2, hsplit.H]))
     gram = basis.T @ koszul_form(A).matrix @ basis
     tail = (
         Check("koszul_blocks", _max_abs(gram - hsplit.rho * np.eye(A.dim)), 10.0 * thr),
-        Check("rho_formula", abs(hsplit.rho - (n1 / 2.0 + n2 + 1.0)), thr),
+        Check("rho_formula", abs(hsplit.rho - data.rho), thr),
     )
 
     _enforce(blocks[:1], Circ1NonZero)  # circ1 has its own error class
     _enforce(blocks + tail, SystemViolated)
     return LSPKDecomposition(
-        H=hsplit.H,
         rho=hsplit.rho,
-        basis_h1=basis_h1,
-        basis_h2=basis_h2,
         basis=basis,
-        S=hsplit.S,
-        A_op=hsplit.A_op,
+        S=_readonly(hsplit.S),
+        A_op=_readonly(hsplit.A_op),
         circ2=circ2,
         data=data,
         checks=hsplit.checks + esplit.checks + blocks + tail,

@@ -67,7 +67,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
-class BilinearForm:
+class BilinearForm(_Owner):
     """A symmetric bilinear form, stored as its Gram matrix.
 
     The matrix is symmetrized on construction; the asymmetry field records
@@ -92,10 +92,6 @@ class BilinearForm:
             asym, sym = _max_abs(m - m.T) or 0.0, (m + m.T) / 2.0
         object.__setattr__(self, "matrix", _readonly(sym))
         object.__setattr__(self, "asymmetry", asym)
-
-    def __setstate__(self, state):
-        # pickle and copy rebuild arrays writable; freeze the matrix again
-        self.__dict__.update(state, matrix=_readonly(state["matrix"]))
 
     @property
     def dim(self) -> int:

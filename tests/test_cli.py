@@ -6,6 +6,8 @@ run() so the tests see exactly what a shell would.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from leftsym.catalog import _parts, catalog_build, catalog_list
 from leftsym.cli import run
 from leftsym.construct import kdim2_family
 from test_geometry import assert_blocks_match_oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -105,6 +109,33 @@ def test_koszul_output(dim2_file, capsys):
     assert doc["positive_definite"] is True
 
 
+def test_koszul_text(dim2_file, capsys):
+    assert run(["koszul", dim2_file]) == 0
+    assert capsys.readouterr().out == (
+        "koszul form:\n  [1.5, 0]\n  [0, 1.5]\npositive definite: yes\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_readme_cli_samples_print_their_lines(tmp_path, command, capsys):
+    # demo.alg is lspk_dim2, the algebra of the README's quick start
+    (sample,) = re.findall(rf"\$ leftsym {command} demo\.alg\n(.*?\n)\n", README.read_text(), flags=re.S)
+    p = tmp_path / "demo.alg"
+    p.write_text(render_algebra_file(catalog_build("lspk_dim2")))
+    assert run([command, str(p)]) == 0
+    assert capsys.readouterr().out == sample
+
+
+def test_decompose_text(tmp_path, capsys):
+    p = tmp_path / "d5.json"
+    p.write_text(render_algebra_file(catalog_build("lspk_dim5")))
+    assert run(["decompose", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    dec = decompose(catalog_build("lspk_dim5"))
+    assert lines[:2] == ["signature: dim h1 = 3, dim h2 = 1, rho = 3.5", f"idempotent H: {dec.H.tolist()}"]
+    assert re.fullmatch(r"worst residual: \d\.\d{3}e[+-]\d\d", lines[2]) and len(lines) == 3
+
+
 def test_decompose_json(tmp_path, capsys):
     A = catalog_build("lspk_dim5")
     p = tmp_path / "d5.json"
@@ -180,6 +211,18 @@ def test_geometry_tb_json(dim2_file, capsys):
     np.testing.assert_allclose(np.array(doc["tb_ricci_hv"]), np.zeros((2, 2)), atol=1e-12)
 
 
+def test_geometry_tb_text(dim2_file, capsys):
+    assert run(["geometry", dim2_file, "--tb-ricci"]) == 0
+    blocks = {
+        "base ricci": "-0.25, 0]\n  [0, -0.25",
+        "beta": "1.5, 0]\n  [0, 1.5",
+        "tb ricci hh": "-1.5, 0]\n  [0, -1.5",
+        "tb ricci vv": "-1.5, 0]\n  [0, -1.5",
+        "tb ricci hv": "0, 0]\n  [0, 0",
+    }
+    assert capsys.readouterr().out == "".join(f"{k}:\n  [{v}]\n" for k, v in blocks.items())
+
+
 def test_geometry_json_with_file_metric(tmp_path, capsys):
     # diag(1, 2) is not a multiple of the trace form: the blocks are reported,
     # not compared against -beta
@@ -239,6 +282,23 @@ def test_catalog_refusal_names_a_real_param_as_a_float(action, param, message, c
     # a real parameter reaches ParamSpec.validate as a float, integral or not, so a
     # large one is named as 1e+300, not as its 301-digit int
     assert run(["catalog", action, "lspk_dim4", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("action", ["show", "export"])
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("n=1e300", "parameter n = 1e+300 above 6"),
+        ("n=7", "parameter n = 7 above 6"),
+        ("n=2.5", "parameter n must be an integer, got 2.5"),
+    ],
+)
+def test_catalog_refusal_names_an_integer_param_before_converting_it(action, param, message, capsys):
+    # the range is checked before the int conversion, so 1e300 is not named by its 301 digits
+    assert run(["catalog", action, "rn_canonical", "--param", param]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

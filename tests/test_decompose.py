@@ -5,7 +5,10 @@ rho); the signature must not move under a change of basis because it only
 depends on the isomorphism class.
 """
 
+import copy
+import dataclasses
 import importlib
+import pickle
 
 import numpy as np
 import pytest
@@ -190,3 +193,23 @@ def test_orthonormalize_refusals():
     for cols, g in [(e[:, [0, 0]], e), (e[:, :2], np.diag([1.0, 0.0, 1.0]))]:
         with pytest.raises(DiagonalizationFailed):
             _orthonormalize(cols, g)
+
+
+def test_the_decomposition_stores_each_vector_once():
+    # H and the part bases are views of the one read-only basis, and the part
+    # dimensions are read from the split data
+    dec = decompose(change_basis(catalog_build("lspk_dim5"), np.diag([1.0, 2.0, 0.5, 1.0, 3.0])))
+    names = {f.name for f in dataclasses.fields(dec)}
+    assert names == {"rho", "basis", "S", "A_op", "circ2", "data", "checks"}
+    assert (dec.dim_h1, dec.dim_h2) == (dec.data.n1, dec.data.n2) == (3, 1)
+    views = (dec.basis_h1, dec.basis_h2, dec.H)
+    assert [v.shape for v in views] == [(5, 3), (5, 1), (5,)]
+    assert all(np.shares_memory(v, dec.basis) for v in views)
+    np.testing.assert_array_equal(np.column_stack(views), dec.basis)
+    for copied in (dec, pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+        assert copied.basis.tobytes() == dec.basis.tobytes()
+        for a in (copied.basis, copied.S, copied.A_op):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+        with pytest.raises(ValueError):
+            copied.H[0] = 1.0

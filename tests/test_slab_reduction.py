@@ -268,8 +268,8 @@ def test_rebuild_reads_the_measurement_decompose_kept(name):
     assert [(n, by_name[n].residual) for n, _ in fresh] == list(fresh)
 
 
-def _call_sites(source: str, name: str) -> list[str]:
-    """The enclosing definition (dotted, "" at module level) of every call of name in source."""
+def _sites(source: str, match) -> list[str]:
+    """The enclosing definition (dotted, "" at module level) of every node of source that match accepts."""
     found = []
 
     def visit(node, owner):
@@ -277,14 +277,44 @@ def _call_sites(source: str, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call) and name in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            if match(child):
                 found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _named(node) -> str | None:
+    """The name a call, attribute or name node refers to: f, mod.f and f(...) all give "f"."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _call_sites(source: str, name: str) -> list[str]:
+    """The enclosing definition (dotted, "" at module level) of every call of name in source."""
+    return _sites(source, lambda node: isinstance(node, ast.Call) and _named(node) == name)
+
+
+_PRODUCT_FIELDS = {"c2", "rho1", "rho2", "omega1", "omega2"}
+
+
+def _product_field_literals(source: str) -> list[str]:
+    """Where source calls LSPKData(...) with a product field as a literal keyword."""
+    return _sites(source, lambda node: isinstance(node, ast.Call) and _named(node) == "LSPKData"
+                  and any(k.arg in _PRODUCT_FIELDS for k in node.keywords))
+
+
+def _halved_n1(source: str) -> list[str]:
+    """Where source computes n1 / 2 (the first term of the rho law n1/2 + n2 + 1)."""
+    return _sites(source, lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                  and _named(node.left) == "n1" and getattr(node.right, "value", None) == 2)
+
+
+def _shape_comparisons(source: str) -> list[str]:
+    """Where source compares a .shape (a field's shape rule written out by hand)."""
+    return _sites(source, lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(x, ast.Attribute) and x.attr == "shape" for x in (node.left, *node.comparators)))
 
 
 def test_call_site_scanner_names_the_enclosing_definition():
@@ -298,9 +328,39 @@ def test_call_site_scanner_names_the_enclosing_definition():
     assert _call_sites(source, "h") == []
 
 
+def test_format_scanners_find_what_they_look_for():
+    source = (
+        "def f(c, fields, self):\n"
+        "    LSPKData(n1=1, n2=0, b1=c, **fields)\n"
+        "    construct.LSPKData(n1=1, n2=0, rho2=c)\n"
+        "    x = self.n1 / 2.0 + n1 / 2 + np.eye(n1) / 2.0\n"
+        "    return c.shape != (1,) or (2,) == c.shape\n"
+    )
+    assert _product_field_literals(source) == ["f"]
+    assert _halved_n1(source) == ["f", "f"]
+    assert _shape_comparisons(source) == ["f", "f"]
+
+
 def test_the_systems_are_measured_in_one_place():
     # every relation of S1-S3 reaches a caller through the measurement that
     # LSPKData keeps, so a second measuring path cannot grow back unseen
     sites = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner in _call_sites(path.read_text(), "system_residuals")]
     assert sites == [("construct", "LSPKData._residuals")]
+
+
+def test_the_split_data_format_has_one_owner():
+    # construct.LSPKData owns the format of the split data: build_lspk writes the
+    # product fields through LSPKData._layout and extract_structure reads them
+    # through it, LSPKData.rho is the one rho law, and core._frozen the one shape
+    # rule, so neither module can drift from the other unseen
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    layout = [(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_layout")]
+    assert layout == [("construct", "build_lspk"), ("decompose", "extract_structure")]
+    literals = [(m, owner) for m, text in sources.items() if m != "construct"
+                for owner in _product_field_literals(text)]
+    assert literals == []
+    assert [(m, owner) for m, text in sources.items() for owner in _halved_n1(text)] == [
+        ("construct", "LSPKData.rho")
+    ]
+    assert _shape_comparisons(sources["construct"]) == []
