@@ -60,6 +60,8 @@ class ParamSpec:
 
     def validate(self, value: float) -> float:
         """The checked value, an int for an integer parameter (converted after the range check)."""
+        if value != value or abs(value) == math.inf:  # NaN compares false with every bound
+            raise ValueError(f"parameter {self.name} must be finite, got {value}")
         if self.integer and value != int(value):
             raise ValueError(f"parameter {self.name} must be an integer, got {value}")
         # named as an int below 2**53, where every integer is a float, and as given beyond,

@@ -98,10 +98,10 @@ class LSPKData(_Owner):
     (metrics); omitted omegas are derived from the actions and metrics.
     Shapes, finite entries and positive definiteness of the metrics are
     enforced here; the equation systems are the business of validate_data.
-    This class owns the format of the split data: _layout places each
-    product field in the algebra on h1 + h2 + R H (build_lspk writes
-    through it, decompose.extract_structure reads through it), and rho is
-    the law n1/2 + n2 + 1 that build_lspk predicts and decompose certifies.
+    This class owns the format of the split data: _layout places each field,
+    shift of the action of H included, in the algebra on h1 + h2 + R H (build_lspk
+    writes through it, decompose reads through it), and rho is the law
+    n1/2 + n2 + 1 that build_lspk predicts and decompose certifies.
     The fields are read-only, so the systems are measured once per data
     object and kept on it (core._Owner._kept): validate_data, data_residuals
     and build_lspk read that one measurement, each with its own threshold,
@@ -152,17 +152,25 @@ class LSPKData(_Owner):
         return self.n1 / 2.0 + self.n2 + 1.0
 
     @staticmethod
-    def _layout(n1: int, n2: int) -> tuple[tuple[str, tuple[slice, ...], tuple[int, ...]], ...]:
-        """(field, block, axes): where each product field sits in the tensor on (h1, h2, H).
-        Each axes is its own inverse, so one transpose writes a field and reads it back."""
-        s1, s2 = slice(0, n1), slice(n1, n1 + n2)
+    def _layout(n1: int, n2: int) -> tuple[tuple[str, tuple, tuple[int, ...], float], ...]:
+        """(field, block, axes, shift): the block holds the field transposed by axes plus shift
+        times the identity (b1, b2: the action of H on h1, h2 less 1/2, 1).  Each axes is its
+        own inverse, so one transpose writes a field and reads it back."""
+        s1, s2, iH = slice(0, n1), slice(n1, n1 + n2), n1 + n2
         return (
-            ("c2", (s2, s2, s2), (0, 1, 2)),
-            ("rho1", (s1, s2, s2), (0, 2, 1)),
-            ("rho2", (s2, s1, s1), (0, 2, 1)),
-            ("omega1", (s1, s1, s2), (0, 1, 2)),
-            ("omega2", (s2, s2, s1), (0, 1, 2)),
+            ("c2", (s2, s2, s2), (0, 1, 2), 0.0),
+            ("rho1", (s1, s2, s2), (0, 2, 1), 0.0),
+            ("rho2", (s2, s1, s1), (0, 2, 1), 0.0),
+            ("omega1", (s1, s1, s2), (0, 1, 2), 0.0),
+            ("omega2", (s2, s2, s1), (0, 1, 2), 0.0),
+            ("b1", (iH, s1, s1), (1, 0), 0.5),
+            ("b2", (iH, s2, s2), (1, 0), 1.0),
         )
+
+    @staticmethod
+    def _shifted(v: np.ndarray, shift: float) -> np.ndarray:
+        """v plus shift times the identity; v itself for a zero shift, so every zero keeps its sign."""
+        return v + shift * np.eye(len(v)) if shift else v
 
     @property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -193,8 +201,8 @@ def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> Check:
 def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> AlgebraStructure:
     """Assemble the algebra on h1 + h2 + R H from validated data.
 
-    Basis order is (h1 basis, h2 basis, H), and the product fields sit in
-    the blocks of LSPKData._layout.  The result is cross-checked: it must be
+    Basis order is (h1 basis, h2 basis, H), and every field sits in its
+    block of LSPKData._layout.  The result is cross-checked: it must be
     left-symmetric and its trace form must equal data.rho * diag(g1, g2, 1).
     """
     _enforce(_data_checks(data, tol), ValidationFailed)
@@ -203,12 +211,10 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
     n = data.dim
     s1, s2, iH = slice(0, n1), slice(n1, n1 + n2), n - 1
     c = np.zeros((n, n, n))
-    for key, block, axes in LSPKData._layout(n1, n2):
-        c[block] = getattr(data, key).transpose(axes)
+    for key, block, axes, shift in LSPKData._layout(n1, n2):
+        c[block] = LSPKData._shifted(getattr(data, key), shift).transpose(axes)
     c[s1, s1, iH] = data.g1
     c[s2, s2, iH] = data.g2
-    c[iH, s1, s1] = (data.b1 + np.eye(n1) / 2.0).T
-    c[iH, s2, s2] = (data.b2 + np.eye(n2)).T
     c[s2, iH, s2] = np.eye(n2)
     c[iH, iH, iH] = 1.0
     A = AlgebraStructure(c, name=name)
@@ -225,11 +231,8 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
 
 
 def data_from_decomposition(dec: LSPKDecomposition) -> LSPKData:
-    """The construction data that decompose certified (identity metrics).
-
-    It is the object decompose measured the systems on, so build_lspk of it
-    reads that measurement and does not evaluate the systems again.
-    """
+    """The construction data that decompose read off its frame and certified (identity metrics);
+    build_lspk of it reads the measurement of the systems that decompose made."""
     return dec.data
 
 

@@ -12,12 +12,12 @@ The pipeline runs in four stages, each of which certifies what it uses:
    together hold.
 3. eigensplit: S has spectrum {0, 1}; on the eigenspaces A_op splits into
    skew parts B1 (shifted by 1/2) and B2 (shifted by 1).
-4. extract_structure: the product blocks over the two eigenspaces give the
-   structure data (rho1, rho2, omega1, omega2, circ2), and the full
-   compatibility systems S1, S2, S3-1..S3-8 plus the flatness and
-   representation conditions hold.  construct.LSPKData owns the format of
-   that data: the blocks are read through LSPKData._layout, the table that
-   build_lspk writes through, and rho is certified against LSPKData.rho.
+4. extract_structure: A is written once in the basis (h1, h2, H), the frame,
+   and every field of the structure data (the product blocks, and B1, B2 from
+   the H row) is read off it through construct.LSPKData._layout, the table
+   build_lspk writes through; so the rebuild equals the frame on every data
+   block.  The systems S1, S2, S3-1..S3-8 plus the flatness and
+   representation conditions hold, and rho is certified against LSPKData.rho.
 
 Every relation is a whole-tensor contraction, kept by name as a core.Check
 in the stage's result (residual None marks a relation that is vacuous
@@ -27,14 +27,11 @@ and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
 others, and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 
 The trace form and the left-symmetry measurement of the input are kept on the
-algebra itself (forms.koszul_form, forms.check_left_symmetric): the stages and
-a caller's own calls on the same algebra share them, so one decompose builds
-one trace form and runs the n^5 left-symmetry kernel once on the input, once
-for AS-2 and once for S2.  The systems of stage 4 are measured on the
-construct.LSPKData that the decomposition carries and keeps; the rebuild
-build_lspk(data_from_decomposition(dec)) reads that measurement, so the round
-trip measures the systems once and runs the kernel four times, the fourth on
-the rebuilt algebra.
+algebra (forms.koszul_form, forms.check_left_symmetric), so one decompose builds
+one trace form and runs the n^5 left-symmetry kernel on the input, for AS-2 and
+for S2.  The rebuild build_lspk(data_from_decomposition(dec)) reads the systems
+measured on dec.data, so the round trip measures them once and runs the kernel
+a fourth time, on the rebuilt algebra.
 """
 
 from __future__ import annotations
@@ -113,9 +110,8 @@ class HSplit(_Staged):
     """Stage-2 result: the complement of H with its induced data.
 
     h_basis columns are ambient vectors, orthonormal for <,> = B/rho.
-    S and A_op are square matrices in that basis, circ the induced product
-    on the complement, gram the measured Gram matrix (identity up to
-    roundoff).
+    S and A_op are square matrices in that basis, gram the measured Gram
+    matrix (identity up to roundoff).
     """
 
     H: np.ndarray
@@ -123,7 +119,6 @@ class HSplit(_Staged):
     h_basis: np.ndarray
     S: np.ndarray
     A_op: np.ndarray
-    circ: AlgebraStructure
     gram: np.ndarray
     checks: tuple[Check, ...]
 
@@ -152,8 +147,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
 
     prod = _restrict(c, h_basis)
     h_coeff = prod @ w_H
-    cc = _compose(prod, w_h)
-    circ = AlgebraStructure(cc, name=f"{A.name}:circ" if A.name else "circ")
+    cc = _compose(prod, w_h)  # the induced product on h
     gram = h_basis.T @ inner @ h_basis
 
     eye = np.eye(m)
@@ -179,7 +173,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
         Check("AS-S-symmetric", _max_abs(S - S.T), thr),
     )
     _enforce(checks[1:], SystemASViolated)
-    return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, circ=circ, gram=gram, checks=checks)
+    return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, gram=gram, checks=checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +189,7 @@ class EigenSplit(_Staged):
 
 
 def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) -> EigenSplit:
-    """Split the complement along the {0, 1} spectrum of S."""
+    """Split the complement along the {0, 1} spectrum of S, with the shifts of LSPKData._layout."""
     S_sym = (S + S.T) / 2.0
     mu, u = np.linalg.eigh(S_sym) if S.size else (np.zeros(0), np.zeros((0, 0)))
     spectrum = Check("S_spectrum", _max_abs(np.minimum(np.abs(mu), np.abs(mu - 1.0))), _CLUSTER_TOL)
@@ -204,8 +198,9 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
     u2 = u[:, np.abs(mu - 1.0) <= _CLUSTER_TOL]
     n1, n2 = u1.shape[1], u2.shape[1]
 
-    B1 = u1.T @ A_op @ u1 - np.eye(n1) / 2.0
-    B2 = u2.T @ A_op @ u2 - np.eye(n2)
+    shift = {key: shift for key, _, _, shift in LSPKData._layout(n1, n2)}
+    B1 = LSPKData._shifted(u1.T @ A_op @ u1, -shift["b1"])
+    B2 = LSPKData._shifted(u2.T @ A_op @ u2, -shift["b2"])
     thr = tol.eps * residual_scale(S, A_op)
     skew = (Check("B1", _max_abs(B1 + B1.T), thr), Check("B2", _max_abs(B2 + B2.T), thr))
     off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
@@ -221,26 +216,26 @@ class LSPKDecomposition(_Staged, _Owner):
     """Full structure data of a decomposed algebra.
 
     The columns of basis are ambient vectors, (h1 basis, h2 basis, H) in
-    that order, orthonormal for <,> = B/rho (so the trace form is rho times
-    the identity in this basis); basis, S and A_op are read-only, also after
-    a pickle or copy, and basis_h1, basis_h2 and H are views of the columns
-    of basis.  Operator-family tensors follow the convention rho1[x][l, m] =
-    l-coordinate of the action of the x-th h1 basis vector on the m-th h2
-    basis vector, and omega1[x, y, :] is an h2-coordinate vector (symmetric
-    in x, y); mirrored for rho2/omega2.
-    These arrays, B1/B2 and the part dimensions are read through data, the
-    construction data with identity metrics, which keeps the measurement of
-    the systems that certified them.
+    that order, orthonormal for <,> = B/rho, and frame = change_basis(A,
+    basis).  Arrays are stored once, read-only also after a pickle or copy:
+    H and the part bases are views of basis, S and A_op (right and left
+    multiplication by H on h, in the coordinates of basis) views of the
+    frame's H column and H row.  rho1[x][l, m] is the l-coordinate of the
+    action of the x-th h1 basis vector on the m-th h2 basis vector, and
+    omega1[x, y, :] an h2-coordinate vector (symmetric in x, y); mirrored for
+    rho2/omega2.  These, B1/B2, the part dimensions and circ2 (kept on first
+    use) are read through data, the construction data read off the frame with
+    identity metrics, which keeps the measurement of the systems.
     """
 
     rho: float
     basis: np.ndarray
-    S: np.ndarray
-    A_op: np.ndarray
-    circ2: AlgebraStructure
+    frame: AlgebraStructure
     data: LSPKData
     checks: tuple[Check, ...]
 
+    S = property(lambda self: self.frame.constants[:-1, -1, :-1].T)
+    A_op = property(lambda self: self.frame.constants[-1, :-1, :-1].T)
     B1 = property(lambda self: self.data.b1)
     B2 = property(lambda self: self.data.b2)
     rho1 = property(lambda self: self.data.rho1)
@@ -254,6 +249,11 @@ class LSPKDecomposition(_Staged, _Owner):
     H = property(lambda self: self.basis[:, -1])
 
     @property
+    def circ2(self) -> AlgebraStructure:
+        name = f"{self.frame.name}:circ2" if self.frame.name else "circ2"
+        return self._kept("circ2", lambda: AlgebraStructure(self.data.c2, name=name))
+
+    @property
     def signature(self) -> tuple[int, int, float]:
         return (self.dim_h1, self.dim_h2, self.rho)
 
@@ -264,18 +264,18 @@ def extract_structure(
     esplit: EigenSplit,
     tol: Tolerance = Tolerance(),
 ) -> LSPKDecomposition:
-    """Read off the block data on the eigenspaces and certify the systems."""
+    """Write A in the decomposition basis, read the split data off it and certify the systems."""
     u1, u2 = esplit.h1, esplit.h2
     n1, n2 = u1.shape[1], u2.shape[1]
-    w = np.column_stack([u1, u2])
-    circ_split = change_basis(hsplit.circ, w, tol) if w.size else hsplit.circ
-    cc = circ_split.constants
+    basis = _readonly(np.column_stack([hsplit.h_basis @ u1, hsplit.h_basis @ u2, hsplit.H]))
+    frame = change_basis(A, basis, tol)
+    fc = frame.constants
+    fields = {key: LSPKData._shifted(fc[block].transpose(axes), -shift)
+              for key, block, axes, shift in LSPKData._layout(n1, n2)}
+    data = LSPKData(n1=n1, n2=n2, **fields)
+
+    cc = fc[:-1, :-1, :-1]  # the induced product on h
     s1, s2 = slice(0, n1), slice(n1, n1 + n2)
-
-    fields = {key: cc[block].transpose(axes) for key, block, axes in LSPKData._layout(n1, n2)}
-    data = LSPKData(n1=n1, n2=n2, b1=esplit.B1, b2=esplit.B2, **fields)
-    circ2 = AlgebraStructure(data.c2, name=f"{A.name}:circ2" if A.name else "circ2")
-
     thr = tol.eps * residual_scale(A.constants, cc, data.b1, data.b2)
     blocks = (
         Check("circ1", _max_abs(cc[s1, s1, s1]), thr),
@@ -284,7 +284,6 @@ def extract_structure(
         *(Check(name, residual, thr) for name, residual in data._residuals()),
     )
 
-    basis = _readonly(np.column_stack([hsplit.h_basis @ u1, hsplit.h_basis @ u2, hsplit.H]))
     gram = basis.T @ koszul_form(A).matrix @ basis
     tail = (
         Check("koszul_blocks", _max_abs(gram - hsplit.rho * np.eye(A.dim)), 10.0 * thr),
@@ -293,15 +292,8 @@ def extract_structure(
 
     _enforce(blocks[:1], Circ1NonZero)  # circ1 has its own error class
     _enforce(blocks + tail, SystemViolated)
-    return LSPKDecomposition(
-        rho=hsplit.rho,
-        basis=basis,
-        S=_readonly(hsplit.S),
-        A_op=_readonly(hsplit.A_op),
-        circ2=circ2,
-        data=data,
-        checks=hsplit.checks + esplit.checks + blocks + tail,
-    )
+    checks = hsplit.checks + esplit.checks + blocks + tail
+    return LSPKDecomposition(rho=hsplit.rho, basis=basis, frame=frame, data=data, checks=checks)
 
 
 def decompose(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> LSPKDecomposition:

@@ -335,6 +335,8 @@ def check_k_hessian(
     """
     if F.dim != A.dim:
         raise DimensionMismatch(f"form dim {F.dim} != algebra dim {A.dim}")
+    if not np.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     c, g = A.constants, F.matrix
     worst, at = _left_symmetry_worst(c, _metric_sectional(g, k))
     sectional = Check("sectional", worst, tol.eps * residual_scale(c, g, np.array([k])), at)

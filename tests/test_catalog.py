@@ -5,6 +5,7 @@ second three dimensional family coincides, after a rotation of the first
 two basis vectors, with the cone construction over the unit plane model.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -81,6 +82,15 @@ def test_parameter_validation():
         catalog_build("lspk_dim5", {"branch": 7})
     with pytest.raises(ValueError):
         catalog_build("khess_kdim2_f1", {"k": 1.0})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("name, param", [("rn_canonical", "n"), ("lspk_dim4", "beta"), ("lspk_dim5", "branch")])
+def test_parameter_validation_refuses_a_non_finite_value_by_name(name, param, value):
+    # first, before an integer conversion overflows and before NaN slips past every bound
+    with pytest.raises(ValueError) as info:
+        catalog_build(name, {param: value})
+    assert str(info.value) == f"parameter {param} must be finite, got {value}"
 
 
 def test_entry_kinds():

@@ -69,6 +69,26 @@ def test_check_khessian(kdim2_file):
     assert run(["check", kdim2_file, "--khessian", "-2.0"]) == 1
 
 
+@pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+def test_check_khessian_refuses_a_non_finite_k(kdim2_file, k, capsys):
+    # a bad --khessian is bad input (exit 2), not a failing predicate (exit 1)
+    assert run(["check", kdim2_file, f"--khessian={k}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k must be finite, got {float(k)}\n"
+
+
+def test_check_hessian_reads_the_file_metric(dim2_file, tmp_path, dim2, capsys):
+    assert run(["check", dim2_file, "--hessian"]) == 0
+    assert capsys.readouterr().out == "hessian: PASS (residual 0.000e+00)\n"
+    bare = tmp_path / "bare.json"
+    bare.write_text(render_algebra_file(dim2))
+    for flag in (["--hessian"], ["--khessian", "-1"]):
+        assert run(["check", str(bare), *flag]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: this check needs a metric in the file\n")
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert run(["check", str(tmp_path / "absent.json")]) == 2
 
@@ -272,6 +292,17 @@ def test_catalog_refuses_a_non_finite_param(action, value, capsys):
 @pytest.mark.parametrize("action", ["show", "export"])
 @pytest.mark.parametrize(
     "param, message",
+    [("beta", "--param expects name=value, got 'beta'"), ("beta=abc", "--param beta: 'abc' is not a number")],
+)
+def test_catalog_refuses_a_malformed_param(action, param, message, capsys):
+    assert run(["catalog", action, "lspk_dim4", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("action", ["show", "export"])
+@pytest.mark.parametrize(
+    "param, message",
     [
         ("beta=1e300", "parameter beta = 1e+300 above 3.0"),
         ("beta=5", "parameter beta = 5.0 above 3.0"),
@@ -405,6 +436,17 @@ def test_search_bad_grid_or_box_is_usage_error(capsys, flag):
     assert run(["search", "dim4", flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [("1", "--box expects two numbers, got '1'"), ("1,2,3", "--box expects two numbers, got '1,2,3'"),
+     ("1,0", "--box needs lo < hi, got '1,0'"), ("1:1", "--box needs lo < hi, got '1:1'")],
+)
+def test_search_refuses_a_malformed_box(box, message, capsys):
+    assert run(["search", "dim4", f"--box={box}"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_env_tolerance_override(tmp_path, dim2, monkeypatch):

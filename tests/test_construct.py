@@ -105,6 +105,48 @@ def test_rebuild_inverts_decompose(name):
     np.testing.assert_array_equal(rebuilt.constants, transported.constants)
 
 
+def _transport_source(family: str, n: int, rng: np.random.Generator) -> AlgebraStructure:
+    """A flat-part, product-part or R^n algebra of dimension n, or the named catalog entry."""
+    if family == "flat":
+        d = rng.standard_normal((n - 1, n - 1))
+        return build_corollary1(n - 1, (d - d.T) / 2.0)
+    if family == "product":
+        h = rng.standard_normal(n - 1)
+        M, _ = build_milnor(MilnorSpec(n - 1, h / np.linalg.norm(h)))
+        return build_corollary2(M)
+    if family == "rn":  # the coordinatewise product e_i e_i = e_i
+        c = np.zeros((n, n, n))
+        c[range(n), range(n), range(n)] = 1.0
+        return AlgebraStructure(c, name=f"rn{n}")
+    return catalog_build(family)
+
+
+_TRANSPORTS = [(family, n, seed) for family in ("flat", "product", "rn") for n in (6, 12, 20)
+               for seed in (1, 2, 3)]
+_TRANSPORTS += [(name, None, seed) for name in ("lspk_dim3_case3", "lspk_dim4", "lspk_dim5")
+                for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("family, n, seed", _TRANSPORTS)
+def test_rebuild_equals_the_frame_on_every_data_block(family, n, seed):
+    # the split data is read off the one frame through LSPKData's table and
+    # build_lspk writes it through the same table, so the rebuild equals the
+    # frame bit for bit on every block that carries data, for every input
+    rng = np.random.default_rng(seed)
+    A = _transport_source(family, n, rng)
+    q, _ = np.linalg.qr(rng.standard_normal((A.dim, A.dim)))
+    T = change_basis(A, q)
+    dec = decompose(T)
+    frame = dec.frame.constants
+    assert frame.tobytes() == change_basis(T, dec.basis).constants.tobytes()
+    rebuilt = build_lspk(data_from_decomposition(dec)).constants
+    for key, block, _, _ in LSPKData._layout(dec.dim_h1, dec.dim_h2):
+        np.testing.assert_array_equal(rebuilt[block], frame[block], err_msg=key)
+    # the fixed blocks (metrics, the H column, the zero blocks) agree within the checks' thresholds
+    thr = max(c.threshold for c in dec.checks if c.name == "circ1")
+    np.testing.assert_allclose(rebuilt, frame, rtol=0, atol=thr)
+
+
 def test_corollary2_names_a_nan_hypothesis_residual():
     # at this scale the sectional defect overflows to inf - inf = NaN
     M, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))

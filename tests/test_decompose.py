@@ -195,20 +195,58 @@ def test_orthonormalize_refusals():
             _orthonormalize(cols, g)
 
 
+def test_S_and_A_op_are_read_in_the_decomposition_basis():
+    # S and A_op are the frame's H column and H row, so S is diagonal in dec.basis
+    # even when the input is transported by a random orthogonal matrix
+    A = catalog_build("lspk_dim4")
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((A.dim, A.dim)))
+    dec = decompose(change_basis(A, q))
+    (spectrum,) = [c for c in dec.checks if c.name == "S_spectrum"]
+    np.testing.assert_allclose(dec.S, np.diag([0.0, 0.0, 1.0]), rtol=0, atol=spectrum.threshold)
+    frame = change_basis(change_basis(A, q), dec.basis).constants
+    np.testing.assert_array_equal(dec.S, frame[:-1, -1, :-1].T)
+    np.testing.assert_array_equal(dec.A_op, frame[-1, :-1, :-1].T)
+
+
+def test_one_decompose_makes_one_change_of_basis(monkeypatch):
+    # every module that can reach change_basis counts through one wrapper
+    calls = []
+    core = importlib.import_module("leftsym.core")
+    original = core.change_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    A = change_basis(catalog_build("lspk_dim5"), np.diag([1.0, 2.0, 0.5, 1.0, 3.0]))
+    for module in ("core", "forms", "construct", "decompose", "geometry", "_systems"):
+        mod = importlib.import_module(f"leftsym.{module}")
+        if hasattr(mod, "change_basis"):
+            monkeypatch.setattr(mod, "change_basis", counted)
+    dec = decompose(A)
+    assert calls == [A]
+    assert dec.frame.constants.tobytes() == original(A, dec.basis).constants.tobytes()
+
+
 def test_the_decomposition_stores_each_vector_once():
-    # H and the part bases are views of the one read-only basis, and the part
-    # dimensions are read from the split data
+    # H and the part bases are views of the one read-only basis, S and A_op
+    # views of the frame's H column and H row, and the part dimensions are
+    # read from the split data
     dec = decompose(change_basis(catalog_build("lspk_dim5"), np.diag([1.0, 2.0, 0.5, 1.0, 3.0])))
     names = {f.name for f in dataclasses.fields(dec)}
-    assert names == {"rho", "basis", "S", "A_op", "circ2", "data", "checks"}
+    assert names == {"rho", "basis", "frame", "data", "checks"}
     assert (dec.dim_h1, dec.dim_h2) == (dec.data.n1, dec.data.n2) == (3, 1)
     views = (dec.basis_h1, dec.basis_h2, dec.H)
     assert [v.shape for v in views] == [(5, 3), (5, 1), (5,)]
     assert all(np.shares_memory(v, dec.basis) for v in views)
     np.testing.assert_array_equal(np.column_stack(views), dec.basis)
+    assert dec.S.shape == dec.A_op.shape == (4, 4)
+    assert all(np.shares_memory(v, dec.frame.constants) for v in (dec.S, dec.A_op))
+    assert dec.circ2 is dec.circ2  # built once and kept
     for copied in (dec, pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
         assert copied.basis.tobytes() == dec.basis.tobytes()
-        for a in (copied.basis, copied.S, copied.A_op):
+        assert copied.frame.constants.tobytes() == dec.frame.constants.tobytes()
+        for a in (copied.basis, copied.frame.constants, copied.S, copied.A_op, copied.circ2.constants):
             with pytest.raises(ValueError):
                 a.setflags(write=True)
         with pytest.raises(ValueError):

@@ -317,6 +317,33 @@ def _shape_comparisons(source: str) -> list[str]:
         isinstance(x, ast.Attribute) and x.attr == "shape" for x in (node.left, *node.comparators)))
 
 
+def _identity_shifts(source: str) -> list[str]:
+    """Where source adds or subtracts the identity, bare or times a number (a shift written out)."""
+    def eye(node) -> bool:
+        return isinstance(node, ast.Call) and _named(node) == "eye"
+
+    def scaled_eye(node) -> bool:
+        return eye(node) or (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))
+                             and any(eye(x) for x in (node.left, node.right))
+                             and any(isinstance(x, ast.Constant) for x in (node.left, node.right)))
+
+    return _sites(source, lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                  and any(scaled_eye(x) for x in (node.left, node.right)))
+
+
+def _call_arguments(source: str, name: str) -> list[tuple[str, str | None]]:
+    """(enclosing definition, name of the first argument) of every call of name in source."""
+    first = []
+
+    def call(node) -> bool:
+        if not (isinstance(node, ast.Call) and _named(node) == name):
+            return False
+        first.append(_named(node.args[0]) if node.args else None)
+        return True
+
+    return list(zip(_sites(source, call), first))
+
+
 def test_call_site_scanner_names_the_enclosing_definition():
     source = (
         "x = f(1)\n"
@@ -334,11 +361,16 @@ def test_format_scanners_find_what_they_look_for():
         "    LSPKData(n1=1, n2=0, b1=c, **fields)\n"
         "    construct.LSPKData(n1=1, n2=0, rho2=c)\n"
         "    x = self.n1 / 2.0 + n1 / 2 + np.eye(n1) / 2.0\n"
+        "    y = c - np.eye(2) + 0.5 * eye(3) - c * np.eye(2) + s * np.eye(2) - np.eye(2) @ c\n"
+        "    change_basis(c, x) + change_basis(self.c, x)\n"
         "    return c.shape != (1,) or (2,) == c.shape\n"
     )
     assert _product_field_literals(source) == ["f"]
     assert _halved_n1(source) == ["f", "f"]
     assert _shape_comparisons(source) == ["f", "f"]
+    assert _identity_shifts(source) == ["f", "f", "f"]
+    assert _call_arguments(source, "change_basis") == [("f", "c"), ("f", "c")]
+    assert _call_arguments("class K:\n    def m(self, A):\n        g(A)\n", "g") == [("K.m", "A")]
 
 
 def test_the_systems_are_measured_in_one_place():
@@ -350,13 +382,21 @@ def test_the_systems_are_measured_in_one_place():
 
 
 def test_the_split_data_format_has_one_owner():
-    # construct.LSPKData owns the format of the split data: build_lspk writes the
-    # product fields through LSPKData._layout and extract_structure reads them
-    # through it, LSPKData.rho is the one rho law, and core._frozen the one shape
-    # rule, so neither module can drift from the other unseen
+    # construct.LSPKData owns the format of the split data: build_lspk writes every
+    # field through LSPKData._layout and extract_structure reads it back through
+    # it, off the one frame change_basis(A, basis); the shifts 1/2 and 1 of the
+    # action of H are numbers of that table, which eigensplit reads too, and no
+    # module writes a shift of the identity by hand; LSPKData.rho is the one rho
+    # law, and core._frozen the one shape rule, so neither module can drift from
+    # the other unseen
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     layout = [(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_layout")]
-    assert layout == [("construct", "build_lspk"), ("decompose", "extract_structure")]
+    assert layout == [("construct", "build_lspk"), ("decompose", "eigensplit"), ("decompose", "extract_structure")]
+    shifted = {(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_shifted")}
+    assert sorted(shifted) == layout
+    assert {key: shift for key, _, _, shift in construct.LSPKData._layout(2, 3) if shift} == {"b1": 0.5, "b2": 1.0}
+    assert [(m, owner) for m, text in sources.items() for owner in _identity_shifts(text)] == []
+    assert _call_arguments(sources["decompose"], "change_basis") == [("extract_structure", "A")]
     literals = [(m, owner) for m, text in sources.items() if m != "construct"
                 for owner in _product_field_literals(text)]
     assert literals == []
