@@ -198,9 +198,9 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
     u2 = u[:, np.abs(mu - 1.0) <= _CLUSTER_TOL]
     n1, n2 = u1.shape[1], u2.shape[1]
 
-    shift = {key: shift for key, _, _, shift in LSPKData._layout(n1, n2)}
-    B1 = LSPKData._shifted(u1.T @ A_op @ u1, -shift["b1"])
-    B2 = LSPKData._shifted(u2.T @ A_op @ u2, -shift["b2"])
+    shifts = {key: shift for key, _, _, shift in LSPKData._layout(n1, n2)}
+    B1 = LSPKData._shifted(u1.T @ A_op @ u1, -shifts["b1"])
+    B2 = LSPKData._shifted(u2.T @ A_op @ u2, -shifts["b2"])
     thr = tol.eps * residual_scale(S, A_op)
     skew = (Check("B1", _max_abs(B1 + B1.T), thr), Check("B2", _max_abs(B2 + B2.T), thr))
     off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
