@@ -316,7 +316,13 @@ def _parse_box(raw: str) -> tuple[float, float]:
     parts = raw.split(sep)
     if len(parts) != 2:
         raise SchemaError(f"--box expects two numbers, got {raw!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    bounds = []
+    for part in parts:
+        try:
+            bounds.append(float(part))
+        except ValueError:
+            raise SchemaError(f"--box {raw!r}: {part!r} is not a number") from None
+    lo, hi = bounds
     if not lo < hi:
         raise SchemaError(f"--box needs lo < hi, got {raw!r}")
     return lo, hi

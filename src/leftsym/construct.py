@@ -76,8 +76,8 @@ def derive_omegas(
 def _metric_dual(g: np.ndarray, g_dual: np.ndarray, rho: np.ndarray, which: str) -> np.ndarray:
     """One omega of derive_omegas: the g_dual-dual of <rho(.)X, Y>_g symmetrized; which names g_dual."""
     n, m = g.shape[0], g_dual.shape[0]
-    if not m:
-        return np.zeros((n, n, 0))
+    if not (n and m):  # an omega spans both parts: zero unless both are non-empty, as in _systems
+        return np.zeros((n, n, m))
     rhs = _paired_action(g, rho)
     try:
         return np.linalg.solve(g_dual, rhs.reshape(-1, m).T).T.reshape(n, n, m)
@@ -105,7 +105,8 @@ class LSPKData(_Owner):
     The fields are read-only, so the systems are measured once per data
     object and kept on it (core._Owner._kept): validate_data, data_residuals
     and build_lspk read that one measurement, each with its own threshold,
-    and the data that decompose certified carries decompose's measurement.
+    the data that decompose certified carries decompose's measurement, and
+    the data of build_corollary2 the parts of S2 it measured as hypotheses.
     """
 
     n1: int
@@ -178,8 +179,9 @@ class LSPKData(_Owner):
         return (self.c2, self.rho1, self.rho2, self.omega1, self.omega2, self.b1, self.b2, self.g1, self.g2)
 
     def _residuals(self) -> tuple[tuple[str, float | None], ...]:
-        """The (name, residual) pairs of the compatibility systems, measured on first use."""
-        return self._kept("systems", lambda: system_residuals(*self._arrays))
+        """The (name, residual) pairs of the compatibility systems, measured on first use; S2
+        folds the four parts kept under "S2" when the data's constructor measured them first."""
+        return self._kept("systems", lambda: system_residuals(*self._arrays, self.__dict__.get("S2")))
 
 
 def _data_checks(data: LSPKData, tol: Tolerance) -> tuple[Check, ...]:
@@ -258,7 +260,9 @@ def build_corollary2(
 
     The input must carry trace-free left multiplications, the metric
     compatibility, the sectional identity with constant -1, and D must be
-    a skew derivation; each hypothesis failure is reported by name.
+    a skew derivation; each hypothesis failure is reported by name.  The data
+    keeps these measurements as the parts of its S2, so the n^5 sectional
+    kernel runs once on c (and once on the assembled algebra).
     """
     n = h.dim
     A, g = h.algebra, h.metric.matrix
@@ -267,19 +271,23 @@ def build_corollary2(
 
     thr = tol.eps * residual_scale(c, g, d)
 
-    _enforce([Check("trace_free", _max_abs(_traces(c)), thr)], HypothesisFailed)
-    _enforce([check_hessian(A, h.metric, tol)], HypothesisFailed)
+    trace_free = _max_abs(_traces(c))
+    _enforce([Check("trace_free", trace_free, thr)], HypothesisFailed)
+    hessian = check_hessian(A, h.metric, tol)
+    _enforce([hessian], HypothesisFailed)
 
     gd = g @ d
     sectional = _left_symmetry_worst(c, _metric_sectional(g, -1.0))[0]
+    derivation = _max_abs(_derivation_defect(d, c))
     hypotheses = (
         Check("sectional", sectional, thr),
         Check("skew", _max_abs(gd + gd.T), thr),
-        Check("derivation", _max_abs(_derivation_defect(d, c)), thr),
+        Check("derivation", derivation, thr),
     )
     _enforce(hypotheses, HypothesisFailed)
 
     data = LSPKData(n1=0, n2=n, c2=c, b2=d, g2=g)
+    data._kept("S2", lambda: (hessian.residual, sectional, derivation, trace_free))  # the parts of its S2
     label = f"{A.name}+H" if A.name else "productpart"
     return build_lspk(data, tol, name=label)
 

@@ -20,18 +20,18 @@ The pipeline runs in four stages, each of which certifies what it uses:
    representation conditions hold, and rho is certified against LSPKData.rho.
 
 Every relation is a whole-tensor contraction, kept by name as a core.Check
-in the stage's result (residual None marks a relation that is vacuous
-because one of the parts is zero dimensional), and the first relation
+in the stage's result (residual None marks a relation that spans a zero
+dimensional part, which _systems then does not evaluate), and the first relation
 beyond its threshold raises under that name (the checks of find_idempotent_H
 and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
 others, and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 
 The trace form and the left-symmetry measurement of the input are kept on the
 algebra (forms.koszul_form, forms.check_left_symmetric), so one decompose builds
-one trace form and runs the n^5 left-symmetry kernel on the input, for AS-2 and
-for S2.  The rebuild build_lspk(data_from_decomposition(dec)) reads the systems
-measured on dec.data, so the round trip measures them once and runs the kernel
-a fourth time, on the rebuilt algebra.
+one trace form and runs the n^5 left-symmetry kernel on the input, for AS-2 and,
+when h2 is not empty, for S2.  The rebuild build_lspk(data_from_decomposition(dec))
+reads the systems measured on dec.data, so the round trip measures them once and
+runs the kernel once more, on the rebuilt algebra: four runs, three for flat data.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class HSplit(_Staged):
     """Stage-2 result: the complement of H with its induced data.
 
     h_basis columns are ambient vectors, orthonormal for <,> = B/rho.
-    S and A_op are square matrices in that basis, gram the measured Gram
-    matrix (identity up to roundoff).
+    S and A_op are square matrices in that basis; the check gram_identity
+    holds how far the measured Gram matrix of h_basis is from the identity.
     """
 
     H: np.ndarray
@@ -119,7 +119,6 @@ class HSplit(_Staged):
     h_basis: np.ndarray
     S: np.ndarray
     A_op: np.ndarray
-    gram: np.ndarray
     checks: tuple[Check, ...]
 
 
@@ -173,7 +172,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
         Check("AS-S-symmetric", _max_abs(S - S.T), thr),
     )
     _enforce(checks[1:], SystemASViolated)
-    return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, gram=gram, checks=checks)
+    return HSplit(H=H, rho=float(rho), h_basis=h_basis, S=S, A_op=A_op, checks=checks)
 
 
 @dataclass(frozen=True, eq=False)

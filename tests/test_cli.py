@@ -441,7 +441,8 @@ def test_search_bad_grid_or_box_is_usage_error(capsys, flag):
 @pytest.mark.parametrize(
     "box, message",
     [("1", "--box expects two numbers, got '1'"), ("1,2,3", "--box expects two numbers, got '1,2,3'"),
-     ("1,0", "--box needs lo < hi, got '1,0'"), ("1:1", "--box needs lo < hi, got '1:1'")],
+     ("1,0", "--box needs lo < hi, got '1,0'"), ("1:1", "--box needs lo < hi, got '1:1'"),
+     ("a,b", "--box 'a,b': 'a' is not a number"), ("1,x", "--box '1,x': 'x' is not a number")],
 )
 def test_search_refuses_a_malformed_box(box, message, capsys):
     assert run(["search", "dim4", f"--box={box}"]) == 2

@@ -17,6 +17,7 @@ from leftsym import (
     LSPKData,
     MetricAlgebra,
     MilnorSpec,
+    NotPositiveDefinite,
     NotSkew,
     PreconditionFailed,
     ValidationFailed,
@@ -93,6 +94,19 @@ def test_corollary2_names_the_failing_hypothesis(h_vec, skew, hypothesis):
     with pytest.raises(HypothesisFailed) as info:
         build_corollary2(M, skew)
     assert info.value.name == hypothesis
+
+
+def test_corollary2_names_a_failing_hypothesis_before_an_indefinite_metric():
+    # the hypotheses are measured and refused before the data checks its metric
+    M, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
+    flipped = MetricAlgebra(M.algebra, BilinearForm(-M.metric.matrix))  # sectional constant +1
+    with pytest.raises(HypothesisFailed) as info:
+        build_corollary2(flipped)
+    assert info.value.name == "sectional"
+    line = MetricAlgebra(AlgebraStructure(np.zeros((1, 1, 1))), BilinearForm(-np.eye(1)))
+    with pytest.raises(NotPositiveDefinite) as info:
+        build_corollary2(line)  # every hypothesis holds on the zero product
+    assert info.value.name == "positive definite g2"
 
 
 @pytest.mark.parametrize("name", ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",

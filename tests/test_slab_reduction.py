@@ -22,6 +22,7 @@ import pytest
 
 from leftsym import (
     AlgebraStructure,
+    LSPKData,
     Tolerance,
     change_basis,
     check_associative,
@@ -37,7 +38,7 @@ from leftsym import (
 from leftsym import _systems, construct, forms
 from leftsym.catalog import catalog_build, catalog_list
 from leftsym.construct import MilnorSpec, build_corollary1, build_corollary2, build_lspk, build_milnor
-from leftsym.core import Check, _conjunction, _slab_worst
+from leftsym.core import Check, _compose, _conjunction, _slab_worst
 from leftsym.forms import (
     _left_symmetry_worst,
     _metric_sectional,
@@ -212,7 +213,7 @@ def test_as2_s2_and_corollary2_reduce_through_the_kernel(monkeypatch):
     seen.clear()
     h, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
     assert build_corollary2(h).dim == 3
-    assert seen == [2, 2]  # its sectional hypothesis, then S2 in build_lspk
+    assert seen == [2]  # its sectional hypothesis, which S2 in build_lspk folds in
 
 
 def _product_part(n, seed):
@@ -245,6 +246,84 @@ def test_decompose_and_rebuild_measure_the_systems_once(monkeypatch):
     assert rebuilt.dim == 5
     assert systems == [1]  # one measurement, on c2 with n2 = 1
     assert kernel == [5, 4, 1, 5]  # the input, AS-2, S2, the rebuilt algebra
+
+
+def _one_part(family, n, seed):
+    """A transported flat-part, product-part or R^n algebra of dimension n; at n = 1 each is R H."""
+    if family == "product" and n > 1:
+        return _product_part(n, seed)
+    rng = np.random.default_rng(seed)
+    if family == "flat":
+        d = rng.standard_normal((n - 1, n - 1))
+        A = build_corollary1(n - 1, (d - d.T) / 2.0)
+    else:  # the coordinatewise product e_i e_i = e_i
+        c = np.zeros((n, n, n))
+        c[range(n), range(n), range(n)] = 1.0
+        A = AlgebraStructure(c, name=f"rn{n}")
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return change_basis(A, Q)
+
+
+def test_one_part_data_never_contracts_an_empty_part(monkeypatch):
+    # a relation that spans an empty part is None without being evaluated, so
+    # the systems of one-part data make no GEMM or kernel call on a zero-length axis
+    shapes, names = [], set()
+
+    def counted_compose(a, b):
+        shapes.append((a.shape, b.shape))
+        return _compose(a, b)
+
+    def counted_kernel(c, target=None):
+        shapes.append((c.shape,))
+        return _left_symmetry_worst(c, target)
+
+    monkeypatch.setattr(_systems, "_compose", counted_compose)
+    monkeypatch.setattr(_systems, "_left_symmetry_worst", counted_kernel)
+    parts = set()
+    for family in ("flat", "product", "rn"):
+        for n in (1, 2, 6, 12):
+            data = data_from_decomposition(decompose(_one_part(family, n, n)))
+            assert build_lspk(data).dim == n and validate_data(data)
+            parts.add((data.n1, data.n2))
+            names.add(tuple(data_residuals(data)))
+    empty = LSPKData(n1=0, n2=0)
+    assert build_lspk(empty).dim == 1 and validate_data(empty)
+    names.add(tuple(data_residuals(empty)))
+    assert parts == {(0, 0), (1, 0), (5, 0), (11, 0), (0, 1), (0, 5), (0, 11)}
+    assert shapes and all(0 not in shape for call in shapes for shape in call)
+    names.add(tuple(data_residuals(decompose(catalog_build("lspk_dim5")).data)))  # mixed data
+    assert names == {_systems.NAMES}
+
+
+def _product_data(n, seed, monkeypatch):
+    """The LSPKData that build_corollary2 hands to build_lspk, for a random metric of dimension n."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    g = m @ m.T + n * np.eye(n)
+    h = rng.standard_normal(n)
+    handed = []
+
+    def rebuild(data, tol=Tolerance(), name=""):
+        handed.append(data)
+        return build_lspk(data, tol, name)
+
+    monkeypatch.setattr(construct, "build_lspk", rebuild)
+    M, k = build_milnor(MilnorSpec(n, h / math.sqrt(h @ g @ h), g))
+    assert k == pytest.approx(-1.0)
+    build_corollary2(M)
+    (data,) = handed
+    return data
+
+
+@pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (5, 3), (12, 4)])
+def test_a_product_part_keeps_the_measurement_of_its_hypotheses(n, seed, monkeypatch):
+    data = _product_data(n, seed, monkeypatch)
+    assert "S2" in dir(data)  # the parts build_corollary2 measured, which its S2 folds in
+
+    def bits(pairs):
+        return [(name, None if r is None else r.hex()) for name, r in pairs]
+
+    assert bits(data._residuals()) == bits(_systems.system_residuals(*data._arrays))
 
 
 ROUND_TRIP = [name for name in catalog_list() if name.startswith("lspk_")] + ["product12"]
