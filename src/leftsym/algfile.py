@@ -10,6 +10,7 @@ stdlib json plus schema validation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -223,6 +224,8 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     if "tolerance" in doc:
         raw = doc["tolerance"]
         _require(type(raw) in _NUMBER_TYPES and raw > 0, "tolerance", "must be a positive number")
+        # exact for an int, so an integer beyond float range is refused before float() overflows
+        _require(raw <= sys.float_info.max, "tolerance", "must be finite")
         tolerance = float(raw)
 
     return AlgebraFile(

@@ -94,7 +94,8 @@ class CatalogEntry:
     decomposition signature, required of an LSPK entry; expected_k to the
     sectional constant when the entry is a metric k-Hessian algebra.
     kind is one of "lspk", "khessian", "nilpotent" and selects the
-    predicate suite run by catalog_verify.
+    predicate suite run by catalog_verify; extra_checks are further
+    predicates (A, tol) -> Check that it runs after that suite.
     """
 
     name: str
@@ -104,7 +105,7 @@ class CatalogEntry:
     expected_koszul: Callable[[dict], np.ndarray] | None = None
     expected_signature: Callable[[dict], tuple[int, int, float]] | None = None
     expected_k: Callable[[dict], float] | None = None
-    extra_checks: tuple[str, ...] = field(default=())
+    extra_checks: tuple[Callable[[AlgebraStructure, Tolerance], Check], ...] = field(default=())
 
     def resolve(self, params: dict | None) -> dict:
         given = dict(params or {})
@@ -296,6 +297,11 @@ def _nilpotent_a0() -> AlgebraStructure:
     return _alg(2, {(0, 0, 1): 1.0}, "nilpotent_A0")
 
 
+def _trace_free(A: AlgebraStructure, tol: Tolerance) -> Check:
+    worst, at = _worst(_traces(A.constants))
+    return Check("trace-free multiplications", worst, tol.eps * residual_scale(A.constants), at)
+
+
 def _khess_r2_koszul(p: dict) -> np.ndarray:
     mu = (p["y"] ** 2 / 4.0 - 1.0) / p["k"]
     return np.diag([3.0 * p["y"] * p["lam"] * (p["y"] + 2.0) / (4.0 * mu), 1.5 * p["y"] ** 2])
@@ -378,7 +384,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         builder=lambda k, theta: kdim2_family(k, theta, family=1),
         expected_koszul=lambda p: np.zeros((2, 2)),
         expected_k=lambda p: p["k"],
-        extra_checks=("trace_free",),
+        extra_checks=(_trace_free,),
     ),
     CatalogEntry(
         name="khess_kdim2_f2",
@@ -390,7 +396,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         builder=lambda k, theta: kdim2_family(k, theta, family=2),
         expected_koszul=lambda p: np.zeros((2, 2)),
         expected_k=lambda p: p["k"],
-        extra_checks=("trace_free", "commutative"),
+        extra_checks=(_trace_free, check_commutative),
     ),
     CatalogEntry(
         name="khess_r2_example",
@@ -410,7 +416,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         params=(),
         builder=_khess_r3_commutative,
         expected_k=lambda p: -1.0,
-        extra_checks=("commutative",),
+        extra_checks=(check_commutative,),
     ),
     CatalogEntry(
         name="milnor",
@@ -501,11 +507,7 @@ def catalog_verify(name: str, params: dict | None = None, tol: Tolerance = Toler
         run(check_left_symmetric(A, tol))
 
     for extra in entry.extra_checks:
-        if extra == "trace_free":
-            worst, at = _worst(_traces(A.constants))
-            run(Check("trace-free multiplications", worst, tol.eps * residual_scale(A.constants), at))
-        elif extra == "commutative":
-            run(check_commutative(A, tol))
+        run(extra(A, tol))
 
     return _conjunction(checks)
 

@@ -2,9 +2,11 @@
 
 Every subcommand reads and writes the JSON algebra-file format from
 algfile.  Exit codes: 0 when everything asked for passes, 1 when a
-predicate or verification fails, 2 on usage or parse errors.  The
-LSPK_EPS environment variable overrides the default tolerance; a
-tolerance recorded inside an input file overrides both.
+predicate or verification fails, 2 on usage or parse errors.  A handler
+returns its verdict or raises; run() alone turns an exception into its
+error: or failure: line and exit code.  The LSPK_EPS environment variable
+overrides the default tolerance; a tolerance recorded inside an input file
+overrides both.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .construct import build_corollary1, build_corollary2, build_lspk, build_mil
 from .core import Tolerance, _enforce, _worst_of
 from .decompose import decompose
 from .errors import (
+    DimensionMismatch,
     FixtureBroken,
     LeftSymError,
     NotEinstein,
@@ -54,14 +57,10 @@ from .geometry import tangent_bundle_ricci
 from .search import builtin_system, newton_search, verify_roots_build
 
 
-def _load_file(path: str) -> AlgebraFile:
-    return parse_algebra_file(Path(path).read_text())
-
-
-def _tolerance(af: AlgebraFile | None, tol: Tolerance) -> Tolerance:
-    if af is not None and af.tolerance is not None:
-        return Tolerance(af.tolerance)
-    return tol
+def _load(path: str, tol: Tolerance) -> tuple[AlgebraFile, Tolerance]:
+    """An algebra file and the tolerance to judge it at: the one it records, else tol."""
+    af = parse_algebra_file(Path(path).read_text())
+    return af, tol if af.tolerance is None else Tolerance(af.tolerance)
 
 
 def _matrix_lines(m: np.ndarray) -> list[str]:
@@ -95,31 +94,24 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_check(args, tol: Tolerance) -> int:
-    af = _load_file(args.file)
-    tol = _tolerance(af, tol)
+    af, tol = _load(args.file, tol)
     A = af.algebra
-    checks: list[tuple[str, object]] = []
-
-    wants_metric = args.hessian or args.khessian is not None
-    if wants_metric and af.metric is None:
-        print("error: this check needs a metric in the file", file=sys.stderr)
-        return 2
-
-    if args.lsa:
-        checks.append(("left-symmetric", check_left_symmetric(A, tol)))
-    elif args.novikov:
-        checks.append(("novikov", check_novikov(A, tol)))
-    elif args.hessian:
-        checks.append(("hessian", check_hessian(A, af.metric, tol)))
-    elif args.khessian is not None:
-        checks.append(("k-hessian", check_k_hessian(A, af.metric, args.khessian, tol)))
-    else:
-        checks.append(("left-symmetric", check_left_symmetric(A, tol)))
-        if af.metric is not None:
-            checks.append(("hessian", check_hessian(A, af.metric, tol)))
+    if (args.hessian or args.khessian is not None) and af.metric is None:
+        raise SchemaError("this check needs a metric in the file")
 
     pd_info = None
-    if not (args.lsa or args.novikov or args.hessian or args.khessian is not None):
+    if args.lsa:
+        checks = [("left-symmetric", check_left_symmetric(A, tol))]
+    elif args.novikov:
+        checks = [("novikov", check_novikov(A, tol))]
+    elif args.hessian:
+        checks = [("hessian", check_hessian(A, af.metric, tol))]
+    elif args.khessian is not None:
+        checks = [("k-hessian", check_k_hessian(A, af.metric, args.khessian, tol))]
+    else:  # the default suite, which also reports whether the trace form is definite
+        checks = [("left-symmetric", check_left_symmetric(A, tol))]
+        if af.metric is not None:
+            checks.append(("hessian", check_hessian(A, af.metric, tol)))
         pd_info = bool(is_positive_definite(koszul_form(A), tol))
 
     if args.json:
@@ -142,8 +134,7 @@ def _cmd_check(args, tol: Tolerance) -> int:
 
 
 def _cmd_koszul(args, tol: Tolerance) -> int:
-    af = _load_file(args.file)
-    tol = _tolerance(af, tol)
+    af, tol = _load(args.file, tol)
     B = koszul_form(af.algebra)
     pd = is_positive_definite(B, tol)
     if args.json:
@@ -156,8 +147,7 @@ def _cmd_koszul(args, tol: Tolerance) -> int:
 
 
 def _cmd_decompose(args, tol: Tolerance) -> int:
-    af = _load_file(args.file)
-    tol = _tolerance(af, tol)
+    af, tol = _load(args.file, tol)
     dec = decompose(af.algebra, tol)
     worst = _worst_of(dec.residuals.values(), default=0.0)
     if args.json:
@@ -179,39 +169,40 @@ def _cmd_decompose(args, tol: Tolerance) -> int:
     return 0
 
 
+def _skew(args) -> np.ndarray | None:
+    return parse_matrix_file(Path(args.skew).read_text()) if args.skew else None
+
+
+# A builder returns what it built and, for the rank-one family, its sectional constant k.
+def _corollary1(args, tol: Tolerance):
+    return build_corollary1(args.n, skew=_skew(args), tol=tol), None
+
+
+def _corollary2(args, tol: Tolerance):
+    af, tol = _load(args.file, tol)
+    if af.metric is None:
+        raise SchemaError("corollary2 input file needs a metric")
+    return build_corollary2(MetricAlgebra(af.algebra, af.metric), skew=_skew(args), tol=tol), None
+
+
+def _theo(args, tol: Tolerance):
+    return build_lspk(parse_lspk_data(Path(args.file).read_text()), tol), None
+
+
+def _milnor(args, tol: Tolerance):
+    return build_milnor(parse_milnor_spec(Path(args.file).read_text()), tol)
+
+
 def _cmd_build(args, tol: Tolerance) -> int:
-    if args.builder == "corollary1":
-        skew = parse_matrix_file(Path(args.skew).read_text()) if args.skew else None
-        A = build_corollary1(args.n, skew=skew, tol=tol)
-        _write_output(render_algebra_file(A), args.out)
-        return 0
-    if args.builder == "corollary2":
-        af = _load_file(args.file)
-        tol = _tolerance(af, tol)
-        if af.metric is None:
-            print("error: corollary2 input file needs a metric", file=sys.stderr)
-            return 2
-        skew = parse_matrix_file(Path(args.skew).read_text()) if args.skew else None
-        A = build_corollary2(MetricAlgebra(af.algebra, af.metric), skew=skew, tol=tol)
-        _write_output(render_algebra_file(A), args.out)
-        return 0
-    if args.builder == "theo":
-        data = parse_lspk_data(Path(args.file).read_text())
-        A = build_lspk(data, tol)
-        _write_output(render_algebra_file(A), args.out)
-        return 0
-    if args.builder == "milnor":
-        spec = parse_milnor_spec(Path(args.file).read_text())
-        M, k = build_milnor(spec, tol)
-        _write_output(render_algebra_file(M.algebra, M.metric), args.out)
+    built, k = args.build(args, tol)
+    _write_output(render_algebra_file(*_parts(built)), args.out)
+    if k is not None:
         print(f"k = {k:.17g}", file=sys.stderr)
-        return 0
-    raise UnknownEntry(f"no builder named {args.builder!r}")  # pragma: no cover
+    return 0
 
 
 def _cmd_geometry(args, tol: Tolerance) -> int:
-    af = _load_file(args.file)
-    tol = _tolerance(af, tol)
+    af, tol = _load(args.file, tol)
     A = af.algebra
     if args.scale is not None:
         if not (args.scale > 0 and np.isfinite(args.scale)):
@@ -263,52 +254,56 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
-def _cmd_catalog(args, tol: Tolerance) -> int:
-    if args.action == "list":
-        for name in catalog_list():
-            print(name)
-        return 0
-    if args.action == "show":
-        entry = catalog_entry(args.name)
-        params = _parse_params(args.param)
-        A, metric = _parts(entry.build(params))
-        print(f"name: {entry.name}")
-        print(f"kind: {entry.kind}")
-        for spec in entry.params:
-            bounds = f" in {spec.choices}" if spec.choices else f" in [{spec.low}, {spec.high}]"
-            print(f"param {spec.name} (default {spec.default:g}){bounds}")
-        resolved = entry.resolve(params)
-        if entry.expected_signature is not None:
-            print(f"expected signature: {entry.expected_signature(resolved)}")
-        if entry.expected_k is not None:
-            print(f"expected k: {entry.expected_k(resolved):g}")
-        sys.stdout.write(render_algebra_file(A, metric))
-        return 0
-    if args.action == "verify-all":
-        rows = []
-        for name in catalog_list():
-            try:
-                rep = catalog_verify(name, tol=tol)
-                rows.append({"name": name, "ok": True, "worst_residual": rep.max_residual})
-            except FixtureBroken as exc:
-                rows.append(
-                    {"name": name, "ok": False, "predicate": exc.predicate, "residual": exc.residual}
-                )
-        if args.json:
-            _emit({"entries": rows})
-        else:
-            for row in rows:
-                if row["ok"]:
-                    print(f"{row['name']}: ok (worst residual {row['worst_residual']:.3e})")
-                else:
-                    tail = "" if row["residual"] is None else f", residual {row['residual']:.3e}"
-                    print(f"{row['name']}: FAIL ({row['predicate']}{tail})")
-        return 0 if all(row["ok"] for row in rows) else 1
-    if args.action == "export":
-        built = catalog_build(args.name, _parse_params(args.param))
-        _write_output(render_algebra_file(*_parts(built)), args.out)
-        return 0
-    raise UnknownEntry(f"no catalog action named {args.action!r}")  # pragma: no cover
+def _cmd_list(args, tol: Tolerance) -> int:
+    for name in catalog_list():
+        print(name)
+    return 0
+
+
+def _cmd_show(args, tol: Tolerance) -> int:
+    entry = catalog_entry(args.name)
+    params = _parse_params(args.param)
+    A, metric = _parts(entry.build(params))
+    print(f"name: {entry.name}")
+    print(f"kind: {entry.kind}")
+    for spec in entry.params:
+        bounds = f" in {spec.choices}" if spec.choices else f" in [{spec.low}, {spec.high}]"
+        print(f"param {spec.name} (default {spec.default:g}){bounds}")
+    resolved = entry.resolve(params)
+    if entry.expected_signature is not None:
+        print(f"expected signature: {entry.expected_signature(resolved)}")
+    if entry.expected_k is not None:
+        print(f"expected k: {entry.expected_k(resolved):g}")
+    sys.stdout.write(render_algebra_file(A, metric))
+    return 0
+
+
+def _cmd_verify_all(args, tol: Tolerance) -> int:
+    rows = []
+    for name in catalog_list():
+        try:
+            rep = catalog_verify(name, tol=tol)
+            rows.append({"name": name, "ok": True, "worst_residual": rep.max_residual})
+        except FixtureBroken as exc:
+            rows.append(
+                {"name": name, "ok": False, "predicate": exc.predicate, "residual": exc.residual}
+            )
+    if args.json:
+        _emit({"entries": rows})
+    else:
+        for row in rows:
+            if row["ok"]:
+                print(f"{row['name']}: ok (worst residual {row['worst_residual']:.3e})")
+            else:
+                tail = "" if row["residual"] is None else f", residual {row['residual']:.3e}"
+                print(f"{row['name']}: FAIL ({row['predicate']}{tail})")
+    return 0 if all(row["ok"] for row in rows) else 1
+
+
+def _cmd_export(args, tol: Tolerance) -> int:
+    built = catalog_build(args.name, _parse_params(args.param))
+    _write_output(render_algebra_file(*_parts(built)), args.out)
+    return 0
 
 
 def _parse_box(raw: str) -> tuple[float, float]:
@@ -385,20 +380,20 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("n", type=int)
     b.add_argument("--skew", help="JSON matrix file with a skew operator")
     b.add_argument("--out")
-    b.set_defaults(func=_cmd_build)
+    b.set_defaults(func=_cmd_build, build=_corollary1)
     b = bsub.add_parser("corollary2", help="curved part from a metric algebra file")
     b.add_argument("file")
     b.add_argument("--skew", help="JSON matrix file with a skew derivation")
     b.add_argument("--out")
-    b.set_defaults(func=_cmd_build)
+    b.set_defaults(func=_cmd_build, build=_corollary2)
     b = bsub.add_parser("theo", help="general assembly from a data file")
     b.add_argument("file")
     b.add_argument("--out")
-    b.set_defaults(func=_cmd_build)
+    b.set_defaults(func=_cmd_build, build=_theo)
     b = bsub.add_parser("milnor", help="rank-one family from a spec file")
     b.add_argument("file")
     b.add_argument("--out")
-    b.set_defaults(func=_cmd_build)
+    b.set_defaults(func=_cmd_build, build=_milnor)
 
     p = sub.add_parser("geometry", help="curvature report for an algebra file")
     p.add_argument("file")
@@ -411,19 +406,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="inspect the registry of worked examples")
     csub = p.add_subparsers(dest="action", required=True)
     c = csub.add_parser("list", help="entry names")
-    c.set_defaults(func=_cmd_catalog)
+    c.set_defaults(func=_cmd_list)
     c = csub.add_parser("show", help="parameters and products of one entry")
     c.add_argument("name")
     c.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
-    c.set_defaults(func=_cmd_catalog)
+    c.set_defaults(func=_cmd_show)
     c = csub.add_parser("verify-all", help="replay every entry's predicate suite")
     c.add_argument("--json", action="store_true")
-    c.set_defaults(func=_cmd_catalog)
+    c.set_defaults(func=_cmd_verify_all)
     c = csub.add_parser("export", help="write one entry as an algebra file")
     c.add_argument("name")
     c.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     c.add_argument("--out")
-    c.set_defaults(func=_cmd_catalog)
+    c.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("search", help="roots of a builtin parameter system")
     p.add_argument("system")
@@ -445,10 +440,8 @@ def run(argv: list[str]) -> int:
         # products that overflow are refused by name; numpy's warnings would only precede that
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args, Tolerance.from_env())
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, SchemaError, UnknownEntry, UnknownSystem, ValueError) as exc:
+    except (FileNotFoundError, ParseError, SchemaError, DimensionMismatch, UnknownEntry,
+            UnknownSystem, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LeftSymError as exc:

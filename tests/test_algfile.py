@@ -84,6 +84,26 @@ def test_tolerance_field_round_trips(dim2):
     assert parse_algebra_file(render_algebra_file(dim2)).tolerance is None
 
 
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        ("1" + "0" * 400, "must be finite"),  # float() of this int overflows
+        ("1e999", "must be finite"),  # json decodes it as inf
+        ("-1e999", "must be a positive number"),
+        ("NaN", "must be a positive number"),
+        ("0", "must be a positive number"),
+        ("true", "must be a positive number"),
+    ],
+    ids=["int-beyond-float", "1e999", "-1e999", "nan", "zero", "bool"],
+)
+def test_tolerance_beyond_float_range_is_refused_by_name(raw, reason):
+    with pytest.raises(SchemaError) as info:
+        parse_algebra_file('{"dim": 1, "tolerance": %s}' % raw)
+    assert str(info.value) == f"field 'tolerance': {reason}"
+    largest = parse_algebra_file('{"dim": 1, "tolerance": 1.7976931348623157e308}')
+    assert largest.tolerance == np.finfo(float).max
+
+
 def test_rejects_malformed_json():
     with pytest.raises(ParseError):
         parse_algebra_file("{not json")

@@ -5,6 +5,7 @@ second three dimensional family coincides, after a rotation of the first
 two basis vectors, with the cone construction over the unit plane model.
 """
 
+import dataclasses
 import math
 import pickle
 
@@ -21,11 +22,13 @@ from leftsym import (
     build_corollary2,
     build_milnor,
     change_basis,
+    check_commutative,
     check_jacobi,
     decompose,
     is_solvable,
     koszul_form,
 )
+from leftsym import catalog
 from leftsym.catalog import (
     catalog_build,
     catalog_entry,
@@ -170,3 +173,15 @@ def test_fixture_broken_pickles(residual):
     assert (back.name, back.predicate, back.residual, str(back)) == (
         exc.name, exc.predicate, exc.residual, str(exc)
     )
+
+
+def test_a_failing_extra_check_refuses_the_entry_under_its_name(monkeypatch):
+    # the first plane family is trace-free but not commutative: asking for
+    # commutativity refuses it under that predicate's name
+    entry = catalog_entry("khess_kdim2_f1")
+    demanding = dataclasses.replace(entry, extra_checks=(check_commutative,))
+    monkeypatch.setitem(catalog._REGISTRY, entry.name, demanding)
+    with pytest.raises(FixtureBroken) as info:
+        catalog_verify(entry.name)
+    assert info.value.predicate == "commutative"
+    assert info.value.residual == check_commutative(catalog_build(entry.name).algebra).residual > 0.0

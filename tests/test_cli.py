@@ -5,8 +5,10 @@ predicate fails, 2 on usage or parse problems.  All invocations go through
 run() so the tests see exactly what a shell would.
 """
 
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,15 @@ def test_check_hessian_reads_the_file_metric(dim2_file, tmp_path, dim2, capsys):
         assert run(["check", str(bare), *flag]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: this check needs a metric in the file\n")
+
+
+@pytest.mark.parametrize("raw", ["1" + "0" * 400, "1e999"], ids=["int-beyond-float", "1e999"])
+def test_check_refuses_a_tolerance_beyond_float_range(tmp_path, raw, capsys):
+    p = tmp_path / "tolerance.json"
+    p.write_text('{"dim": 1, "tolerance": %s}' % raw)
+    assert run(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: field 'tolerance': must be finite\n")
 
 
 def test_missing_file_is_usage_error(tmp_path):
@@ -173,6 +184,29 @@ def test_build_corollary1(tmp_path, capsys):
     parsed = parse_algebra_file(out.read_text())
     assert parsed.algebra.dim == 4
     assert run(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["-1"], "part dimension must be nonnegative, got -1"),
+     (["2", "--skew"], "skew operator must have shape (2, 2), got (3, 3)")],
+    ids=["negative-dimension", "skew-shape"],
+)
+def test_build_corollary1_refuses_a_bad_argument_as_usage_error(tmp_path, argv, message, capsys):
+    skew = tmp_path / "skew.json"
+    skew.write_text("[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]")
+    argv = [*argv, str(skew)] if argv[-1] == "--skew" else argv
+    assert run(["build", "corollary1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_build_corollary1_fails_a_skew_operator_that_is_not_skew(tmp_path, capsys):
+    # skewness is a measured relation (NotSkew): a failure, not a usage error
+    skew = tmp_path / "skew.json"
+    skew.write_text("[[0, 1], [1, 0]]")
+    assert run(["build", "corollary1", "2", "--skew", str(skew)]) == 1
+    assert capsys.readouterr().err == "failure: operator is not skew-symmetric, residual 2.000e+00\n"
 
 
 def test_build_corollary2_needs_metric(tmp_path):
@@ -549,3 +583,28 @@ def test_cached_parser_reads_the_help_width_per_call(monkeypatch, capsys):
         assert run(["catalog", "export", "--help"]) == 0
         widths.append(max(map(len, capsys.readouterr().out.splitlines())))
     assert widths[0] > 40 >= widths[1]
+
+
+def test_only_run_turns_a_refusal_into_a_message_and_exit_code():
+    # a handler returns its verdict or raises; only run() holds an error:/failure:
+    # line or a return 2
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (run_def,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "run"]
+    in_run = {id(node) for node in ast.walk(run_def)}
+
+    def maps_a_refusal(node) -> bool:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value.startswith(("error:", "failure:"))
+        return isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2
+
+    found = [node for node in ast.walk(tree) if maps_a_refusal(node)]
+    assert [node.lineno for node in found if id(node) not in in_run] == []
+    assert {type(node) for node in found} == {ast.Constant, ast.Return}  # the guard sees run's
+
+
+@pytest.mark.parametrize("argv, code", [(["catalog", "list"], 0), (["frobnicate"], 2)], ids=["ok", "usage"])
+def test_main_exits_with_the_status_of_run(monkeypatch, argv, code, capsys):
+    monkeypatch.setattr(sys, "argv", ["leftsym", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == code

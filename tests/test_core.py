@@ -147,6 +147,11 @@ def test_structure_tensor_validation():
         A.constants[0, 0, 0] = 1.0  # frozen
 
 
+def test_repr_names_the_algebra_and_its_dimension():
+    assert repr(AlgebraStructure(np.zeros((2, 2, 2)), name="a0")) == "AlgebraStructure('a0', dim=2)"
+    assert repr(AlgebraStructure(np.zeros((0, 0, 0)))) == "AlgebraStructure('algebra', dim=0)"
+
+
 def _round_trips(obj) -> list:
     return [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)]
 

@@ -199,6 +199,10 @@ def test_every_predicate_is_vacuous_at_dimension_zero():
     assert [(c.residual, c.witness, c.holds, c.max_residual) for c in checks] == [(None, None, True, 0.0)] * 9
 
 
+def test_the_zero_algebra_is_solvable():
+    assert is_solvable(AlgebraStructure(np.zeros((0, 0, 0))))
+
+
 def test_geometry_and_rn_isomorphism_are_vacuous_at_dimension_zero(tmp_path, capsys):
     A = AlgebraStructure(np.zeros((0, 0, 0)))
     M = MetricAlgebra(A, BilinearForm(np.zeros((0, 0))))
