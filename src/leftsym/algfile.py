@@ -245,12 +245,12 @@ def parse_matrix_file(text: str, field: str = "matrix") -> np.ndarray:
 def parse_lspk_data(text: str) -> LSPKData:
     """Builder-input JSON for the general one-idempotent assembly.
 
-    Required: n1, n2.  Optional 2D arrays g1, g2, b1, b2; 3D arrays rho1
-    (n1, n2, n2), rho2 (n2, n1, n1), omega1 (n1, n1, n2), omega2
-    (n2, n2, n1); product tensor c2 (n2, n2, n2).  Omitted pieces take the
-    construction defaults (identity metrics, zero maps, derived omegas).
-    The keys are the fields of LSPKData, which checks the shapes; a
-    mismatch is a SchemaError here.
+    Required: n1, n2.  Optional 2D arrays g1, g2, b1, b2; 3D arrays rho2
+    (n2, n1, n1), omega1 (n1, n1, n2); product tensor c2 (n2, n2, n2).
+    Omitted pieces take the construction defaults (identity metrics, zero
+    maps, derived omega1).  The keys are the fields of LSPKData, which checks
+    the shapes; a mismatch is a SchemaError here, and so is any other key,
+    rho1 and omega2 included (both are forced to zero, see _systems).
     """
     doc = _load_object(text, {f.name for f in dataclass_fields(LSPKData)})
     n1, n2 = _as_count(doc.get("n1"), "n1"), _as_count(doc.get("n2"), "n2")

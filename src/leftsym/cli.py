@@ -440,7 +440,7 @@ def run(argv: list[str]) -> int:
         # products that overflow are refused by name; numpy's warnings would only precede that
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args, Tolerance.from_env())
-    except (FileNotFoundError, ParseError, SchemaError, DimensionMismatch, UnknownEntry,
+    except (OSError, ParseError, SchemaError, DimensionMismatch, UnknownEntry,
             UnknownSystem, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

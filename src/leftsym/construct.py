@@ -61,28 +61,20 @@ def _metric_field(v: np.ndarray | None, label: str, n: int) -> np.ndarray:
     return form.matrix
 
 
-def derive_omegas(
-    rho1: np.ndarray, rho2: np.ndarray, g1: np.ndarray, g2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairing maps determined by the actions and the metrics.
+def derive_omegas(rho2: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The pairing map omega1 determined by the action rho2 and the metrics.
 
-    omega1 is the g2-dual of (X, Y) -> <rho2(.)X, Y>_1 symmetrized, and
-    omega2 the g1-dual of the mirrored expression; these are forced, not
-    free data.
+    omega1 is the g2-dual of (X, Y) -> <rho2(.)X, Y>_1 symmetrized; it is
+    forced, not free data.  (Its mirror omega2 is forced to zero, see _systems.)
     """
-    return _metric_dual(g1, g2, rho2, "second"), _metric_dual(g2, g1, rho1, "first")
-
-
-def _metric_dual(g: np.ndarray, g_dual: np.ndarray, rho: np.ndarray, which: str) -> np.ndarray:
-    """One omega of derive_omegas: the g_dual-dual of <rho(.)X, Y>_g symmetrized; which names g_dual."""
-    n, m = g.shape[0], g_dual.shape[0]
-    if not (n and m):  # an omega spans both parts: zero unless both are non-empty, as in _systems
+    n, m = g1.shape[0], g2.shape[0]
+    if not (n and m):  # omega1 spans both parts: zero unless both are non-empty, as in _systems
         return np.zeros((n, n, m))
-    rhs = _paired_action(g, rho)
+    rhs = _paired_action(g1, rho2)
     try:
-        return np.linalg.solve(g_dual, rhs.reshape(-1, m).T).T.reshape(n, n, m)
+        return np.linalg.solve(g2, rhs.reshape(-1, m).T).T.reshape(n, n, m)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"{which} metric is singular: {exc}") from exc
+        raise SingularMetric(f"second metric is singular: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +82,14 @@ class LSPKData(_Owner):
     """Free data of the two-part decomposition.
 
     Shapes: c2 (n2, n2, n2) with the same index convention as structure
-    constants, rho1 (n1, n2, n2) and rho2 (n2, n1, n1) stacks of action
-    matrices, omega1 (n1, n1, n2) and omega2 (n2, n2, n1) pairing maps,
-    b1 / b2 skew operators, g1 / g2 positive definite Gram matrices.
+    constants, rho2 (n2, n1, n1) the stack of action matrices of the second
+    part on the first, omega1 (n1, n1, n2) the pairing map, b1 / b2 skew
+    operators, g1 / g2 positive definite Gram matrices.  The action of the
+    first part on the second and its pairing map are forced to zero (see
+    _systems), so they are no fields: build_lspk leaves their blocks zero.
 
     Omitted pieces default to zero (operators, product) or the identity
-    (metrics); omitted omegas are derived from the actions and metrics.
+    (metrics); an omitted omega1 is derived from rho2 and the metrics.
     Shapes, finite entries and positive definiteness of the metrics are
     enforced here; the equation systems are the business of validate_data.
     This class owns the format of the split data: _layout places each field,
@@ -112,10 +106,8 @@ class LSPKData(_Owner):
     n1: int
     n2: int
     c2: np.ndarray | None = None
-    rho1: np.ndarray | None = None
     rho2: np.ndarray | None = None
     omega1: np.ndarray | None = None
-    omega2: np.ndarray | None = None
     b1: np.ndarray | None = None
     b2: np.ndarray | None = None
     g1: np.ndarray | None = None
@@ -131,17 +123,13 @@ class LSPKData(_Owner):
             object.__setattr__(self, key, _frozen(fallback if v is None else v, key, shape))
 
         store("c2", (n2, n2, n2), np.zeros((n2, n2, n2)))
-        store("rho1", (n1, n2, n2), np.zeros((n1, n2, n2)))
         store("rho2", (n2, n1, n1), np.zeros((n2, n1, n1)))
         store("b1", (n1, n1), np.zeros((n1, n1)))
         store("b2", (n2, n2), np.zeros((n2, n2)))
         object.__setattr__(self, "g1", _metric_field(self.g1, "g1", n1))
         object.__setattr__(self, "g2", _metric_field(self.g2, "g2", n2))
-        w1, w2 = (None, None)
-        if self.omega1 is None or self.omega2 is None:
-            w1, w2 = derive_omegas(self.rho1, self.rho2, self.g1, self.g2)
-        store("omega1", (n1, n1, n2), w1)
-        store("omega2", (n2, n2, n1), w2)
+        derived = derive_omegas(self.rho2, self.g1, self.g2) if self.omega1 is None else None
+        store("omega1", (n1, n1, n2), derived)
 
     @property
     def dim(self) -> int:
@@ -160,10 +148,8 @@ class LSPKData(_Owner):
         s1, s2, iH = slice(0, n1), slice(n1, n1 + n2), n1 + n2
         return (
             ("c2", (s2, s2, s2), (0, 1, 2), 0.0),
-            ("rho1", (s1, s2, s2), (0, 2, 1), 0.0),
             ("rho2", (s2, s1, s1), (0, 2, 1), 0.0),
             ("omega1", (s1, s1, s2), (0, 1, 2), 0.0),
-            ("omega2", (s2, s2, s1), (0, 1, 2), 0.0),
             ("b1", (iH, s1, s1), (1, 0), 0.5),
             ("b2", (iH, s2, s2), (1, 0), 1.0),
         )
@@ -176,7 +162,7 @@ class LSPKData(_Owner):
     @property
     def _arrays(self) -> tuple[np.ndarray, ...]:
         """The fields in the argument order of system_residuals."""
-        return (self.c2, self.rho1, self.rho2, self.omega1, self.omega2, self.b1, self.b2, self.g1, self.g2)
+        return (self.c2, self.rho2, self.omega1, self.b1, self.b2, self.g1, self.g2)
 
     def _residuals(self) -> tuple[tuple[str, float | None], ...]:
         """The (name, residual) pairs of the compatibility systems, measured on first use; S2

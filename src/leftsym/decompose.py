@@ -16,15 +16,17 @@ The pipeline runs in four stages, each of which certifies what it uses:
    and every field of the structure data (the product blocks, and B1, B2 from
    the H row) is read off it through construct.LSPKData._layout, the table
    build_lspk writes through; so the rebuild equals the frame on every data
-   block.  The systems S1, S2, S3-1..S3-8 plus the flatness and
-   representation conditions hold, and rho is certified against LSPKData.rho.
+   block.  The frame's zero blocks hold, among them rho1_block and
+   omega2_block, where the paper's forced zeros rho1 and omega2 sit; the eight
+   relations of _systems.NAMES hold, and rho is certified against LSPKData.rho.
 
 Every relation is a whole-tensor contraction, kept by name as a core.Check
 in the stage's result (residual None marks a relation that spans a zero
 dimensional part, which _systems then does not evaluate), and the first relation
 beyond its threshold raises under that name (the checks of find_idempotent_H
 and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
-others, and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
+others, rho1_block and omega2_block theirs over 4 n s (see extract_structure),
+and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 
 The trace form and the left-symmetry measurement of the input are kept on the
 algebra (forms.koszul_form, forms.check_left_symmetric), so one decompose builds
@@ -217,12 +219,18 @@ class LSPKDecomposition(_Staged, _Owner):
     basis).  Arrays are stored once, read-only also after a pickle or copy:
     H and the part bases are views of basis, S and A_op (right and left
     multiplication by H on h, in the coordinates of basis) views of the
-    frame's H column and H row.  rho1[x][l, m] is the l-coordinate of the
-    action of the x-th h1 basis vector on the m-th h2 basis vector, and
-    omega1[x, y, :] an h2-coordinate vector (symmetric in x, y); mirrored for
-    rho2/omega2.  These, B1/B2, the part dimensions and circ2 (kept on first
-    use) are read through data, the construction data read off the frame with
-    identity metrics, which keeps the measurement of the systems.
+    frame's H column and H row.  rho2[x][a, b] is the a-coordinate of the
+    action of the x-th h2 basis vector on the b-th h1 basis vector, and
+    omega1[x, y, :] the h2-coordinates of the product of the x-th and y-th h1
+    basis vectors (symmetric in x, y).  The mirrored blocks, the action of h1
+    on h2 (rho1) and the h1-coordinates of h2 * h2 (omega2), are zero, and the
+    checks rho1_block and omega2_block certify it.  With it they certify the
+    relations those zeros make vacuous (see extract_structure): rho1_block
+    theo-i-trace, theo-i-commute, S3-3, S3-5 and S3-7, omega2_block
+    omega2_symmetric, S3-4 and S3-5, and the two together S1's second half,
+    S3-1 and S3-2.  rho2, omega1, B1/B2, the part dimensions and circ2 (kept
+    on first use) are read through data, the construction data read off the
+    frame with identity metrics, which keeps the measurement of the systems.
     """
 
     rho: float
@@ -235,10 +243,8 @@ class LSPKDecomposition(_Staged, _Owner):
     A_op = property(lambda self: self.frame.constants[-1, :-1, :-1].T)
     B1 = property(lambda self: self.data.b1)
     B2 = property(lambda self: self.data.b2)
-    rho1 = property(lambda self: self.data.rho1)
     rho2 = property(lambda self: self.data.rho2)
     omega1 = property(lambda self: self.data.omega1)
-    omega2 = property(lambda self: self.data.omega2)
     dim_h1 = property(lambda self: self.data.n1)
     dim_h2 = property(lambda self: self.data.n2)
     basis_h1 = property(lambda self: self.basis[:, : self.data.n1])
@@ -261,7 +267,25 @@ def extract_structure(
     esplit: EigenSplit,
     tol: Tolerance = Tolerance(),
 ) -> LSPKDecomposition:
-    """Write A in the decomposition basis, read the split data off it and certify the systems."""
+    """Write A in the decomposition basis, read the split data off it and certify the systems.
+
+    Beside circ1 and the mixed blocks, the zero blocks rho1_block (h1 * h2 into h2)
+    and omega2_block (h2 * h2 into h1) hold the paper's rho1 and omega2, which S3-7
+    and S1 force to zero (see _systems).  Each is checked against thr / (4 n s): thr
+    is the threshold of the systems, n the dimension, and s the residual_scale of
+    the product on h (which holds c2, rho2, omega1 and both blocks) and of b1, b2.
+    That keeps the nine relations those zeros make vacuous, and S1's second half,
+    at most thr.  Take identity metrics, every field at most s >= 1, and both
+    blocks at most e <= s, so e * e <= s * e in the quadratic terms of
+    theo-i-commute and S3-5.  Then a sum of m products, each with one factor from
+    the blocks, is at most m s e, and with n1 + n2 = n - 1 the relations are at
+    most: omega2_symmetric 2e, theo-i-trace n2 e, theo-i-commute 2 n2 s e, S1's
+    second half (omega2 minus the paired rho1) 3e, S3-1 (3 n2 + 2 n1) s e, S3-2,
+    S3-3 and S3-5 2 n2 s e, S3-4 (2 n1 + 4 n2) s e (its c2 bracket is at most
+    2s), and S3-7 (2 n2 + n1) s e + e/2.  Each is at most 4 (n - 1) s e, so
+    e <= thr / (4 n s) keeps all of them at most thr, and an input on which one
+    exceeds thr is refused under a block's name.
+    """
     u1, u2 = esplit.h1, esplit.h2
     n1, n2 = u1.shape[1], u2.shape[1]
     basis = _readonly(np.column_stack([hsplit.h_basis @ u1, hsplit.h_basis @ u2, hsplit.H]))
@@ -274,10 +298,13 @@ def extract_structure(
     cc = fc[:-1, :-1, :-1]  # the induced product on h
     s1, s2 = slice(0, n1), slice(n1, n1 + n2)
     thr = tol.eps * residual_scale(A.constants, cc, data.b1, data.b2)
+    forced = thr / (4.0 * A.dim * residual_scale(cc, data.b1, data.b2))
     blocks = (
         Check("circ1", _max_abs(cc[s1, s1, s1]), thr),
         Check("mixed_12_block", _max_abs(cc[s1, s2, s1]), thr),
         Check("mixed_21_block", _max_abs(cc[s2, s1, s2]), thr),
+        Check("rho1_block", _max_abs(cc[s1, s2, s2]), forced),
+        Check("omega2_block", _max_abs(cc[s2, s2, s1]), forced),
         *(Check(name, residual, thr) for name, residual in data._residuals()),
     )
 

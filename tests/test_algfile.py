@@ -156,13 +156,23 @@ def test_lspk_data_file():
     with pytest.raises(SchemaError):
         parse_lspk_data(json.dumps({"n1": 1}))
     with pytest.raises(SchemaError):
-        parse_lspk_data(json.dumps({"n1": 1, "n2": 1, "rho1": [[[1.0, 2.0]]]}))
+        parse_lspk_data(json.dumps({"n1": 1, "n2": 1, "rho2": [[[1.0, 2.0]]]}))
     # the JSON-number rule of algebra files holds in nested arrays too
     for entry in (True, "0"):
         with pytest.raises(SchemaError):
             parse_lspk_data(json.dumps({"n1": 1, "n2": 0, "b1": [[entry]]}))
         with pytest.raises(SchemaError):
-            parse_lspk_data(json.dumps({"n1": 1, "n2": 1, "rho1": [[[entry]]]}))
+            parse_lspk_data(json.dumps({"n1": 1, "n2": 1, "rho2": [[[entry]]]}))
+
+
+@pytest.mark.parametrize("key", ["rho1", "omega2"])
+def test_lspk_data_file_has_no_key_for_a_forced_zero(key):
+    # the action of h1 on h2 and its pairing map are forced to zero, so the
+    # format has no key for them, and a file that still has one is refused
+    doc = {"n1": 1, "n2": 1, key: [[[0.0]]]}
+    with pytest.raises(SchemaError) as info:
+        parse_lspk_data(json.dumps(doc))
+    assert str(info.value) == f"field '{key}': unknown field"
 
 
 def test_milnor_spec_file():

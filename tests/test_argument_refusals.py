@@ -16,6 +16,7 @@ from leftsym import (
     LSPKData,
     MetricAlgebra,
     MilnorSpec,
+    NotPositiveDefinite,
     PreconditionFailed,
     SingularMetric,
     UnknownSystem,
@@ -32,10 +33,11 @@ _MILNOR, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
 _ACTION = np.zeros((1, 1, 1))
 
 CASES = [
-    (lambda: derive_omegas(_ACTION, _ACTION, np.eye(1), np.zeros((1, 1))), SingularMetric,
+    (lambda: derive_omegas(_ACTION, np.eye(1), np.zeros((1, 1))), SingularMetric,
      "second metric is singular: Singular matrix"),
-    (lambda: derive_omegas(_ACTION, _ACTION, np.zeros((1, 1)), np.eye(1)), SingularMetric,
-     "first metric is singular: Singular matrix"),
+    # the first metric is never solved against: the data refuses it before
+    (lambda: LSPKData(n1=1, n2=1, g1=np.zeros((1, 1))), NotPositiveDefinite,
+     "positive definite g1 fails, residual -0.000e+00"),
     (lambda: LSPKData(n1=-1, n2=0), DimensionMismatch, "part dimensions must be nonnegative, got -1, 0"),
     (lambda: LSPKData(n1=1, n2=-2), DimensionMismatch, "part dimensions must be nonnegative, got 1, -2"),
     (lambda: build_corollary1(-1), DimensionMismatch, "part dimension must be nonnegative, got -1"),

@@ -104,6 +104,20 @@ def test_missing_file_is_usage_error(tmp_path):
     assert run(["check", str(tmp_path / "absent.json")]) == 2
 
 
+def test_a_directory_as_input_file_is_usage_error(tmp_path, capsys):
+    assert run(["check", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(tmp_path) in captured.err
+
+
+def test_a_directory_as_output_file_is_usage_error(tmp_path, capsys):
+    assert run(["build", "corollary1", "2", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(tmp_path) in captured.err
+
+
 def test_bad_json_is_usage_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{broken")
@@ -115,7 +129,7 @@ def test_bad_json_is_usage_error(tmp_path):
     [
         (["check"], '{"dim": 1, "products": [{"i": 0, "j": 0, "coeffs": [NaN]}]}'),
         (["check"], '{"dim": 1, "products": [{"i": 0, "j": 0, "coeffs": [true]}]}'),
-        (["build", "theo"], '{"n1": 1, "n2": 1, "rho1": [[[Infinity]]]}'),
+        (["build", "theo"], '{"n1": 1, "n2": 1, "rho2": [[[Infinity]]]}'),
         (["build", "theo"], '{"n1": 1, "n2": 0, "b1": [["0"]]}'),
         (["build", "milnor"], '{"dim": 2, "h": [1, NaN]}'),
         (["build", "corollary1", "2", "--skew"], "[[0, Infinity], [-Infinity, 0]]"),

@@ -171,7 +171,7 @@ def test_corollary2_names_a_nan_hypothesis_residual():
 
 
 def test_build_rejects_inconsistent_data():
-    data = LSPKData(n1=1, n2=1, rho1=np.array([[[0.7]]]))
+    data = LSPKData(n1=1, n2=1, rho2=np.array([[[0.7]]]))
     rep = validate_data(data)
     assert not rep
     assert rep.max_residual > 0.1
@@ -191,15 +191,15 @@ def test_data_residuals_structure():
 
 def test_data_shape_validation():
     with pytest.raises(Exception):
-        LSPKData(n1=1, n2=1, rho1=np.zeros((2, 1, 1)))
+        LSPKData(n1=1, n2=1, rho2=np.zeros((2, 1, 1)))
     with pytest.raises(Exception):
         LSPKData(n1=1, n2=1, g1=np.array([[-1.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_construction_data_refuses_non_finite_entries(bad):
-    for key, value in (("rho1", [[[bad]]]), ("c2", [[[bad]]]), ("g1", [[bad]]),
-                       ("omega2", [[[bad]]])):
+    for key, value in (("rho2", [[[bad]]]), ("c2", [[[bad]]]), ("g1", [[bad]]),
+                       ("omega1", [[[bad]]])):
         with pytest.raises(ValueError, match=key):
             LSPKData(n1=1, n2=1, **{key: np.array(value)})
     with pytest.raises(ValueError, match="h_vec"):
@@ -211,16 +211,18 @@ def test_construction_data_refuses_non_finite_entries(bad):
 
 
 def test_validate_data_never_holds_with_an_overflowing_residual():
-    # finite data whose commutator overflows to inf - inf = NaN; the verdict is the
-    # first failing equation, so it names the trace (1e200) before the NaN commutator,
-    # and for a traceless action it is the NaN itself
+    # finite data whose commutator overflows to inf - inf = NaN in theo-ii; the verdict
+    # is the first failing equation, so it names an asymmetric omega1 (1e200) before
+    # the NaN commutator, and for a symmetric omega1 it is the NaN itself
     big = 1e200
+    action = np.array([[[0.0, big], [-big, 0.0]]])
+    asymmetric = np.array([[[0.0], [big]], [[0.0], [0.0]]])
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = validate_data(LSPKData(n1=1, n2=1, rho1=np.array([[[big]]])))
-        assert not rep and (rep.name, rep.residual) == ("theo-i-trace", big)
-        rep = validate_data(LSPKData(n1=1, n2=2, rho1=np.array([[[0.0, big], [-big, 0.0]]])))
+        rep = validate_data(LSPKData(n1=2, n2=1, rho2=action, omega1=asymmetric))
+        assert not rep and (rep.name, rep.residual) == ("omega1_symmetric", big)
+        rep = validate_data(LSPKData(n1=2, n2=1, rho2=action))
     assert not rep
-    assert rep.name == "theo-i-commute" and np.isnan(rep.max_residual)
+    assert rep.name == "theo-ii" and np.isnan(rep.max_residual)
 
 
 def test_milnor_left_translation_is_trivial():

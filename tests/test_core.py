@@ -210,7 +210,7 @@ def test_an_owner_refuses_a_non_finite_array_when_unpickled():
     # every owner (algebra, Gram matrix, split data) unpickles through core._Owner,
     # which freezes its arrays again with the finiteness rule of construction
     A = catalog_build("lspk_dim4")
-    owners = [(A, "constants"), (koszul_form(A), "matrix"), (data_from_decomposition(decompose(A)), "rho1")]
+    owners = [(A, "constants"), (koszul_form(A), "matrix"), (data_from_decomposition(decompose(A)), "rho2")]
     for owner, key in owners:
         rebuild, args, state = owner.__reduce_ex__(2)[:3]
         state = dict(state, **{key: np.full(state[key].shape, np.nan)})

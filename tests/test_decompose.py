@@ -154,15 +154,19 @@ def test_adapted_basis_is_orthonormal():
 
 
 def test_operator_blocks_line_up():
-    # rho1[x] is the matrix of h2-action of the x-th h1 vector: check one
-    # entry against a direct product
+    # rho2[x] is the matrix of h1-action of the x-th h2 vector: check one
+    # entry against a direct product; the h1-action on h2 (the paper's
+    # rho1) is zero, so h1 * h2 has no h2-coordinates
     A = catalog_build("lspk_dim5")
     dec = decompose(A)
-    x = dec.basis_h1[:, 0]
-    w = dec.basis_h2[:, 0]
-    prod = multiply(A, x, w)
-    coords = dec.basis_h2.T @ (koszul_form(A).matrix / dec.rho) @ prod
-    np.testing.assert_allclose(coords, dec.rho1[0][:, 0], atol=1e-10)
+    inner = koszul_form(A).matrix / dec.rho
+    x = dec.basis_h2[:, 0]
+    w = dec.basis_h1[:, 0]
+    coords = dec.basis_h1.T @ inner @ multiply(A, x, w)
+    np.testing.assert_allclose(coords, dec.rho2[0][:, 0], atol=1e-10)
+    assert np.abs(dec.rho2[0][:, 0]).max() > 0.1  # a nonzero entry, not a zero block
+    coords = dec.basis_h2.T @ inner @ multiply(A, w, x)
+    np.testing.assert_allclose(coords, np.zeros(dec.dim_h2), atol=1e-10)
 
 
 def gram_schmidt(cols, g):

@@ -308,8 +308,8 @@ def _transported_lspk4() -> AlgebraStructure:
 def _algebra_calls(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> list:
     """check_left_symmetric, decompose, check_novikov and einstein_check of A, as bytes and reprs."""
     dec = decompose(A, tol)
-    arrays = (dec.H, dec.basis, dec.S, dec.A_op, dec.B1, dec.B2, dec.rho1, dec.rho2, dec.omega1,
-              dec.omega2, dec.circ2.constants)
+    arrays = (dec.H, dec.basis, dec.S, dec.A_op, dec.B1, dec.B2, dec.rho2, dec.omega1,
+              dec.frame.constants, dec.circ2.constants)
     return [
         repr(check_left_symmetric(A, tol)),
         repr((dec.signature, dec.checks)),

@@ -335,7 +335,7 @@ def test_rebuild_reads_the_measurement_decompose_kept(name):
     dec = decompose(A)
     checks = dec.checks
     data = data_from_decomposition(dec)
-    arrays = (data.c2, data.rho1, data.rho2, data.omega1, data.omega2, data.b1, data.b2, data.g1, data.g2)
+    arrays = (data.c2, data.rho2, data.omega1, data.b1, data.b2, data.g1, data.g2)
     fresh = _systems.system_residuals(*arrays)  # measured again on the data's own fields
     for tol in (Tolerance(), Tolerance(1e-14)):
         thr = tol.eps * residual_scale(*arrays)
@@ -375,7 +375,7 @@ def _call_sites(source: str, name: str) -> list[str]:
     return _sites(source, lambda node: isinstance(node, ast.Call) and _named(node) == name)
 
 
-_PRODUCT_FIELDS = {"c2", "rho1", "rho2", "omega1", "omega2"}
+_PRODUCT_FIELDS = {"c2", "rho2", "omega1"}
 
 
 def _product_field_literals(source: str) -> list[str]:
