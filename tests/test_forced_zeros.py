@@ -191,7 +191,7 @@ def _block_sum(c, k):
     return out
 
 
-def test_decompose_of_a_mixed_sum_holds_a_fifth_of_a_rank4_tensor():
+def test_decompose_of_a_mixed_sum_holds_a_quarter_of_a_rank4_tensor():
     n, k = 48, 16
     A = AlgebraStructure(_block_sum(catalog_build("lspk_dim3_case3").constants, k))
     q, _ = np.linalg.qr(np.random.default_rng(48).standard_normal((n, n)))
