@@ -7,28 +7,28 @@ from metric-compatible.  The curvature here uses the sign convention
 
     K(X, Y) = Lbar_[X,Y] - Lbar_X Lbar_Y + Lbar_Y Lbar_X
 
-and ric(X, Y) is the trace of Z -> K(X, Z)Y.
+and ric(X, Y) is the trace of Z -> K(X, Z)Y.  The double space h + h
+(horizontal and vertical copies) has Ricci blocks that sum six curvature
+component formulas over a g-orthonormal frame (tangent_bundle_ricci).
 
-When the pair (product, metric) satisfies the flatness and compatibility
-identities, the same quantities have second, independent expressions
-through the gamma operators (K as commutators, ric through gamma traces);
-every function here that can cross-check a result this way does so and
-raises OracleMismatch on disagreement.
+For a flat and compatible (Hessian) pair the same quantities have second,
+independent expressions through the gamma operators, and each function
+compares the two, raising OracleMismatch under the failing check's name:
+second_koszul_form runs "second trace form" (for every pair);
+base_curvature "curvature operator", then "Ricci form"; tangent_bundle_ricci
+"Ricci form", then "double-space Ricci block hh", "vv" and "hh-vv" against
+-beta; einstein_check those, then "einstein" (NotEinstein).  gamma_operator
+raises VerificationFailed for a compatible pair's non-symmetric gamma_x.
 
-The double space h + h (horizontal and vertical copies) has Ricci blocks
-that sum the six curvature component formulas over a g-orthonormal frame.
-Two identities that hold for every metric, cyclicity of the trace and
-gamma_x y = gamma_y x, leave three terms per block (tangent_bundle_ricci).
-They are the Ricci form of g + g on the Lie algebra of TG, checked against
--beta, for a Hessian pair only (lspk_dim2, diag(1, 2): 0.25 off in hh, 1.5 in vv).
+Only base_curvature builds K (n^4 floats, n^5 work), because it returns it.
+The others take ric from the record in closed form (_ricci: n^4 work, n^3
+memory), so einstein_check forms no n^4 array: on a transported
+build_corollary1(47) its tracemalloc peak is below 0.2 n^4 floats.
 
-The bracket, the verified Levi-Civita constants, the gamma stack and the
-Hessian check of a metric algebra are computed once per (M, Tolerance) and
-kept on M itself, in one read-only record per tolerance (_gamma_data):
-gamma_operator, second_koszul_form, base_curvature, tangent_bundle_ricci and
-einstein_check all read them from it.  Building the record costs one n^5
-Levi-Civita check; each gamma_operator call after it costs n^3.  A refusal is
-never kept, so every call on a refused pair refuses again.
+The record (_gamma_data) that every function here reads holds the bracket,
+the verified Levi-Civita constants, the gamma stack and the Hessian check of
+M, read-only, built once per (M, Tolerance) and kept on M.  It costs one n^5
+Levi-Civita check, each gamma_operator call after it n^3; a refusal is never kept.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
 
     When the pair satisfies the metric compatibility identity, gamma_x must
     be symmetric for the metric; this is verified and a violation raises.
-    The Levi-Civita product and the compatibility verdict come from the
-    record of (M, tol), built by the first call, so each further call costs
-    one n^3 contraction and its symmetry check.
     """
     x = _check_vector(M.algebra, x)
     rec = _gamma_data(M, tol)
@@ -144,9 +141,8 @@ def gamma_operator(M: MetricAlgebra, x: np.ndarray, tol: Tolerance = Tolerance()
 def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> BilinearForm:
     """The trace form computed through the gamma operators.
 
-    beta(X, Y) = -tr(gamma_{X*Y}); this must agree with the direct trace
-    form of the product (the route through the metric product is
-    independent), and the disagreement raises OracleMismatch.
+    beta(X, Y) = -tr(gamma_{X*Y}); the direct trace form of the product is an
+    independent route, and a disagreement raises OracleMismatch.
     """
     rec = _gamma_data(M, tol)
     beta = -np.einsum("ijk,k->ij", M.algebra.constants, _traces(rec.gamma))
@@ -159,9 +155,8 @@ def second_koszul_form(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Biline
 class BaseCurvature:
     """Curvature data of the metric product on the base algebra.
 
-    K has K[i, j, k, l] = (K(e_i, e_j) e_k)_l and ricci is the form
-    ric(X, Y) = tr(Z -> K(X, Z)Y); gamma stacks the difference operators and
-    is the read-only array of the geometry record that gamma_operator reads.
+    K[i, j, k, l] = (K(e_i, e_j) e_k)_l, ricci is ric(X, Y) = tr(Z -> K(X, Z)Y)
+    and gamma the geometry record's read-only stack of difference operators.
     """
 
     lc: AlgebraStructure
@@ -170,42 +165,50 @@ class BaseCurvature:
     ricci: BilinearForm
 
 
+def _ricci(rec: _Geometry, compatible: bool, tol: Tolerance) -> BilinearForm:
+    """ric(a, b) = sum_j K[a, j, b, j] from the record, in n^4 work and n^3 memory, without K.
+
+    With b the bracket and c the Levi-Civita constants, the three terms of K
+    contract to sum_jm (b - c)[a, j, m] c[m, b, j] + sum_jm c[a, b, m] c[j, m, j].
+    For a compatible pair it must equal the gamma trace formula
+    tr(gamma_a gamma_b) - tr gamma_{gamma_a b}, or OracleMismatch is raised.
+    """
+    c = rec.lc.constants
+    n = c.shape[0]
+    ricci = (rec.bracket.constants - c).reshape(n, n * n) @ c.transpose(2, 0, 1).reshape(n * n, n)
+    ricci += c @ np.einsum("jmj->m", c)
+    if compatible:
+        gamma = rec.gamma
+        thr = tol.eps * _worst_of([rec.scale, _max_abs(c)])
+        ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum("amb,m->ab", gamma, _traces(gamma))
+        _enforce([Check("Ricci form", _max_abs(ricci - ric_gamma), thr)], OracleMismatch)
+    return BilinearForm(ricci)
+
+
 def base_curvature(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> BaseCurvature:
     """Curvature and Ricci of the metric product, with gamma cross-checks.
 
-    When the pair satisfies the flatness and compatibility identities, K
-    must equal the commutator of gamma operators and ric must equal the
-    gamma trace formula; disagreement raises OracleMismatch.  The
-    Levi-Civita product, gamma and the compatibility verdict come from the
-    record of (M, tol) that gamma_operator shares.
+    The one function that builds K (n^4 floats, n^5 work).  When the pair
+    satisfies the flatness and compatibility identities, K must equal the
+    commutator of gamma operators and ric the gamma trace formula;
+    disagreement raises OracleMismatch.
     """
     flat = bool(check_left_symmetric(M.algebra, tol))
     rec = _gamma_data(M, tol)
-    return _base_curvature(rec, flat and bool(rec.hessian), tol)[0]
-
-
-def _base_curvature(
-    rec: _Geometry, compatible: bool, tol: Tolerance
-) -> tuple[BaseCurvature, np.ndarray]:
-    """base_curvature from the record, the flat-and-compatible verdict known; also tr gamma."""
-    lc, gamma = rec.lc, rec.gamma
-    c = lc.constants
+    compatible = flat and bool(rec.hessian)
+    c, gamma = rec.lc.constants, rec.gamma
     cc = _compose(c, c.transpose(1, 0, 2))  # cc[a,b,i,l] = sum_m c[a,b,m] c[i,m,l]
     K = _compose(rec.bracket.constants, c)  # ijm,mkl->ijkl
     K -= cc.transpose(2, 0, 1, 3)  # jkm,iml->ijkl
     K += cc.transpose(0, 2, 1, 3)  # ikm,jml->ijkl
     del cc  # freed before the gamma cross-check builds its own n^4 arrays
-    ricci = np.einsum("ajbj->ab", K)
-    tr_gamma = _traces(gamma)
 
     if compatible:
         thr = tol.eps * _worst_of([rec.scale, _max_abs(c)])
         pair = _compose(gamma, gamma.transpose(1, 0, 2)).transpose(0, 2, 1, 3)  # ilm,jmk->ijlk
         k_gamma = (pair - pair.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
         _enforce([Check("curvature operator", _max_abs(K - k_gamma), thr)], OracleMismatch)
-        ric_gamma = np.einsum("alm,bml->ab", gamma, gamma) - np.einsum("amb,m->ab", gamma, tr_gamma)
-        _enforce([Check("Ricci form", _max_abs(ricci - ric_gamma), thr)], OracleMismatch)
-    return BaseCurvature(lc=lc, gamma=gamma, K=K, ricci=BilinearForm(ricci)), tr_gamma
+    return BaseCurvature(lc=rec.lc, gamma=gamma, K=K, ricci=_ricci(rec, compatible, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +216,12 @@ class CurvatureReport:
     """Ricci data of the double-space metric, in base coordinates.
 
     tb_ricci_hh, tb_ricci_vv and tb_ricci_hv are the horizontal-horizontal,
-    vertical-vertical and mixed blocks of the double-space Ricci form, the
-    Ricci form of g + g for a compatible pair only; base_ricci is the Ricci
-    form of the metric product downstairs, and beta the trace form, which
-    equals -tb_ricci_hh and -tb_ricci_vv for a compatible pair.  einstein_mu
-    is the best proportionality factor against the block metric, einstein
-    the worst deviation from exact proportionality against eps times the
-    scale of the algebra and beta (not of the metric), and hessian_residual
-    how far the pair is from the compatibility identity.
+    vertical-vertical and mixed blocks of the double-space Ricci form (of
+    g + g for a compatible pair only, where hh = vv = -beta, beta the trace
+    form); base_ricci is the Ricci form of the metric product downstairs.
+    einstein_mu is the best factor against the block metric, einstein the
+    worst deviation from it against eps times the scale of C and beta (not
+    of the metric), and hessian the compatibility check of the pair.
     """
 
     base_ricci: BilinearForm
@@ -230,7 +231,7 @@ class CurvatureReport:
     beta: BilinearForm
     einstein_mu: float
     einstein: Check
-    hessian_residual: float
+    hessian: Check
 
     def as_dict(self) -> dict:
         """Plain-type view of the report, ready for json.dumps."""
@@ -242,7 +243,9 @@ class CurvatureReport:
             "beta": self.beta.matrix.tolist(),
             "einstein_mu": self.einstein_mu,
             "einstein_residual": self.einstein.max_residual,
-            "hessian_residual": self.hessian_residual,
+            "einstein_threshold": self.einstein.threshold,
+            "hessian_residual": self.hessian.max_residual,
+            "hessian_threshold": self.hessian.threshold,
         }
 
 
@@ -255,24 +258,26 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
         hh(x, y) = ric(x, y) + tr gamma_{Lbar_x y} - tr(gamma_x gamma_y),
         vv(x, y) = s(x, y) + s(y, x) - u(gamma_x y),
     and a zero mixed block.  For a compatible pair the blocks are the Ricci
-    form of g + g and must equal -beta, or OracleMismatch is raised; for any
-    other metric they are not, and hessian_residual records the defect.
+    form of g + g and must equal -beta, or OracleMismatch is raised, against
+    the threshold of the Einstein relation; for any other metric they are
+    not (lspk_dim2, diag(1, 2): 0.25 off in hh, 1.5 in vv).
     """
     _enforce([check_left_symmetric(M.algebra, tol)], HypothesisFailed)
     beta = koszul_form(M.algebra)
     rec = _gamma_data(M, tol)
-    base, tr = _base_curvature(rec, bool(rec.hessian), tol)
-    G, Lb = base.gamma, base.lc.constants.transpose(0, 2, 1)  # Lb[i] = matrix of Lbar_{e_i}
+    ricci = _ricci(rec, bool(rec.hessian), tol)
+    G, Lb = rec.gamma, rec.lc.constants.transpose(0, 2, 1)  # Lb[i] = matrix of Lbar_{e_i}
+    tr = _traces(G)
     g = M.metric.matrix
     n = M.dim
     e = np.einsum
     # the other frame-sum terms cancel: tr(Lb_a G_b) = tr(G_b Lb_a), G[a, k, m] == G[m, k, a]
-    hh = base.ricci.matrix + e("apb,p->ab", Lb, tr) - e("bkm,amk->ab", G, G)
+    hh = ricci.matrix + e("apb,p->ab", Lb, tr) - e("bkm,amk->ab", G, G)
     s = e("akm,kmb->ab", G, Lb)
     vv = s + s.T - e("m,amb->ab", e("kkm->m", Lb) + tr, G)
 
+    thr = tol.eps * residual_scale(M.algebra.constants, beta.matrix)
     if rec.hessian:
-        thr = tol.eps * _worst_of([rec.scale, _max_abs(base.K)])
         blocks = (
             Check("double-space Ricci block hh", _max_abs(hh + beta.matrix), thr),
             Check("double-space Ricci block vv", _max_abs(vv + beta.matrix), thr),
@@ -282,16 +287,16 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
 
     mu = float(np.trace(np.linalg.solve(g, hh)) / n) if n else 0.0
     worst = _worst_of([_max_abs(hh - mu * g), _max_abs(vv - mu * g)])
-    einstein = Check("einstein", worst, tol.eps * residual_scale(M.algebra.constants, beta.matrix))
+    einstein = Check("einstein", worst, thr)
     return CurvatureReport(
-        base_ricci=base.ricci,
+        base_ricci=ricci,
         tb_ricci_hh=BilinearForm(hh),
         tb_ricci_vv=BilinearForm(vv),
         tb_ricci_hv=np.zeros((n, n)),
         beta=beta,
         einstein_mu=mu,
         einstein=einstein,
-        hessian_residual=rec.hessian.max_residual,
+        hessian=rec.hessian,
     )
 
 
@@ -300,10 +305,9 @@ def einstein_check(
 ) -> float:
     """Einstein factor of the double-space metric built from alpha * trace form.
 
-    Requires A left-symmetric with positive definite trace form, and the
-    scaled trace form as the base metric; returns mu with Ricci = mu times
-    the metric (expected -1/alpha), raising NotEinstein if proportionality
-    fails.
+    Requires A left-symmetric with positive definite trace form; returns mu
+    with Ricci = mu times the metric (expected -1/alpha), raising NotEinstein
+    if proportionality fails.
     """
     if not (alpha_scale > 0 and np.isfinite(alpha_scale)):
         raise ValueError(f"alpha_scale must be positive and finite, got {alpha_scale}")

@@ -19,6 +19,7 @@ from leftsym import (
     BilinearForm,
     FixtureBroken,
     MetricAlgebra,
+    check_hessian,
     cli,
     decompose,
     koszul_form,
@@ -304,6 +305,20 @@ def test_geometry_json_with_file_metric(tmp_path, capsys):
     assert_blocks_match_oracle(
         MetricAlgebra(A, metric), np.array(doc["tb_ricci_hh"]), np.array(doc["tb_ricci_vv"])
     )
+
+
+@pytest.mark.parametrize("metric", [None, np.diag([1.0, 2.0])])
+def test_geometry_json_prints_each_threshold_beside_its_residual(tmp_path, capsys, metric):
+    # the trace form is a Hessian partner of lspk_dim2 and Einstein; diag(1, 2) is neither
+    A = catalog_build("lspk_dim2")
+    p = tmp_path / "metric.json"
+    p.write_text(render_algebra_file(A, metric=metric))
+    code = run(["geometry", str(p), "--json", "--einstein"])
+    doc = json.loads(capsys.readouterr().out)
+    hessian = check_hessian(A, koszul_form(A) if metric is None else BilinearForm(metric))
+    assert (doc["hessian_residual"] <= doc["hessian_threshold"]) == bool(hessian) == (metric is None)
+    assert (doc["einstein_residual"] <= doc["einstein_threshold"]) == doc["einstein"] == (code == 0)
+    assert doc["einstein"] == (metric is None)
 
 
 @pytest.mark.parametrize("scale", ["0", "-1"])

@@ -24,6 +24,7 @@ from leftsym import (
     MilnorSpec,
     NotLieBracket,
     NotLSPK,
+    OracleMismatch,
     PreconditionFailed,
     Tolerance,
     base_curvature,
@@ -45,6 +46,7 @@ from leftsym import (
 )
 from leftsym import geometry
 from leftsym.catalog import catalog_build
+from test_slab_reduction import _one_part
 
 LSPK_NAMES = ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
               "lspk_dim3_case3", "lspk_dim4", "lspk_dim5"]
@@ -251,7 +253,7 @@ def test_tangent_bundle_ricci_frozen(dim2):
     np.testing.assert_allclose(rep.beta.matrix, 1.5 * np.eye(2), atol=1e-12)
     assert abs(rep.einstein_mu + 1.0) <= 1e-12
     assert rep.einstein and rep.einstein.residual <= 1e-12
-    assert rep.hessian_residual <= 1e-12
+    assert rep.hessian.max_residual <= 1e-12
 
 
 @pytest.mark.parametrize("name", LSPK_NAMES)
@@ -341,7 +343,7 @@ def _geometry_calls(n: int, tol: Tolerance = Tolerance()) -> list:
     def report(M):
         r = tangent_bundle_ricci(M, tol)
         arrays = (r.tb_ricci_hh.matrix, r.tb_ricci_vv.matrix, r.tb_ricci_hv, r.base_ricci.matrix,
-                  r.beta.matrix, r.einstein_mu, r.einstein.residual, r.hessian_residual)
+                  r.beta.matrix, r.einstein_mu, r.einstein.residual, r.hessian.max_residual)
         return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
     return [gamma(e) for e in np.eye(n)] + [beta, base, report]
@@ -467,7 +469,7 @@ def test_nilpotent_double_space_is_ricci_flat(a0_metric):
     assert rep.einstein_mu == 0.0
     # the flat metric is not a Hessian partner of this product; the report
     # carries the defect without rejecting the input
-    assert rep.hessian_residual == 1.0
+    assert rep.hessian.max_residual == 1.0
 
 
 def test_tangent_bundle_requires_flat_product():
@@ -498,3 +500,92 @@ def test_einstein_check_rejections(a0):
         einstein_check(kdim2_family(-1.0, 0.4).algebra)  # not left-symmetric
     with pytest.raises(ValueError):
         einstein_check(catalog_build("lspk_dim2"), -2.0)
+
+
+def _spd(n: int, rng: np.random.Generator) -> BilinearForm:
+    x = rng.standard_normal((n, n))
+    return BilinearForm(x @ x.T + n * np.eye(n))
+
+
+def _one_route_cases() -> list:
+    """Transported catalog entries and perfbench families (flat, product, R^n) up to n = 16."""
+    cases = []
+    for i, name in enumerate(LSPK_NAMES):
+        A = catalog_build(name)
+        q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((A.dim, A.dim)))
+        cases.append(pytest.param(change_basis(A, q), id=name))
+    for family in ("flat", "product", "rn"):
+        for n in (1, 2, 5, 9, 16):
+            cases.append(pytest.param(_one_part(family, n, n), id=f"{family}{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("A", _one_route_cases())
+@pytest.mark.parametrize("metric", ["trace", "spd"])
+def test_ricci_has_one_route_and_it_is_the_trace_of_K(A, metric):
+    g = koszul_form(A) if metric == "trace" else _spd(A.dim, np.random.default_rng(A.dim))
+    base = base_curvature(MetricAlgebra(A, g))
+    report = tangent_bundle_ricci(MetricAlgebra(A, g))
+    assert base.ricci.matrix.tobytes() == report.base_ricci.matrix.tobytes()
+    want = np.einsum("ajbj->ab", base.K)
+    assert np.max(np.abs(base.ricci.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _moved(monkeypatch, field: str) -> None:
+    """Every geometry record built from here on has its field moved by 1e-3 in each entry."""
+    build = geometry._geometry
+
+    def tampered(M, tol):
+        rec = build(M, tol)
+        value = getattr(rec, field)
+        if isinstance(value, AlgebraStructure):
+            return dataclasses.replace(rec, **{field: AlgebraStructure(value.constants + 1e-3)})
+        return dataclasses.replace(rec, **{field: value + 1e-3})
+
+    monkeypatch.setattr(geometry, "_geometry", tampered)
+
+
+def _shifted(monkeypatch, ricci: float, beta: float) -> None:
+    """_ricci and the trace form tangent_bundle_ricci reads are moved by the given multiples of ones."""
+    ricci_of, koszul = geometry._ricci, geometry.koszul_form
+    monkeypatch.setattr(geometry, "_ricci", lambda rec, compatible, tol: BilinearForm(
+        ricci_of(rec, compatible, tol).matrix + ricci))
+    monkeypatch.setattr(geometry, "koszul_form", lambda A: BilinearForm(koszul(A).matrix + beta))
+
+
+def _oracle_refusal(call) -> str:
+    with pytest.raises(OracleMismatch) as info:
+        call()
+    return info.value.name
+
+
+def test_a_moved_gamma_stack_is_refused_as_second_trace_form(monkeypatch):
+    _moved(monkeypatch, "gamma")
+    M = _with_koszul(catalog_build("lspk_dim4"))
+    assert _oracle_refusal(lambda: second_koszul_form(M)) == "second trace form"
+
+
+def test_a_moved_bracket_is_refused_as_curvature_operator(monkeypatch):
+    _moved(monkeypatch, "bracket")
+    M = _with_koszul(catalog_build("lspk_dim4"))
+    assert _oracle_refusal(lambda: base_curvature(M)) == "curvature operator"
+
+
+def test_a_moved_bracket_is_refused_as_ricci_form(monkeypatch):
+    # einstein_check builds no K, so the Ricci form is its first gamma cross-check
+    _moved(monkeypatch, "bracket")
+    assert _oracle_refusal(lambda: einstein_check(catalog_build("lspk_dim4"))) == "Ricci form"
+
+
+@pytest.mark.parametrize("block, ricci, beta", [
+    ("hh", 2.0, 0.0),  # hh moves and vv does not
+    ("vv", 2.0, -2.0),  # hh still equals -beta, vv no longer does
+    ("hh-vv", 1.5, -0.75),  # each within its threshold of -beta, but 1.5 thresholds apart
+])
+def test_each_double_space_block_check_is_live(monkeypatch, block, ricci, beta):
+    A = catalog_build("lspk_dim4")
+    M = _with_koszul(A)
+    thr = Tolerance().eps * residual_scale(A.constants, koszul_form(A).matrix)
+    tangent_bundle_ricci(_with_koszul(A))  # holds before the shift
+    _shifted(monkeypatch, ricci * thr, beta * thr)
+    assert _oracle_refusal(lambda: tangent_bundle_ricci(M)) == f"double-space Ricci block {block}"

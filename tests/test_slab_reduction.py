@@ -32,6 +32,7 @@ from leftsym import (
     data_from_decomposition,
     data_residuals,
     decompose,
+    einstein_check,
     residual_scale,
     validate_data,
 )
@@ -166,6 +167,8 @@ def test_left_symmetry_and_decompose_hold_no_rank4_tensor():
     B = change_basis(build_corollary1(n - 1), Q)
     assert _peak_bytes(lambda: check_left_symmetric(A)) <= 0.5 * 8 * n**4
     assert _peak_bytes(lambda: decompose(B)) <= 0.5 * 8 * n**4
+    E = change_basis(build_corollary1(n - 1), Q)  # fresh: no trace form or geometry kept on it
+    assert _peak_bytes(lambda: einstein_check(E)) <= 0.5 * 8 * n**4  # the curvature tensor is n^4
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "leftsym"
