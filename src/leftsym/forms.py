@@ -20,10 +20,10 @@ constructions evaluate the same contractions through them:
   antisymmetric in (x, y), so it is evaluated on the basis pairs i <= j only,
   n^5 + n^4(n+1)/2 multiply-adds in slabs over k, holding one slab of
   e_i(e_j e_k) plus the pair slab.  check_left_symmetric, check_k_hessian,
-  check_novikov, AS-2 (decompose), S2 (_systems) and the sectional hypothesis of
-  construct.build_corollary2 all reduce through it.  The paper's sectional term
-  <e_j, e_k> X e_i - <e_i, e_k> X e_j, with X or the metric the identity, is added
-  to each slab in closed form at n^3 cost (_metric_sectional, _operator_sectional).
+  check_novikov, the split algebra of decompose.split_h, S2 (_systems) and the
+  sectional hypothesis of construct.build_corollary2 all reduce through it.  The
+  paper's sectional term c (<e_j, e_k> e_i - <e_i, e_k> e_j), for a metric <,> and
+  a constant c, is added to each slab in closed form at n^3 cost (_metric_sectional).
 
 Each algebra's trace form, residual_scale(C) and left-symmetry worst entry are
 computed once and kept on the algebra itself (core._Owner._kept); a Check is
@@ -187,20 +187,6 @@ def _metric_sectional(g: np.ndarray, factor: float):
         gk = factor * g[:, lo:hi]
         d[pp, :, ii] += gk[jj]
         d[pp, :, jj] -= gk[ii]
-
-    return update
-
-
-def _operator_sectional(s: np.ndarray):
-    """Slab update subtracting <e_j, e_k> S e_i - <e_i, e_k> S e_j for the identity metric."""
-    st = s.T
-    ii, jj, pp = _pair_index(s.shape[0])[:3]
-
-    def update(d: np.ndarray, lo: int, hi: int) -> None:
-        at = (lo <= jj) & (jj < hi)
-        d[pp[at], jj[at] - lo] -= st[ii[at]]
-        at = (lo <= ii) & (ii < hi)
-        d[pp[at], ii[at] - lo] += st[jj[at]]
 
     return update
 

@@ -24,6 +24,7 @@ DEDUP_RADIUS = 1e-6  # max-norm radius identifying two converged points
 FD_STEP = 1e-7  # forward-difference Jacobian step
 MAX_ITERS = 60
 DIVERGENCE_CUT = 10.0  # abandon an orbit once any coordinate passes this
+MAX_SEEDS = 2**20  # the most grid^arity seeds a search holds at once
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,13 @@ def newton_search(
     itertools.product order of the axes: a point is kept unless it lies
     within 1e-6 (max-norm) of a point kept before it.  The kept roots are
     sorted lexicographically; an empty result is legitimate.  The box
-    bounds and widths must be finite, and the residual finite at every
-    seed.
+    bounds and widths must be finite, the residual finite at every seed, and
+    grid^arity at most MAX_SEEDS, which is checked before anything is allocated.
     """
     if grid < 2:
         raise PreconditionFailed(f"grid must be at least 2 per axis, got {grid}")
+    if grid**system.arity > MAX_SEEDS:
+        raise PreconditionFailed(f"grid^arity = {grid}^{system.arity} seeds exceeds {MAX_SEEDS}")
     if len(box) != system.arity:
         raise PreconditionFailed(f"box has {len(box)} axes, system arity is {system.arity}")
     if not all(math.isfinite(lo) and math.isfinite(hi - lo) for lo, hi in box):

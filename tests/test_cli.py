@@ -492,8 +492,8 @@ def test_search_unknown_system():
 
 @pytest.mark.parametrize(
     "flag",
-    ["--grid=1", "--grid=0", "--grid=-3", "--box=-inf,inf", "--box=0,inf", "--box=0,1e308",
-     "--box=-1e308,1e308"],
+    ["--grid=1", "--grid=0", "--grid=-3", "--grid=1048577", "--box=-inf,inf", "--box=0,inf",
+     "--box=0,1e308", "--box=-1e308,1e308"],
 )
 def test_search_bad_grid_or_box_is_usage_error(capsys, flag):
     assert run(["search", "dim4", flag]) == 2

@@ -18,10 +18,13 @@ from leftsym import (
     BlockNotSkew,
     DiagonalizationFailed,
     IdempotentCheckFailed,
+    LeftSymError,
     NotPositiveDefinite,
     SpectrumNotZeroOne,
     SystemASViolated,
+    Tolerance,
     change_basis,
+    data_from_decomposition,
     decompose,
     eigensplit,
     find_idempotent_H,
@@ -29,8 +32,8 @@ from leftsym import (
     multiply,
     split_h,
 )
-from leftsym.catalog import catalog_build
-from leftsym.construct import build_corollary1
+from leftsym.catalog import catalog_build, sample_params
+from leftsym.construct import build_corollary1, build_lspk
 from leftsym.decompose import _orthonormalize
 
 SIGNATURES = {
@@ -255,3 +258,25 @@ def test_the_decomposition_stores_each_vector_once():
                 a.setflags(write=True)
         with pytest.raises(ValueError):
             copied.H[0] = 1.0
+
+
+def test_every_accepted_ill_conditioned_decomposition_rebuilds():
+    # decompose holds the systems to build_lspk's own threshold, which is free of the
+    # input's scale, so the rebuild accepts every split data decompose certified; at
+    # condition 1e2..1e4 a threshold that grows with the input's scale would not
+    rng = np.random.default_rng(3)
+    names = ["lspk_dim3_case3", "lspk_dim4", "lspk_dim5"]
+    accepted = 0
+    for draw in range(90):
+        name = names[draw % 3]
+        A = catalog_build(name, sample_params(name, rng))
+        u, v = (np.linalg.qr(rng.standard_normal((A.dim, A.dim)))[0] for _ in range(2))
+        P = u @ np.diag(np.geomspace(1.0, 10.0 ** rng.uniform(2.0, 4.0), A.dim)) @ v.T
+        tol = Tolerance([1e-9, 1e-12][draw % 2])
+        try:
+            dec = decompose(change_basis(A, P, tol), tol)
+        except LeftSymError:
+            continue
+        accepted += 1
+        assert build_lspk(data_from_decomposition(dec), tol).dim == A.dim, draw
+    assert accepted >= 25

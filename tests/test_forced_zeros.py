@@ -170,7 +170,7 @@ def test_the_factor_holds_on_dense_data_at_the_threshold(n1, n2, scale):
 
 @pytest.mark.parametrize("name", BLOCKS)
 def test_a_nonzero_block_is_refused_by_name(name):
-    # under a loose tolerance a block of 1e-5 passes left symmetry and AS-1..AS-7,
+    # under a loose tolerance a block of 1e-5 passes left symmetry, split left-symmetric and AS-7,
     # and is refused as a zero block
     dec = decompose(catalog_build("lspk_dim4"))
     s1, s2 = slice(0, dec.dim_h1), slice(dec.dim_h1, dec.dim_h1 + dec.dim_h2)

@@ -222,9 +222,9 @@ def test_geometry_and_rn_isomorphism_are_vacuous_at_dimension_zero(tmp_path, cap
         assert {k: v for k, v in json.loads(captured.out).items() if k != "einstein"} == report
 
 
-def test_split_h_on_a_line_has_a_vacuous_as1():
+def test_split_h_on_a_line_has_a_vacuous_split_left_symmetry():
     A = catalog_build("rn_canonical", {"n": 1})
-    assert split_h(A, find_idempotent_H(A)).residuals["AS-1"] is None
+    assert split_h(A, find_idempotent_H(A)).residuals["split left-symmetric"] is None
 
 
 def test_jacobi_rejects_non_antisymmetric_constants():

@@ -18,6 +18,7 @@ from leftsym.search import (
     DIVERGENCE_CUT,
     FD_STEP,
     MAX_ITERS,
+    MAX_SEEDS,
     ROOT_RESIDUAL,
     PolySystem,
     RootSet,
@@ -77,6 +78,17 @@ def test_search_preconditions():
             newton_search(sys, [box], grid=8)
     with pytest.raises(PreconditionFailed, match="residual of dim4 is not finite"):
         newton_search(sys, [(0.0, 1e308)], grid=8)
+
+
+def test_an_oversize_grid_is_refused_before_anything_is_allocated(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the seed lattice was built")
+
+    monkeypatch.setattr(np, "linspace", allocate)
+    dim4, dim5 = builtin_system("dim4"), builtin_system("dim5")
+    for system, grid in [(dim5, 10**6), (dim5, 1025), (dim4, MAX_SEEDS + 1)]:  # 1025^2 > 2^20
+        with pytest.raises(PreconditionFailed, match="seeds exceeds"):
+            newton_search(system, [(-1.0, 1.0)] * system.arity, grid)
 
 
 def test_roots_rebuild_catalog_entries():

@@ -8,7 +8,7 @@ the same witness.  The sizes straddle the slab edges: n <= 12 is one slab,
 n = 13 splits into slabs of 10 and 3, and n = 24, 25 take one k per slab.
 The last tests count the kernel runs and the measurements of the split systems
 that a decompose and its rebuild make, and scan the syntax tree for the one
-place the systems are measured.
+place the systems are measured and for every call of the kernel.
 """
 
 import ast
@@ -40,12 +40,7 @@ from leftsym import _systems, construct, forms
 from leftsym.catalog import catalog_build, catalog_list
 from leftsym.construct import MilnorSpec, build_corollary1, build_corollary2, build_lspk, build_milnor
 from leftsym.core import Check, _compose, _conjunction, _slab_worst
-from leftsym.forms import (
-    _left_symmetry_worst,
-    _metric_sectional,
-    _operator_sectional,
-    _worst,
-)
+from leftsym.forms import _left_symmetry_worst, _metric_sectional, _worst
 
 SIZES = [0, 1, 2, 5, 12, 13, 24, 25]
 
@@ -71,8 +66,7 @@ def _data(n):
     c = rng.standard_normal((n, n, n))
     g = rng.standard_normal((n, n))
     g = g @ g.T + n * np.eye(n)
-    s = rng.standard_normal((n, n))
-    return c, g, s
+    return c, g
 
 
 def _assert_same_worst(got, want):
@@ -85,14 +79,13 @@ def _assert_same_worst(got, want):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_sectional_defects_match_the_full_tensor_oracle(n):
-    c, g, s = _data(n)
+    c, g = _data(n)
     eye = np.eye(n)
     d = left_symmetry_defect(c)
     cases = [
         (None, d),  # left symmetry
         (_metric_sectional(g, -1.0), d - sectional_target(g, eye)),  # S2, corollary 2
         (_metric_sectional(g, 2.5), d + 2.5 * sectional_target(g, eye)),  # check_k_hessian
-        (_operator_sectional(s), d - sectional_target(eye, s)),  # AS-2
     ]
     for target, full in cases:
         _assert_same_worst(_left_symmetry_worst(c, target), _worst(full))
@@ -100,7 +93,7 @@ def test_sectional_defects_match_the_full_tensor_oracle(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_predicates_match_the_full_tensor_oracle(n):
-    c, _, _ = _data(n)
+    c, _ = _data(n)
     A = AlgebraStructure(c)
     lie = AlgebraStructure(c - c.transpose(1, 0, 2))
     left = np.einsum("ijm,mkl->ijkl", c, c)
@@ -208,11 +201,11 @@ def test_as2_s2_and_corollary2_reduce_through_the_kernel(monkeypatch):
 
     for module in (importlib.import_module("leftsym.decompose"), _systems, construct):
         monkeypatch.setattr(module, "_left_symmetry_worst", counted)
-    A = catalog_build("lspk_dim5")  # n1 = 3, n2 = 1: AS-2 on the 4-dimensional complement, S2 on n2
+    A = catalog_build("lspk_dim5")  # n1 = 3, n2 = 1: the split algebra on h + R H, S2 on n2
     dec = decompose(A)
-    assert seen == [4, 1]
+    assert seen == [5, 1]
     build_lspk(data_from_decomposition(dec))
-    assert seen == [4, 1]  # the rebuild reads decompose's S2, with no kernel call on c2
+    assert seen == [5, 1]  # the rebuild reads decompose's S2, with no kernel call on c2
     seen.clear()
     h, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
     assert build_corollary2(h).dim == 3
@@ -248,7 +241,7 @@ def test_decompose_and_rebuild_measure_the_systems_once(monkeypatch):
     rebuilt = build_lspk(data)
     assert rebuilt.dim == 5
     assert systems == [1]  # one measurement, on c2 with n2 = 1
-    assert kernel == [5, 4, 1, 5]  # the input, AS-2, S2, the rebuilt algebra
+    assert kernel == [5, 5, 1, 5]  # the input, the split algebra on h + R H, S2, the rebuilt algebra
 
 
 def _one_part(family, n, seed):
@@ -426,6 +419,27 @@ def _call_arguments(source: str, name: str) -> list[tuple[str, str | None]]:
     return list(zip(_sites(source, call), first))
 
 
+def _kernel_calls(source: str) -> list[tuple[str, str | None, str | None]]:
+    """(enclosing definition, first argument, maker of the target or None) of every
+    _left_symmetry_worst call in source."""
+    found = []
+
+    def call(node) -> bool:
+        if not (isinstance(node, ast.Call) and _named(node) == "_left_symmetry_worst"):
+            return False
+        targets = node.args[1:] + [k.value for k in node.keywords if k.arg == "target"]
+        found.append((_named(node.args[0]), _named(targets[0]) if targets else None))
+        return True
+
+    return [(owner, *call) for owner, call in zip(_sites(source, call), found)]
+
+
+def _slab_updates(source: str) -> list[str]:
+    """The functions of (d, lo, hi), the signature of a kernel target, that source defines."""
+    return _sites(source, lambda node: isinstance(node, ast.arguments)
+                  and [a.arg for a in node.args] == ["d", "lo", "hi"])
+
+
 def test_call_site_scanner_names_the_enclosing_definition():
     source = (
         "x = f(1)\n"
@@ -453,6 +467,18 @@ def test_format_scanners_find_what_they_look_for():
     assert _identity_shifts(source) == ["f", "f", "f"]
     assert _call_arguments(source, "change_basis") == [("f", "c"), ("f", "c")]
     assert _call_arguments("class K:\n    def m(self, A):\n        g(A)\n", "g") == [("K.m", "A")]
+    kernel = (
+        "def f(c):\n"
+        "    _left_symmetry_worst(c)\n"
+        "    forms._left_symmetry_worst(g(c), _metric_sectional(c, 1.0))\n"
+        "    _left_symmetry_worst(c, target=h(c))\n"
+        "    def update(d, lo, hi):\n"
+        "        pass\n"
+        "def slab(lo, hi):\n"
+        "    pass\n"
+    )
+    assert _kernel_calls(kernel) == [("f", "c", None), ("f", "g", "_metric_sectional"), ("f", "c", "h")]
+    assert _slab_updates(kernel) == ["f.update"]
 
 
 def test_the_systems_are_measured_in_one_place():
@@ -461,6 +487,24 @@ def test_the_systems_are_measured_in_one_place():
     sites = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner in _call_sites(path.read_text(), "system_residuals")]
     assert sites == [("construct", "LSPKData._residuals")]
+
+
+def test_the_kernel_has_one_sectional_target():
+    # the split algebra of split_h carries the operator terms of AS-1..AS-6 in its
+    # own blocks, so the kernel runs on it with no target, and every other target
+    # is the metric sectional term: no second slab update can grow back unseen
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    calls = [(m, *call) for m, text in sources.items() for call in _kernel_calls(text)]
+    assert calls == [
+        ("_systems", "system_residuals", "c2", "_metric_sectional"),
+        ("construct", "build_corollary2", "c", "_metric_sectional"),
+        ("decompose", "split_h", "split", None),
+        ("forms", "check_left_symmetric", "constants", None),
+        ("forms", "check_k_hessian", "c", "_metric_sectional"),
+    ]
+    assert [(m, owner) for m, text in sources.items() for owner in _slab_updates(text)] == [
+        ("forms", "_metric_sectional.update")
+    ]
 
 
 def test_the_split_data_format_has_one_owner():
