@@ -28,7 +28,10 @@ constructions evaluate the same contractions through them:
 Each algebra's trace form, residual_scale(C) and left-symmetry worst entry are
 computed once and kept on the algebra itself (core._Owner._kept); a Check is
 built per call from them and the caller's Tolerance, so thresholds follow the
-tolerance as before.  An overflowing trace form raises and is never kept.
+tolerance as before.  An overflowing trace form raises and is never kept.  The
+entries an algebra keeps are "trace form", "scale" and "left symmetry" from
+here, and "einstein" from geometry.einstein_check: the Einstein Check and
+factor of the metric B, one (Check, float) per Tolerance.
 """
 
 from __future__ import annotations

@@ -29,6 +29,13 @@ The record (_gamma_data) that every function here reads holds the bracket,
 the verified Levi-Civita constants, the gamma stack and the Hessian check of
 M, read-only, built once per (M, Tolerance) and kept on M.  It costs one n^5
 Levi-Civita check, each gamma_operator call after it n^3; a refusal is never kept.
+
+einstein_check(A, alpha) keeps no metric algebra.  The metric alpha * B has
+the Levi-Civita product and Ricci form of B, so its Einstein factor is
+mu(1) / alpha and its verdict that of B.  The Einstein Check and mu of (A, B)
+are kept on A under "einstein", one (Check, float) per Tolerance, and every
+alpha reads them: one n^5 measurement per algebra, then per call only the
+n^3 definiteness check of B.  A refusal while measuring is never kept.
 """
 
 from __future__ import annotations
@@ -307,14 +314,27 @@ def einstein_check(
 
     Requires A left-symmetric with positive definite trace form; returns mu
     with Ricci = mu times the metric (expected -1/alpha), raising NotEinstein
-    if proportionality fails.
+    if proportionality fails.  Scaling a metric keeps its Levi-Civita product
+    and Ricci form, so mu(alpha) = mu(1) / alpha, and the Einstein threshold
+    eps * residual_scale(C, beta) has no alpha in it.  So report.einstein and
+    report.einstein_mu of tangent_bundle_ricci on (A, B) are measured once per
+    tolerance and kept on A under "einstein"; every call enforces that Check
+    and returns mu / alpha, the same verdict for every alpha.  A refusal while
+    measuring raises and keeps nothing; an alpha so small that mu / alpha is
+    not finite raises ValueError.
     """
     if not (alpha_scale > 0 and np.isfinite(alpha_scale)):
         raise ValueError(f"alpha_scale must be positive and finite, got {alpha_scale}")
     _enforce([check_left_symmetric(A, tol)], NotLSPK)
     B, definite = _definite_trace_form(A, tol)
     _enforce([definite], NotLSPK)
-    M = MetricAlgebra(A, BilinearForm(alpha_scale * B.matrix))
-    report = tangent_bundle_ricci(M, tol)
-    _enforce([report.einstein], NotEinstein)
-    return report.einstein_mu
+    kept = A.__dict__.get("einstein", {})  # {Tolerance: (Check, mu at alpha = 1)}
+    if tol not in kept:  # the metric algebra (A, B) and its geometry record are not kept
+        report = tangent_bundle_ricci(MetricAlgebra(A, B), tol)
+        A._kept("einstein", dict).setdefault(tol, (report.einstein, report.einstein_mu))
+    einstein, mu = A.__dict__["einstein"][tol]
+    _enforce([einstein], NotEinstein)
+    mu = mu / alpha_scale
+    if not np.isfinite(mu):
+        raise ValueError(f"alpha_scale {alpha_scale} is too small: mu / alpha_scale is {mu}")
+    return mu

@@ -385,7 +385,7 @@ def test_the_per_algebra_entry_goes_with_its_algebra():
     A = _transported_lspk4()
     _algebra_calls(A)
     entries = _entries(A)
-    assert set(entries) == {"trace form", "scale", "left symmetry"}
+    assert set(entries) == {"trace form", "scale", "left symmetry", "einstein"}
     for value in entries.values():
         assert not isinstance(value, AlgebraStructure)
         assert np.asarray(getattr(value, "matrix", value), dtype=object).size <= A.dim**2
@@ -398,12 +398,13 @@ def test_the_per_algebra_entry_goes_with_its_algebra():
 def test_threads_share_one_entry():
     A = _transported_lspk4()
     want = _algebra_calls(AlgebraStructure(A.constants))
-    got, forms_seen, errors = [], [], []
+    got, forms_seen, einstein_seen, errors = [], [], [], []
 
     def work():
         try:
             got.append(_algebra_calls(A))
             forms_seen.append(koszul_form(A))
+            einstein_seen.append(vars(A)["einstein"][Tolerance()][0])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -420,4 +421,5 @@ def test_threads_share_one_entry():
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and got == [want] * len(threads)
     assert all(B is forms_seen[0] for B in forms_seen)
-    assert len(_entries(A)) == 3
+    assert all(check is einstein_seen[0] for check in einstein_seen)
+    assert len(_entries(A)) == 4

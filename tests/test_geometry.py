@@ -6,9 +6,11 @@ the base Ricci form is -(1/4) I, and both diagonal Ricci blocks of the
 double space equal -(3/2) I while the mixed block vanishes.
 """
 
+import copy
 import dataclasses
 import functools
 import json
+import pickle
 import sys
 import threading
 import weakref
@@ -19,13 +21,16 @@ import pytest
 from leftsym import (
     AlgebraStructure,
     BilinearForm,
+    Check,
     DimensionMismatch,
     MetricAlgebra,
     MilnorSpec,
+    NotEinstein,
     NotLieBracket,
     NotLSPK,
     OracleMismatch,
     PreconditionFailed,
+    ResidualError,
     Tolerance,
     base_curvature,
     build_corollary1,
@@ -45,7 +50,7 @@ from leftsym import (
     trace_one_form,
 )
 from leftsym import geometry
-from leftsym.catalog import catalog_build
+from leftsym.catalog import catalog_build, sample_params
 from test_slab_reduction import _one_part
 
 LSPK_NAMES = ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
@@ -589,3 +594,125 @@ def test_each_double_space_block_check_is_live(monkeypatch, block, ricci, beta):
     tangent_bundle_ricci(_with_koszul(A))  # holds before the shift
     _shifted(monkeypatch, ricci * thr, beta * thr)
     assert _oracle_refusal(lambda: tangent_bundle_ricci(M)) == f"double-space Ricci block {block}"
+
+
+# ---------------------------------------------------------------- one Einstein measurement per algebra
+
+
+def _parent_route_mu(A: AlgebraStructure, alpha: float) -> float:
+    """Test-only oracle: the Einstein factor measured on the metric algebra (A, alpha * B) itself."""
+    return tangent_bundle_ricci(_with_koszul(A, alpha)).einstein_mu
+
+
+def _verdict(A: AlgebraStructure, alpha: float):
+    """("accepted", mu) or the refusal's class and name."""
+    try:
+        return "accepted", einstein_check(A, alpha)
+    except ResidualError as exc:
+        return type(exc).__name__, exc.name
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 0.1, 1e-3, 1e3, 2.0**-40, 2.0**40])
+def test_the_einstein_factor_is_its_value_at_alpha_one_over_alpha(dim2, alpha):
+    for A in (dim2, _transported_lspk4().algebra, _one_part("product", 9, 9)):
+        assert einstein_check(A, alpha) == einstein_check(A, 1.0) / alpha
+
+
+@pytest.mark.parametrize("A", _one_route_cases())
+def test_every_alpha_agrees_with_the_metric_it_names(A):
+    # powers of two scale the metric exactly, so the routes agree bit for bit there
+    for alpha in (0.5, 1.0, 2.0):
+        assert einstein_check(A, alpha) == _parent_route_mu(A, alpha)
+    for alpha in (3.0, 0.1, 1e-3, 1e3):
+        want = _parent_route_mu(A, alpha)
+        assert abs(einstein_check(A, alpha) - want) <= 4 * np.spacing(abs(want)), alpha
+
+
+def test_one_levi_civita_solve_per_algebra_for_every_alpha(monkeypatch):
+    calls = []
+    solve = geometry.levi_civita_product
+    monkeypatch.setattr(geometry, "levi_civita_product", lambda *args: calls.append(args) or solve(*args))
+    A = _transported_lspk4().algebra
+    first = [einstein_check(A, alpha) for alpha in (0.5, 1.0, 3.0)]
+    assert len(calls) == 1
+    assert [einstein_check(A, alpha) for alpha in (0.5, 1.0, 3.0)] == first
+    assert len(calls) == 1
+    einstein_check(A, 1.0, Tolerance(1e-10))  # a second tolerance is measured on its own
+    assert len(calls) == 2
+    check, mu = vars(A)["einstein"][Tolerance()]
+    assert isinstance(check, Check) and type(mu) is float
+
+
+def test_a_refused_einstein_measurement_is_never_kept(monkeypatch):
+    _moved(monkeypatch, "bracket")
+    A = catalog_build("lspk_dim4")
+    for _ in range(2):
+        assert _oracle_refusal(lambda: einstein_check(A)) == "Ricci form"
+        assert "einstein" not in vars(A)
+
+
+def test_a_failed_einstein_relation_is_refused_at_every_alpha(monkeypatch):
+    reports = []
+
+    def not_einstein(M, tol):
+        reports.append(M)
+        return dataclasses.replace(tangent_bundle_ricci(M, tol), einstein=Check("einstein", 1.0, 0.5))
+
+    A = catalog_build("lspk_dim4")
+    monkeypatch.setattr(geometry, "tangent_bundle_ricci", not_einstein)
+    for alpha in (0.5, 1.0, 2.0, 1e3, 2.0**-40):
+        with pytest.raises(NotEinstein) as info:
+            einstein_check(A, alpha)
+        assert (info.value.name, info.value.residual) == ("einstein", 1.0)
+    assert len(reports) == 1
+
+
+def test_the_einstein_entry_does_not_travel():
+    A = _transported_lspk4().algebra
+    einstein_check(A)
+    assert "einstein" in vars(A)
+    for other in (pickle.loads(pickle.dumps(A)), copy.copy(A), copy.deepcopy(A),
+                  dataclasses.replace(A, name="renamed")):
+        assert "einstein" not in vars(other)
+        assert einstein_check(other) == einstein_check(A)
+
+
+def test_a_tiny_alpha_is_answered_and_an_overflowing_one_refused():
+    A = catalog_build("lspk_dim4")
+    # measured as a metric, 2^-40 B would be refused as not positive definite: its least
+    # eigenvalue is below eps times the floor of 1 in residual_scale
+    assert einstein_check(A, 2.0**-40) == einstein_check(A, 1.0) * 2.0**40 == -(2.0**40)
+    assert einstein_check(A, 1e300) == -1e-300
+    assert einstein_check(A, 1e308) == -1e-308
+    for alpha in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="alpha_scale"):
+            einstein_check(A, alpha)
+
+
+def _ill_conditioned(count: int, seed: int = 2):
+    """Transports of the lspk_* entries by P = U diag(geomspace(1, kappa, n)) V^T 10^U(-2, 2)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        name = LSPK_NAMES[i % len(LSPK_NAMES)]
+        A = catalog_build(name, sample_params(name, rng))
+        n = A.dim
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        kappa = 10.0 ** rng.uniform(0.0, 4.0)
+        yield change_basis(A, U @ np.diag(np.geomspace(1.0, kappa, n)) @ V.T * 10.0 ** rng.uniform(-2.0, 2.0))
+
+
+def test_the_verdict_does_not_move_with_alpha_on_ill_conditioned_inputs():
+    seen = set()
+    for A in _ill_conditioned(60):
+        # a fresh copy per alpha, so each verdict is measured, not read from the first
+        verdicts = {alpha: _verdict(AlgebraStructure(A.constants), alpha) for alpha in (1e-3, 1.0, 1e3)}
+        kinds = {verdict[0] for verdict in verdicts.values()}
+        assert len(kinds) == 1, verdicts
+        if kinds == {"accepted"}:
+            mu = verdicts[1.0][1]
+            assert all(verdicts[alpha][1] == mu / alpha for alpha in verdicts), verdicts
+        else:
+            assert len(set(verdicts.values())) == 1, verdicts
+        seen |= kinds
+    assert {"accepted", "NotEinstein"} <= seen
