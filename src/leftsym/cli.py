@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ from .errors import (
     UnknownSystem,
 )
 from .forms import (
-    BilinearForm,
     MetricAlgebra,
     check_hessian,
     check_k_hessian,
@@ -53,7 +53,7 @@ from .forms import (
     is_positive_definite,
     koszul_form,
 )
-from .geometry import tangent_bundle_ricci
+from .geometry import _trace_form_report, tangent_bundle_ricci
 from .search import builtin_system, newton_search, verify_roots_build
 
 
@@ -203,17 +203,12 @@ def _cmd_build(args, tol: Tolerance) -> int:
 
 def _cmd_geometry(args, tol: Tolerance) -> int:
     af, tol = _load(args.file, tol)
-    A = af.algebra
-    if args.scale is not None:
-        if not (args.scale > 0 and np.isfinite(args.scale)):
-            raise ValueError(f"--scale must be positive and finite, got {args.scale}")
-        B = koszul_form(A)
-        metric = BilinearForm(args.scale * B.matrix)
-    elif af.metric is not None:
-        metric = af.metric
-    else:
-        metric = koszul_form(A)
-    report = tangent_bundle_ricci(MetricAlgebra(A, metric), tol)
+    if args.scale is None and af.metric is not None:
+        report = tangent_bundle_ricci(MetricAlgebra(af.algebra, af.metric), tol)
+    else:  # the kept report of the trace form B: the metric s * B moves only mu, to mu / s
+        scale = 1.0 if args.scale is None else args.scale
+        report, mu = _trace_form_report(af.algebra, tol, scale, "--scale")
+        report = replace(report, einstein_mu=mu)
 
     if args.json:
         doc = report.as_dict()
@@ -397,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry", help="curvature report for an algebra file")
     p.add_argument("file")
-    p.add_argument("--scale", type=float, help="use scale * trace form as the metric")
+    p.add_argument("--scale", type=float, help="metric scale * trace form: only mu moves, to mu / scale")
     p.add_argument("--tb-ricci", action="store_true", help="print the double-space blocks")
     p.add_argument("--einstein", action="store_true", help="verify proportionality, print mu")
     p.add_argument("--json", action="store_true")

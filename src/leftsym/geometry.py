@@ -30,12 +30,13 @@ the verified Levi-Civita constants, the gamma stack and the Hessian check of
 M, read-only, built once per (M, Tolerance) and kept on M.  It costs one n^5
 Levi-Civita check, each gamma_operator call after it n^3; a refusal is never kept.
 
-einstein_check(A, alpha) keeps no metric algebra.  The metric alpha * B has
-the Levi-Civita product and Ricci form of B, so its Einstein factor is
-mu(1) / alpha and its verdict that of B.  The Einstein Check and mu of (A, B)
-are kept on A under "einstein", one (Check, float) per Tolerance, and every
-alpha reads them: one n^5 measurement per algebra, then per call only the
-n^3 definiteness check of B.  A refusal while measuring is never kept.
+The metric alpha * B, B the trace form, has the Levi-Civita product, Ricci
+form and double-space blocks of B, so its report is that of (A, B) with the
+Einstein factor mu(1) / alpha (its Hessian check, linear in the metric, is
+read at alpha = 1).  That report is measured once per Tolerance and kept on A
+under "einstein", read-only (_trace_form_report); einstein_check(A, alpha)
+and leftsym geometry on a file without a metric or with --scale read it, and
+no metric algebra is kept.  A refusal while measuring is never kept.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class CurvatureReport:
     form); base_ricci is the Ricci form of the metric product downstairs.
     einstein_mu is the best factor against the block metric, einstein the
     worst deviation from it against eps times the scale of C and beta (not
-    of the metric), and hessian the compatibility check of the pair.
+    of the metric), and hessian the compatibility check of the pair.  Every
+    array is read-only: the report of the trace form is kept on its algebra.
     """
 
     base_ricci: BilinearForm
@@ -299,7 +301,7 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
         base_ricci=ricci,
         tb_ricci_hh=BilinearForm(hh),
         tb_ricci_vv=BilinearForm(vv),
-        tb_ricci_hv=np.zeros((n, n)),
+        tb_ricci_hv=_readonly(np.zeros((n, n))),
         beta=beta,
         einstein_mu=mu,
         einstein=einstein,
@@ -307,34 +309,48 @@ def tangent_bundle_ricci(M: MetricAlgebra, tol: Tolerance = Tolerance()) -> Curv
     )
 
 
+def _trace_form_report(
+    A: AlgebraStructure, tol: Tolerance = Tolerance(), scale: float = 1.0, name: str = "alpha_scale"
+) -> tuple[CurvatureReport, float]:
+    """tangent_bundle_ricci of (A, B), B the trace form, and mu / scale, the factor of scale * B.
+
+    A ValueError names the scale when it is not positive and finite, before
+    anything is measured, or when mu / scale overflows.  NotLSPK unless A is
+    left-symmetric with positive definite B.  The report is measured once per tol
+    and kept on A under "einstein": the entry exists only once those checks held
+    at tol, and A is immutable, so a kept report is not checked again; a refusal
+    is raised before the entry is created, so it keeps nothing.
+    """
+    if not (scale > 0 and np.isfinite(scale)):
+        raise ValueError(f"{name} must be positive and finite, got {scale}")
+    report = A.__dict__.get("einstein", {}).get(tol)  # {Tolerance: CurvatureReport}
+    if report is None:
+        _enforce([check_left_symmetric(A, tol)], NotLSPK)
+        B, definite = _definite_trace_form(A, tol)
+        _enforce([definite], NotLSPK)
+        report = tangent_bundle_ricci(MetricAlgebra(A, B), tol)
+        report = A._kept("einstein", dict).setdefault(tol, report)
+    mu = report.einstein_mu / scale
+    if np.isfinite(report.einstein_mu) and not np.isfinite(mu):
+        raise ValueError(f"{name} {scale} is too small: mu / {name} is {mu}")
+    return report, mu
+
+
 def einstein_check(
     A: AlgebraStructure, alpha_scale: float = 1.0, tol: Tolerance = Tolerance()
 ) -> float:
     """Einstein factor of the double-space metric built from alpha * trace form.
 
-    Requires A left-symmetric with positive definite trace form; returns mu
-    with Ricci = mu times the metric (expected -1/alpha), raising NotEinstein
-    if proportionality fails.  Scaling a metric keeps its Levi-Civita product
-    and Ricci form, so mu(alpha) = mu(1) / alpha, and the Einstein threshold
-    eps * residual_scale(C, beta) has no alpha in it.  So report.einstein and
-    report.einstein_mu of tangent_bundle_ricci on (A, B) are measured once per
-    tolerance and kept on A under "einstein"; every call enforces that Check
-    and returns mu / alpha, the same verdict for every alpha.  A refusal while
-    measuring raises and keeps nothing; an alpha so small that mu / alpha is
-    not finite raises ValueError.
+    Requires A left-symmetric with positive definite trace form (NotLSPK);
+    returns mu with Ricci = mu times the metric (expected -1/alpha), raising
+    NotEinstein if proportionality fails.  Scaling a metric keeps its
+    Levi-Civita product and Ricci form, so mu(alpha) = mu(1) / alpha, and the
+    Einstein threshold eps * residual_scale(C, beta) has no alpha in it.  So
+    every call reads the one kept report of (A, B) (_trace_form_report),
+    enforces report.einstein and returns report.einstein_mu / alpha, the same
+    verdict for every alpha.  An alpha that is not positive and finite, or so
+    small that mu / alpha is not finite, raises ValueError.
     """
-    if not (alpha_scale > 0 and np.isfinite(alpha_scale)):
-        raise ValueError(f"alpha_scale must be positive and finite, got {alpha_scale}")
-    _enforce([check_left_symmetric(A, tol)], NotLSPK)
-    B, definite = _definite_trace_form(A, tol)
-    _enforce([definite], NotLSPK)
-    kept = A.__dict__.get("einstein", {})  # {Tolerance: (Check, mu at alpha = 1)}
-    if tol not in kept:  # the metric algebra (A, B) and its geometry record are not kept
-        report = tangent_bundle_ricci(MetricAlgebra(A, B), tol)
-        A._kept("einstein", dict).setdefault(tol, (report.einstein, report.einstein_mu))
-    einstein, mu = A.__dict__["einstein"][tol]
-    _enforce([einstein], NotEinstein)
-    mu = mu / alpha_scale
-    if not np.isfinite(mu):
-        raise ValueError(f"alpha_scale {alpha_scale} is too small: mu / alpha_scale is {mu}")
+    report, mu = _trace_form_report(A, tol, alpha_scale)
+    _enforce([report.einstein], NotEinstein)
     return mu

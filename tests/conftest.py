@@ -4,12 +4,31 @@ dim2 is the two dimensional algebra with product e*e = H, H*e = e/2,
 H*H = H (basis order e, H); its Koszul form is (3/2) I and every geometric
 quantity is known in closed form, so it serves as the main frozen oracle.
 a0 is the nilpotent plane e1*e1 = e2, whose Koszul form vanishes.
+_ill_conditioned draws the seeded ill-conditioned transports of the six
+lspk_* entries that the geometry and CLI tests replay.
 """
 
 import numpy as np
 import pytest
 
-from leftsym import AlgebraStructure, BilinearForm, MetricAlgebra
+from leftsym import AlgebraStructure, BilinearForm, MetricAlgebra, change_basis
+from leftsym.catalog import catalog_build, sample_params
+
+LSPK_NAMES = ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
+              "lspk_dim3_case3", "lspk_dim4", "lspk_dim5"]
+
+
+def _ill_conditioned(count: int, seed: int = 2):
+    """Transports of the lspk_* entries by P = U diag(geomspace(1, kappa, n)) V^T 10^U(-2, 2)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        name = LSPK_NAMES[i % len(LSPK_NAMES)]
+        A = catalog_build(name, sample_params(name, rng))
+        n = A.dim
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        kappa = 10.0 ** rng.uniform(0.0, 4.0)
+        yield change_basis(A, U @ np.diag(np.geomspace(1.0, kappa, n)) @ V.T * 10.0 ** rng.uniform(-2.0, 2.0))
 
 
 @pytest.fixture

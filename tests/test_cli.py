@@ -28,6 +28,7 @@ from leftsym.algfile import parse_algebra_file, render_algebra_file
 from leftsym.catalog import _parts, catalog_build, catalog_list
 from leftsym.cli import run
 from leftsym.construct import kdim2_family
+from conftest import _ill_conditioned
 from test_geometry import assert_blocks_match_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -319,6 +320,36 @@ def test_geometry_json_prints_each_threshold_beside_its_residual(tmp_path, capsy
     assert (doc["hessian_residual"] <= doc["hessian_threshold"]) == bool(hessian) == (metric is None)
     assert (doc["einstein_residual"] <= doc["einstein_threshold"]) == doc["einstein"] == (code == 0)
     assert doc["einstein"] == (metric is None)
+
+
+def test_geometry_gives_one_verdict_for_every_scale(tmp_path, capsys):
+    # every --scale s reads the one report of the trace form B, so also on
+    # ill-conditioned inputs only mu moves, to mu(1) / s
+    def geometry(path: str, s: float):
+        code = run(["geometry", path, "--scale", repr(s), "--einstein", "--json"])
+        out, err = capsys.readouterr()
+        return code, err, json.loads(out) if out else None
+
+    codes = set()
+    for i, A in enumerate(_ill_conditioned(60)):
+        path = tmp_path / f"ill{i}.json"
+        path.write_text(render_algebra_file(A))
+        code, err, doc = geometry(str(path), 1.0)
+        codes.add(code)
+        for s in (1e-300, 1e-3, 119.4, 1e3, 1e300):
+            want = doc and dict(doc, einstein_mu=doc["einstein_mu"] / s)
+            assert geometry(str(path), s) == (code, err, want), (i, s)
+    assert codes == {0, 1}
+
+
+def test_geometry_refuses_a_scale_whose_mu_overflows(capsys, tmp_path):
+    path = tmp_path / "dim4.json"
+    path.write_text(render_algebra_file(catalog_build("lspk_dim4")))
+    for flags in ([], ["--json"]):
+        assert run(["geometry", str(path), "--scale", "1e-320", "--einstein", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --scale 1e-320 is too small")
 
 
 @pytest.mark.parametrize("scale", ["0", "-1"])

@@ -157,10 +157,10 @@ def _round_trips(obj) -> list:
 
 
 def test_stored_arrays_can_never_be_made_writable(monkeypatch):
-    # an algebra keeps its trace form, a metric algebra its geometry record, and split
-    # data the residuals of its systems, for as long as it lives, so neither the
-    # constants, the Gram matrix nor the data, nor a copy of them, may be written; and
-    # no copy carries what the original keeps
+    # an algebra keeps its trace form and trace-form report, a metric algebra its
+    # geometry record, and split data the residuals of its systems, for as long as it
+    # lives, so neither the constants, the Gram matrix, the data nor a kept array, nor
+    # a copy of them, may be written; and no copy carries what the original keeps
     A = catalog_build("lspk_dim4")
     B = koszul_form(A)
     M = MetricAlgebra(A, B)
@@ -168,7 +168,7 @@ def test_stored_arrays_can_never_be_made_writable(monkeypatch):
     einstein_check(A)
     data = data_from_decomposition(decompose(A))
     validate_data(data)
-    assert {"trace form", "scale", "left symmetry"} <= set(dir(A)) and "geometry" in dir(M)
+    assert {"trace form", "scale", "left symmetry", "einstein"} <= set(dir(A)) and "geometry" in dir(M)
     assert "systems" in dir(data)
     algebras = [A, *_round_trips(A)]
     metrics = [M, *_round_trips(M)]
@@ -181,6 +181,9 @@ def test_stored_arrays_can_never_be_made_writable(monkeypatch):
     assert all(validate_data(X) == validate_data(data) for X in datas[1:])
     arrays = [X.constants for X in algebras] + [X.algebra.constants for X in metrics]
     arrays += [F.matrix for F in grams] + [rec.gamma for rec in vars(M)["geometry"].values()]
+    for rep in vars(A)["einstein"].values():  # the kept trace-form report
+        forms = (rep.base_ricci, rep.tb_ricci_hh, rep.tb_ricci_vv, rep.beta)
+        arrays += [rep.tb_ricci_hv] + [F.matrix for F in forms]
     arrays += [getattr(X, f) for X in datas for f in fields[2:]]
     for a in arrays:
         with pytest.raises(ValueError):

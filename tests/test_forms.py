@@ -404,7 +404,7 @@ def test_threads_share_one_entry():
         try:
             got.append(_algebra_calls(A))
             forms_seen.append(koszul_form(A))
-            einstein_seen.append(vars(A)["einstein"][Tolerance()][0])
+            einstein_seen.append(vars(A)["einstein"][Tolerance()].einstein)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 

@@ -50,11 +50,9 @@ from leftsym import (
     trace_one_form,
 )
 from leftsym import geometry
-from leftsym.catalog import catalog_build, sample_params
+from leftsym.catalog import catalog_build
+from conftest import LSPK_NAMES, _ill_conditioned
 from test_slab_reduction import _one_part
-
-LSPK_NAMES = ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
-              "lspk_dim3_case3", "lspk_dim4", "lspk_dim5"]
 
 
 def _with_koszul(A: AlgebraStructure, scale: float = 1.0) -> MetricAlgebra:
@@ -360,8 +358,9 @@ def _transported_lspk4() -> MetricAlgebra:
     return _with_koszul(change_basis(A, q))
 
 
-def test_one_levi_civita_solve_per_metric_algebra(monkeypatch):
-    calls = {"levi_civita_product": 0, "check_hessian": 0}
+def _count_calls(monkeypatch, *names: str) -> dict:
+    """Calls to each named geometry function from here on, counted as they happen."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(geometry, name)
@@ -372,8 +371,13 @@ def test_one_levi_civita_solve_per_metric_algebra(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(geometry, name, counted(name))
+    return calls
+
+
+def test_one_levi_civita_solve_per_metric_algebra(monkeypatch):
+    calls = _count_calls(monkeypatch, "levi_civita_product", "check_hessian")
     M = _transported_lspk4()
     got = [out for call in _geometry_calls(M.dim) for out in call(M)]
     assert calls == {"levi_civita_product": 1, "check_hessian": 1}
@@ -639,8 +643,32 @@ def test_one_levi_civita_solve_per_algebra_for_every_alpha(monkeypatch):
     assert len(calls) == 1
     einstein_check(A, 1.0, Tolerance(1e-10))  # a second tolerance is measured on its own
     assert len(calls) == 2
-    check, mu = vars(A)["einstein"][Tolerance()]
-    assert isinstance(check, Check) and type(mu) is float
+    report = vars(A)["einstein"][Tolerance()]
+    assert isinstance(report.einstein, Check) and type(report.einstein_mu) is float
+
+
+def test_one_trace_form_measurement_per_algebra_and_tolerance(monkeypatch, a0):
+    # the kept report exists only once A passed both LSPK checks at that tolerance,
+    # so a warm call at any alpha neither solves nor checks the trace form again
+    calls = _count_calls(monkeypatch, "levi_civita_product", "_definite_trace_form")
+    A = _transported_lspk4().algebra
+    mu = einstein_check(A)
+    assert calls == {"levi_civita_product": 1, "_definite_trace_form": 1}
+    for alpha in (0.5, 1.0, 3.0, 1e-3, 1e3, 2.0**-40, 1e300):
+        assert einstein_check(A, alpha) == mu / alpha
+    assert calls == {"levi_civita_product": 1, "_definite_trace_form": 1}
+    # a refused algebra keeps nothing, so every call measures it again
+    for attempt in range(1, 4):
+        with pytest.raises(NotLSPK) as info:
+            einstein_check(a0, 2.0)
+        assert info.value.name == "positive definite trace form"
+        assert calls == {"levi_civita_product": 1, "_definite_trace_form": 1 + attempt}
+    assert "einstein" not in vars(a0)
+    _moved(monkeypatch, "bracket")
+    refused = catalog_build("lspk_dim4")
+    for attempt in range(1, 4):
+        assert _oracle_refusal(lambda: einstein_check(refused, 0.5)) == "Ricci form"
+        assert calls == {"levi_civita_product": 1 + attempt, "_definite_trace_form": 4 + attempt}
 
 
 def test_a_refused_einstein_measurement_is_never_kept(monkeypatch):
@@ -687,19 +715,6 @@ def test_a_tiny_alpha_is_answered_and_an_overflowing_one_refused():
     for alpha in (1e-320, 5e-324):
         with pytest.raises(ValueError, match="alpha_scale"):
             einstein_check(A, alpha)
-
-
-def _ill_conditioned(count: int, seed: int = 2):
-    """Transports of the lspk_* entries by P = U diag(geomspace(1, kappa, n)) V^T 10^U(-2, 2)."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        name = LSPK_NAMES[i % len(LSPK_NAMES)]
-        A = catalog_build(name, sample_params(name, rng))
-        n = A.dim
-        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        kappa = 10.0 ** rng.uniform(0.0, 4.0)
-        yield change_basis(A, U @ np.diag(np.geomspace(1.0, kappa, n)) @ V.T * 10.0 ** rng.uniform(-2.0, 2.0))
 
 
 def test_the_verdict_does_not_move_with_alpha_on_ill_conditioned_inputs():
