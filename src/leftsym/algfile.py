@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import chain
 
 import numpy as np
 
@@ -155,49 +156,37 @@ def _metric(doc: dict, dim: int) -> np.ndarray | None:
 _ROW_KEYS = {"i", "j", "coeffs"}
 
 
-def _products(products: list, dim: int) -> np.ndarray | None:
-    """The (dim, dim, dim) tensor of valid product rows, or None if any row is invalid.
+def _products(products: list, dim: int) -> np.ndarray:
+    """The (dim, dim, dim) tensor of the product rows, refusing the first invalid row by name.
 
-    Applies every rule of _products_row_by_row in one pass per row and
-    converts all coefficients at once; it names no fault, so a None sends
-    the caller to the per-row checks.
+    Each row must be an object with exactly i, j and coeffs, two indices in range, a
+    product not listed before and dim numbers, checked in that order.  All coefficients
+    convert at once, so an integer beyond float range is found last; it is then named
+    at its own row, as is one in a row before another row's fault.
     """
-    flat: list[int] = []
-    coeffs: list[list] = []
-    for row in products:
-        if type(row) is not dict or row.keys() != _ROW_KEYS:
-            return None
-        i, j, c = row["i"], row["j"], row["coeffs"]
-        if type(i) is not int or type(j) is not int or not (0 <= i < dim and 0 <= j < dim):
-            return None
-        if type(c) is not list or len(c) != dim or not set(map(type, c)) <= _NUMBER_TYPES:
-            return None
-        flat.append(i * dim + j)
-        coeffs.append(c)
-    if len(set(flat)) != len(flat):  # a duplicate product
-        return None
+    rows: dict[int, list] = {}
     try:
-        values = np.array(coeffs, dtype=float).reshape(len(coeffs), dim)
-    except OverflowError:  # an integer beyond float range
-        return None
+        for pos, row in enumerate(products):
+            if not isinstance(row, dict) or row.keys() != _ROW_KEYS:
+                _require(isinstance(row, dict), f"products[{pos}]", "must be an object")
+                _require(row.keys() == _ROW_KEYS, f"products[{pos}]", "must have exactly i, j, coeffs")
+            i, j, c = row["i"], row["j"], row["coeffs"]
+            if type(i) is not int or type(j) is not int or not (0 <= i < dim and 0 <= j < dim):
+                _as_index(i, f"products[{pos}].i", dim)
+                _as_index(j, f"products[{pos}].j", dim)
+            key = i * dim + j
+            if key in rows:
+                raise SchemaError(f"field 'products[{pos}]': duplicate product ({i}, {j})")
+            if not isinstance(c, list) or len(c) != dim or not set(map(type, c)) <= _NUMBER_TYPES:
+                _as_array(c, f"products[{pos}].coeffs", (dim,))  # raises: names the rule that fails
+            rows[key] = c
+        values = np.fromiter(chain.from_iterable(rows.values()), float, len(rows) * dim)
+    except (SchemaError, OverflowError):
+        for pos, c in enumerate(rows.values()):  # the rows before the fault, in order
+            _as_array(c, f"products[{pos}].coeffs")  # raises on an integer beyond float range
+        raise
     C = np.zeros((dim, dim, dim))
-    C.reshape(dim * dim, dim)[flat] = values
-    return C
-
-
-def _products_row_by_row(products: list, dim: int) -> np.ndarray:
-    """The product rows checked one at a time, raising on the first invalid row."""
-    C = np.zeros((dim, dim, dim))
-    seen: set[tuple[int, int]] = set()
-    for pos, row in enumerate(products):
-        field = f"products[{pos}]"
-        _require(isinstance(row, dict), field, "must be an object")
-        _require(set(row) == _ROW_KEYS, field, "must have exactly i, j, coeffs")
-        i = _as_index(row["i"], f"{field}.i", dim)
-        j = _as_index(row["j"], f"{field}.j", dim)
-        _require((i, j) not in seen, field, f"duplicate product ({i}, {j})")
-        seen.add((i, j))
-        C[i, j] = _as_array(row["coeffs"], f"{field}.coeffs", (dim,))
+    C.reshape(dim * dim, dim)[list(rows)] = values.reshape(len(rows), dim)
     return C
 
 
@@ -216,9 +205,6 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     _require(isinstance(products, list), "products", "must be an array")
 
     C = _products(products, dim)
-    if C is None:  # some row breaks a rule: the per-row checks name the first
-        C = _products_row_by_row(products, dim)
-
     m = _metric(doc, dim)
     tolerance = None
     if "tolerance" in doc:

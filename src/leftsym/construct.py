@@ -10,13 +10,19 @@ silently produce a broken algebra.
 Also here: the two one-part shortcuts (flat part only / product part
 only), and the rank-one family X * Y = <X, Y> h - <Y, h> X with its
 recognizer.  The rank-one constants are rounded against core's summation
-order of L_x, which makes L_h exactly zero.
+order of L_x (_accumulate), which makes L_h exactly zero.  One batched search
+(_annihilate) handles every column of L_h that is not exactly 0: in a fixed
+order it moves two late entries of the column by a few ulps each (_stepped, an
+O(1) move on the ordered bit pattern) and keeps the first trial that sums to
+exactly 0.  Each stage holds its 31 trials for all m unsolved columns in one
+(n, 31, m) array, about 31 n m multiply-adds, with no Python loop per column.
+A spec whose k or constants overflow is refused before the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import permutations, product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -303,62 +309,58 @@ def _rank_one_constants(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("ij,k->ijk", g, h) - np.einsum("j,ik->ijk", g @ h, np.eye(h.shape[0]))
 
 
-def _stepped(x: float, m: int) -> float:
-    for _ in range(abs(m)):
-        x = np.nextafter(x, np.inf if m > 0 else -np.inf)
-    return x
+_SIGN, _MAG = np.int64(-2**63), np.int64(2**63 - 1)
+_INF = np.float64(np.inf).view(np.int64)  # the largest key of the float order below
+
+
+def _stepped(x: np.ndarray | float, m: np.ndarray | int) -> np.ndarray:
+    """x moved m ulps up (m > 0) or down, as m calls of np.nextafter, in O(1).
+
+    A float's key, its bits for x >= 0 and minus its magnitude bits for x < 0,
+    counts the floats in order, with both zeros at 0; the move adds m to the key
+    and saturates at +-inf.  A zero reached from x keeps the sign of x, and NaN stays.
+    """
+    x = np.asarray(x, dtype=float)
+    bits = x.view(np.int64)
+    key = np.clip(np.where(bits < 0, -(bits & _MAG), bits) + m, -_INF, _INF)
+    out = np.where(key < 0, -key | _SIGN, key).view(float)
+    return np.where(key == 0, np.copysign(0.0, x), np.where(x == x, out, x))
 
 
 _STRIDES = (0,) + tuple(s * v for v in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
                         for s in (1, -1))
-
-
-def _annihilate_column(h: np.ndarray, col: np.ndarray, configs) -> bool:
-    """Round col within a few ulp so the h-contraction cancels bitwise.
-
-    The identity sum_i h_i col_i = 0 holds in exact arithmetic but not
-    after assembly rounding.  The last summand enters through a single
-    float addition, and near total cancellation that addition is exact, so
-    nudging the entry at one late index (plus, when needed, stirring the
-    low bits of an earlier partial sum through a second index) reaches an
-    exactly zero float sum.
-    """
-    base = col.copy()
-    for ia, ib in configs:
-        col[:] = base
-        orig_b = col[ib] if ib is not None else None
-        for mb in _STRIDES:
-            if ib is not None:
-                col[ib] = _stepped(orig_b, mb)
-            elif mb != 0:
-                break
-            d = _accumulate(h, col)
-            if d == 0.0:
-                return True
-            x0 = col[ia] - d / h[ia]
-            for pos in range(31):
-                m = (pos + 1) // 2 * (1 if pos % 2 else -1)
-                col[ia] = _stepped(x0, m)
-                if _accumulate(h, col) == 0.0:
-                    return True
-            col[ia] = base[ia]
-    col[:] = base
-    return False
+_NUDGES = np.array([0] + [s * v for v in range(1, 16) for s in (1, -1)])[:, None]
 
 
 def _annihilate(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Round c, column by column, so that L_h = core._accumulate(h, c) is exactly zero."""
+    """Round c so that L_h = core._accumulate(h, c) is exactly zero, entries moving a few ulps.
+
+    The identity sum_i h_i c[i, j, k] = 0 holds in exact arithmetic but not after
+    assembly rounding.  The last summand enters through a single float addition, and
+    near total cancellation that addition is exact, so setting the entry at one late
+    index ia to the value that cancels the sum, after stirring the low bits of an
+    earlier partial sum through a second index ib, reaches an exactly zero float sum.
+    The search runs over the ordered pairs (ia, ib) of the last four indices where h is
+    nonzero; for each, ib moves by each of _STRIDES ulps, and then ia is set to the
+    cancelling value moved by each of _NUDGES ulps.  A column (j, k) takes the first of
+    these trials whose sum is 0, and a column that none zeroes keeps its entries.
+    Each stage (ia, ib, stride) tries its 31 nudges on every unsolved column at once,
+    as one (n, 31, m) array summed by _accumulate, so L_x keeps its one summation order.
+    """
     c = np.array(c)
-    n = h.shape[0]
-    active = [i for i in range(n) if h[i] != 0.0]
-    if not active:
-        return c
-    if len(active) == 1:
-        configs = [(active[0], None)]
-    else:
-        configs = list(permutations(active[::-1][:4], 2))
-    for j, k in zip(*np.nonzero(_accumulate(h, c))):
-        _annihilate_column(h, c[:, j, k], configs)
+    jj, kk = np.nonzero(_accumulate(h, c))
+    cols = c[:, jj, kk]  # (n, m): the columns whose sum is not yet 0
+    for (ia, ib), mb in product(permutations(np.flatnonzero(h)[::-1][:4], 2), _STRIDES):
+        if not jj.size:
+            break
+        trial = np.repeat(cols[:, None], 1 + len(_NUDGES), axis=1)  # unnudged, then nudged
+        trial[ib] = _stepped(cols[ib], mb)
+        d = _accumulate(h, trial[:, 0])
+        trial[ia, 1:] = _stepped(trial[ia, 0] - d / h[ia], _NUDGES)
+        zero = np.vstack([d == 0.0, _accumulate(h, trial[:, 1:]) == 0.0])
+        done = zero.any(axis=0)
+        c[:, jj[done], kk[done]] = trial[:, zero.argmax(axis=0)[done], np.flatnonzero(done)]
+        jj, kk, cols = jj[~done], kk[~done], cols[:, ~done]
     return c
 
 
@@ -369,11 +371,17 @@ def build_milnor(spec: MilnorSpec, tol: Tolerance = Tolerance()) -> tuple[Metric
     against the defining identities before returning.  The rounding of the
     stored constants is picked so that multiplication by h vanishes not
     just within tolerance but exactly, matching the structural role of h.
+    A spec whose k or constants overflow is refused with PreconditionFailed
+    before the rounding.
     """
     g, h = spec.metric, spec.h_vec
-    k = -float(h @ (g @ h))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name below
+        k = -float(h @ (g @ h))
+        c = _rank_one_constants(g, h)
+    if not (np.isfinite(k) and np.isfinite(c).all()):
+        raise PreconditionFailed("k = -<h, h> or the rank-one constants overflow")
     _enforce([Check("<h, h> > 0", k, -tol.eps * residual_scale(g, h))], ZeroH)  # k = -<h, h>
-    c = _annihilate(_rank_one_constants(g, h), h)
+    c = _annihilate(c, h)
     A = AlgebraStructure(c, name=f"rankone{spec.dim}")
     lh = _max_abs(mult_operator(A, h))
     thr = tol.eps * residual_scale(c, h)

@@ -22,7 +22,6 @@ from leftsym import (
 )
 from leftsym.algfile import (
     _products,
-    _products_row_by_row,
     parse_algebra_file,
     parse_lspk_data,
     parse_matrix_file,
@@ -367,7 +366,6 @@ _OK = {"i": 0, "j": 0, "coeffs": [0.0, 1.0]}
          "null-entry", "overflow", "overflow-then-short", "short-then-overflow"],
 )
 def test_parse_errors_are_pinned(products, message):
-    assert _products(products, 2) is None  # the one-pass check refuses it too
     with pytest.raises(SchemaError) as info:
         parse_algebra_file(_doc(products=products))
     assert str(info.value) == message
@@ -377,10 +375,7 @@ def test_parse_errors_are_pinned(products, message):
 def test_one_pass_products_match_row_by_row(name):
     A = _algebra_of(catalog_build(name))
     products = json.loads(render_algebra_file(A))["products"]
-    fast = _products(products, A.dim)
-    assert fast is not None
-    np.testing.assert_array_equal(fast, _products_row_by_row(products, A.dim))
-    np.testing.assert_array_equal(fast, A.constants)
+    np.testing.assert_array_equal(_products(products, A.dim), A.constants)
 
 
 def test_parse_accepts_integer_and_mixed_coefficients():

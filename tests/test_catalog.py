@@ -104,6 +104,13 @@ def test_entry_kinds():
     assert isinstance(catalog_build("lspk_dim2"), AlgebraStructure)
 
 
+def test_khess_r2_builder_refuses_an_indefinite_metric():
+    # the parameter ranges keep catalog_build inside the family; the builder itself
+    # refuses y^2 / 4 < 1 at k > 0, where mu = (y^2 / 4 - 1) / k is negative
+    with pytest.raises(ValueError, match=r"metric diag\(1.0, -0.375\) is not positive definite"):
+        catalog._khess_r2_example(1.0, 1.0, 2.0)
+
+
 def test_khess_r2_koszul_frozen():
     M = catalog_build("khess_r2_example", {"lam": 1.0, "y": 3.0, "k": 2.0})
     B = koszul_form(M.algebra)

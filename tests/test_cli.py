@@ -8,7 +8,9 @@ run() so the tests see exactly what a shell would.
 import ast
 import json
 import re
+import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -668,3 +670,13 @@ def test_main_exits_with_the_status_of_run(monkeypatch, argv, code, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main()
     assert info.value.code == code
+
+
+def test_running_the_module_calls_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["leftsym", "catalog", "list"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy: leftsym.cli is already imported
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("leftsym.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert "milnor" in capsys.readouterr().out

@@ -203,6 +203,11 @@ def test_the_zero_algebra_is_solvable():
     assert is_solvable(AlgebraStructure(np.zeros((0, 0, 0))))
 
 
+def test_a_tolerance_of_one_ranks_every_derived_algebra_zero():
+    # sigma_max exceeds max|C| = 2, and no singular value exceeds 1 * sigma_max
+    assert is_solvable(sl2_bracket(), Tolerance(1.0))
+
+
 def test_geometry_and_rn_isomorphism_are_vacuous_at_dimension_zero(tmp_path, capsys):
     A = AlgebraStructure(np.zeros((0, 0, 0)))
     M = MetricAlgebra(A, BilinearForm(np.zeros((0, 0))))
@@ -231,6 +236,20 @@ def test_jacobi_rejects_non_antisymmetric_constants():
     with pytest.raises(NotAntisymmetric) as info:
         check_jacobi(catalog_build("lspk_dim2"))
     assert info.value.residual > 0.0
+
+
+def test_rn_isomorphism_skips_a_combination_with_a_repeated_eigenvalue():
+    # In the frame O of P = O diag(1, 2) the left multiplications of R^2 combine to a
+    # matrix with eigenvalues O c, for the first seeded coefficients c.  The rotation O
+    # that sends c to the diagonal repeats that eigenvalue, so the second attempt splits.
+    c = np.random.default_rng(20240517).standard_normal(2)
+    a = np.pi / 4 - np.arctan2(c[1], c[0])
+    O = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    assert abs((O @ c)[0] - (O @ c)[1]) <= 1e-15
+    rn2 = catalog_build("rn_canonical", {"n": 2})
+    twisted = change_basis(rn2, O @ np.diag([1.0, 2.0]))
+    back = change_basis(twisted, rn_isomorphism(twisted)).constants
+    np.testing.assert_allclose(back, rn2.constants, atol=1e-12)
 
 
 def test_rn_isomorphism_canonical():

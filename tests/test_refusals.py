@@ -20,6 +20,7 @@ from leftsym import (
     DiagonalizationFailed,
     HypothesisFailed,
     LSPKData,
+    MetricAlgebra,
     MilnorSpec,
     NoKernelVector,
     NotLieBracket,
@@ -29,6 +30,8 @@ from leftsym import (
     ResidualError,
     SpectrumNotZeroOne,
     SystemASViolated,
+    Tolerance,
+    VerificationFailed,
     ZeroH,
     build_milnor,
     change_basis,
@@ -106,6 +109,16 @@ def test_library_refusals_name_the_relation(dim2, a0, monkeypatch):
         (lambda: recognize_milnor(planar, -2.0), HypothesisFailed, "sectional"),
         (lambda: recognize_milnor(kdim2_family(-1.0, 0.4, family=2), -1.0), NoKernelVector,
          "kernel vector"),
+        # dimension 1: the zero algebra is k-Hessian for every k, and under the metric -1
+        # its kernel vector has negative length, so no h with <h, h> = -k exists
+        (lambda: recognize_milnor(MetricAlgebra(AlgebraStructure(np.zeros((1, 1, 1))),
+                                                BilinearForm(np.array([[-1.0]]))), -1.0),
+         VerificationFailed, "kernel vector does not reproduce the structure constants"),
+        # R^2 in an integer basis meets every hypothesis exactly; each attempt's basis
+        # misses the coordinatewise product by an ulp, above eps = 1e-17
+        (lambda: rn_isomorphism(change_basis(catalog_build("rn_canonical", {"n": 2}),
+                                             np.array([[1.0, 1.0], [0.0, 1.0]])), Tolerance(1e-17)),
+         DiagonalizationFailed, "idempotent basis"),
     ]
     for call, error, name in cases:
         assert _raised(call, error).name == name
