@@ -43,7 +43,7 @@ def main():
             n1, n2, rho = dec.signature
             print(f"  signature: dim h1 = {n1}, dim h2 = {n2}, rho = {rho:g}")
             print(f"  bracket solvable: {is_solvable(lie_bracket_constants(A))}")
-        if entry.kind == "khessian" and entry.expected_k is not None:
+        if entry.kind == "khessian":
             print(f"  constant k = {entry.expected_k(entry.resolve(None)):g}")
         rep = catalog_verify(name)
         print(f"  verified, worst residual {rep.max_residual:.3e}")

@@ -91,21 +91,28 @@ class CatalogEntry:
 
     expected_koszul maps the resolved params to the trace form matrix (a
     zero matrix for the trace-free families); expected_signature to the
-    decomposition signature, required of an LSPK entry; expected_k to the
-    sectional constant when the entry is a metric k-Hessian algebra.
-    kind is one of "lspk", "khessian", "nilpotent" and selects the
-    predicate suite run by catalog_verify; extra_checks are further
-    predicates (A, tol) -> Check that it runs after that suite.
+    decomposition signature of an LSPK entry; expected_k to the sectional
+    constant of a metric k-Hessian entry.  Which of the two is declared
+    selects the predicate suite run by catalog_verify, and names the entry's
+    kind; extra_checks are further predicates (A, tol) -> Check that it runs
+    after that suite.
     """
 
     name: str
-    kind: str
     params: tuple[ParamSpec, ...]
     builder: Callable[..., AlgebraStructure | MetricAlgebra]
     expected_koszul: Callable[[dict], np.ndarray] | None = None
     expected_signature: Callable[[dict], tuple[int, int, float]] | None = None
     expected_k: Callable[[dict], float] | None = None
     extra_checks: tuple[Callable[[AlgebraStructure, Tolerance], Check], ...] = field(default=())
+
+    @property
+    def kind(self) -> str:
+        """The suite catalog_verify runs, read off the declared invariants: "lspk" with an
+        expected signature, else "khessian" with an expected k, else "nilpotent"."""
+        if self.expected_signature is not None:
+            return "lspk"
+        return "khessian" if self.expected_k is not None else "nilpotent"
 
     def resolve(self, params: dict | None) -> dict:
         given = dict(params or {})
@@ -312,7 +319,6 @@ _PI = math.pi
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="rn_canonical",
-        kind="lspk",
         params=(ParamSpec("n", 3, 1, 6, integer=True),),
         builder=_rn_canonical,
         expected_koszul=lambda p: np.eye(int(p["n"])),
@@ -320,7 +326,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="lspk_dim2",
-        kind="lspk",
         params=(),
         builder=_lspk_dim2,
         expected_koszul=lambda p: 1.5 * np.eye(2),
@@ -328,7 +333,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="lspk_dim3_case1",
-        kind="lspk",
         params=(ParamSpec("lam", 1.0, -3.0, 3.0),),
         builder=_lspk_dim3_case1,
         expected_koszul=lambda p: 2.0 * np.eye(3),
@@ -336,7 +340,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="lspk_dim3_case2",
-        kind="lspk",
         params=(ParamSpec("theta", _PI / 3.0, 0.0, 2.0 * _PI),),
         builder=_lspk_dim3_case2,
         expected_koszul=lambda p: 3.0 * np.eye(3),
@@ -344,7 +347,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="lspk_dim3_case3",
-        kind="lspk",
         params=(ParamSpec("sign", 1.0, choices=(-1.0, 1.0)),),
         builder=_lspk_dim3_case3,
         expected_koszul=lambda p: 2.5 * np.eye(3),
@@ -352,7 +354,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="lspk_dim4",
-        kind="lspk",
         params=(
             ParamSpec("alpha_sign", 1.0, choices=(-1.0, 1.0)),
             ParamSpec("beta", 0.7, -3.0, 3.0),
@@ -364,7 +365,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="lspk_dim5",
-        kind="lspk",
         params=(
             ParamSpec("branch", 3, choices=(1, 2, 3, 4)),
             ParamSpec("beta", 0.5, -3.0, 3.0),
@@ -376,7 +376,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="khess_kdim2_f1",
-        kind="khessian",
         params=(
             ParamSpec("k", -1.0, -5.0, -0.05),
             ParamSpec("theta", _PI / 3.0, 0.0, 2.0 * _PI),
@@ -388,7 +387,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="khess_kdim2_f2",
-        kind="khessian",
         params=(
             ParamSpec("k", -1.0, -5.0, -0.05),
             ParamSpec("theta", _PI / 3.0, 0.0, 2.0 * _PI),
@@ -400,7 +398,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="khess_r2_example",
-        kind="khessian",
         params=(
             ParamSpec("lam", 1.0, 0.25, 2.0),
             ParamSpec("y", 3.0, 2.5, 4.0),
@@ -412,7 +409,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="khess_r3_commutative",
-        kind="khessian",
         params=(),
         builder=_khess_r3_commutative,
         expected_k=lambda p: -1.0,
@@ -420,7 +416,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="milnor",
-        kind="khessian",
         params=(
             ParamSpec("n", 3, 2, 6, integer=True),
             ParamSpec("h_scale", 2.0, 0.25, 3.0),
@@ -431,7 +426,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="nilpotent_A0",
-        kind="nilpotent",
         params=(),
         builder=_nilpotent_a0,
         expected_koszul=lambda p: np.zeros((2, 2)),
@@ -487,7 +481,7 @@ def catalog_verify(name: str, params: dict | None = None, tol: Tolerance = Toler
         worst, at = _worst(koszul_form(A).matrix - want)
         run(Check("koszul match", worst, tol.eps * residual_scale(A.constants, want), at))
 
-    if entry.kind == "lspk":
+    if entry.expected_signature is not None:
         # decompose certifies left symmetry and the definite trace form itself
         n1, n2, rho = entry.expected_signature(resolved)
         try:
@@ -499,11 +493,10 @@ def catalog_verify(name: str, params: dict | None = None, tol: Tolerance = Toler
         run(Check("signature", mismatch, 0.0), f"signature {got} != {(n1, n2)}")
         run(Check("rho match", abs(dec.rho - rho), tol.eps * residual_scale(rho)))
         checks.extend(dec.checks)
-    elif entry.kind == "khessian":
+    elif entry.expected_k is not None:
         assert metric is not None
-        k = entry.expected_k(resolved)
-        run(check_k_hessian(A, metric, k, tol), "k-hessian")
-    else:  # "nilpotent", the last kind of the static registry
+        run(check_k_hessian(A, metric, entry.expected_k(resolved), tol), "k-hessian")
+    else:  # neither invariant declared: a nilpotent entry
         run(check_left_symmetric(A, tol))
 
     for extra in entry.extra_checks:

@@ -30,8 +30,8 @@ computed once and kept on the algebra itself (core._Owner._kept); a Check is
 built per call from them and the caller's Tolerance, so thresholds follow the
 tolerance as before.  An overflowing trace form raises and is never kept.  The
 entries an algebra keeps are "trace form", "scale" and "left symmetry" from
-here, and "einstein" from geometry.einstein_check: the Einstein Check and
-factor of the metric B, one (Check, float) per Tolerance.
+here, and "einstein" from geometry._trace_form_report: the tangent_bundle_ricci
+CurvatureReport of the metric B, one per Tolerance.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _derivation_defect(d: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _paired_action(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """P[x,y,z] = <rho(z) x, y> + <rho(z) y, x>, the symmetrized action pairing."""
     d = np.einsum("ya,zax->zyx", g, rho)
-    return np.einsum("zyx->xyz", d) + np.einsum("zxy->xyz", d)
+    return d.transpose(2, 1, 0) + d.transpose(1, 2, 0)
 
 
 def _algebra_scale(A: AlgebraStructure) -> float:

@@ -117,8 +117,11 @@ class _Geometry:
 
 def _gamma_data(M: MetricAlgebra, tol: Tolerance) -> _Geometry:
     """The geometry record of M at tol, built on first use; a refusal raises and keeps nothing."""
-    records = M._kept("geometry", dict)  # {Tolerance: _Geometry}: dir() needs string keys
-    return records.get(tol) or records.setdefault(tol, _geometry(M, tol))
+    record = M.__dict__.get("geometry", {}).get(tol)  # {Tolerance: _Geometry}: dir() needs string keys
+    if record is None:
+        record = _geometry(M, tol)  # measured before the entry exists, so a refusal creates none
+        record = M._kept("geometry", dict).setdefault(tol, record)
+    return record
 
 
 def _geometry(M: MetricAlgebra, tol: Tolerance) -> _Geometry:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import DIM5_BRANCHES, catalog_verify
+from .catalog import DIM5_BRANCHES, RT2, RT6, catalog_entry, catalog_verify
 from .core import Check
 from .errors import FixtureBroken, PreconditionFailed, UnknownSystem
 
@@ -55,24 +55,42 @@ class RootSet:
         return iter(self.roots)
 
 
+class _Builtin(NamedTuple):
+    """A builtin system and the catalog entry its roots build.
+
+    root(v) is the admissible root at which the entry's discrete parameter
+    param takes the value v, one for each choice of its ParamSpec.
+    """
+
+    arity: int
+    residual: Callable[[np.ndarray], np.ndarray]
+    entry: str
+    param: str
+    root: Callable[[float], tuple[float, ...]]
+
+
+_BUILTINS = {
+    "dim3_case3": _Builtin(1, lambda x: np.array([6.0 * x[0] ** 2 - 1.0]),
+                           "lspk_dim3_case3", "sign", lambda s: (s / RT6,)),
+    "dim4": _Builtin(1, lambda x: np.array([8.0 * x[0] ** 2 - 1.0]),
+                     "lspk_dim4", "alpha_sign", lambda s: (s / (2.0 * RT2),)),
+    "dim5": _Builtin(2, lambda x: np.array([8.0 * x[0] ** 2 + 2.0 * x[0] * x[1] - 1.0,
+                                            6.0 * x[1] ** 2 + 4.0 * x[0] * x[1] - 1.0]),
+                     "lspk_dim5", "branch", lambda b: DIM5_BRANCHES[b - 1]),
+}
+
+
+def _builtin(name: str) -> _Builtin:
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise UnknownSystem(f"no builtin system named {name!r}") from None
+
+
 def builtin_system(name: str) -> PolySystem:
     """One of the named parameter systems: dim3_case3, dim4 or dim5."""
-    if name == "dim3_case3":
-        return PolySystem(1, lambda x: np.array([6.0 * x[0] ** 2 - 1.0]), name)
-    if name == "dim4":
-        return PolySystem(1, lambda x: np.array([8.0 * x[0] ** 2 - 1.0]), name)
-    if name == "dim5":
-        return PolySystem(
-            2,
-            lambda x: np.array(
-                [
-                    8.0 * x[0] ** 2 + 2.0 * x[0] * x[1] - 1.0,
-                    6.0 * x[1] ** 2 + 4.0 * x[0] * x[1] - 1.0,
-                ]
-            ),
-            name,
-        )
-    raise UnknownSystem(f"no builtin system named {name!r}")
+    row = _builtin(name)
+    return PolySystem(row.arity, row.residual, name)
 
 
 def _solve_each(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,40 +175,27 @@ def newton_search(
     return RootSet(name=system.name, roots=tuple(ordered))
 
 
-def _nearest_sign(value: float, magnitude: float, what: str) -> float:
-    """The sign s with value close to s*magnitude, else FixtureBroken."""
-    s = 1.0 if value >= 0 else -1.0
-    if abs(value - s * magnitude) > DEDUP_RADIUS:
-        raise FixtureBroken(what, f"root {value} matches no admissible value", abs(value))
-    return s
-
-
 def verify_roots_build(
-    sys_name: str,
-    root: Sequence[float] | float,
-    beta: float = 0.0,
-    lam: float = 1.0,
+    sys_name: str, root: Sequence[float] | float, beta: float = 0.0, lam: float = 1.0
 ) -> Check:
     """Feed a found root into the matching catalog entry and verify it.
 
-    The root is snapped to the exact surd parameter of the entry (within
-    the dedup radius); a root matching no admissible parameter raises
-    FixtureBroken.  beta and lam fix the free parameters of the dim-4 and
-    dim-5 families.
+    The root must have the system's arity of coordinates, else
+    PreconditionFailed, and lie within the dedup radius (max-norm) of an
+    admissible root, else FixtureBroken with the distance to the nearest one
+    as residual (NaN for a NaN root).  The entry is then built at the exact
+    parameter of that root; beta and lam fix the free parameters of the dim-4
+    and dim-5 families.
     """
+    row = _builtin(sys_name)
     vec = np.atleast_1d(np.asarray(root, dtype=float))
-    if sys_name == "dim3_case3":
-        sign = _nearest_sign(float(vec[0]), 1.0 / math.sqrt(6.0), "dim3_case3 root")
-        return catalog_verify("lspk_dim3_case3", {"sign": sign})
-    if sys_name == "dim4":
-        sign = _nearest_sign(float(vec[0]), 1.0 / (2.0 * math.sqrt(2.0)), "dim4 root")
-        return catalog_verify("lspk_dim4", {"alpha_sign": sign, "beta": beta, "lam": lam})
-    if sys_name == "dim5":
-        pair = (float(vec[0]), float(vec[1]))
-        for idx, branch in enumerate(DIM5_BRANCHES, start=1):
-            if max(abs(pair[0] - branch[0]), abs(pair[1] - branch[1])) <= DEDUP_RADIUS:
-                return catalog_verify(
-                    "lspk_dim5", {"branch": idx, "beta": beta, "lam": lam}
-                )
-        raise FixtureBroken("dim5 root", f"pair {pair} matches no admissible branch")
-    raise UnknownSystem(f"no builtin system named {sys_name!r}")
+    if vec.shape != (row.arity,):
+        raise PreconditionFailed(f"a {sys_name} root has {row.arity} coordinates, got shape {vec.shape}")
+    specs = {p.name: p for p in catalog_entry(row.entry).params}
+    distance = {v: float(np.max(np.abs(vec - row.root(v)))) for v in specs[row.param].choices}
+    value = min(distance, key=distance.get)
+    if not distance[value] <= DEDUP_RADIUS:
+        what = f"root {tuple(vec.tolist())} matches no admissible {row.param}"
+        raise FixtureBroken(f"{sys_name} root", what, distance[value])
+    free = {k: v for k, v in (("beta", beta), ("lam", lam)) if k in specs}
+    return catalog_verify(row.entry, {row.param: value, **free})

@@ -57,7 +57,8 @@ CASES = [
     (lambda: check_k_hessian(_MILNOR.algebra, BilinearForm(np.eye(3)), -1.0), DimensionMismatch,
      "form dim 3 != algebra dim 2"),
     (lambda: verify_roots_build("dim5", [5.0, 5.0]), FixtureBroken,
-     "catalog entry 'dim5 root' fails predicate 'pair (5.0, 5.0) matches no admissible branch'"),
+     "catalog entry 'dim5 root' fails predicate 'root (5.0, 5.0) matches no admissible branch' "
+     "(residual 4.684e+00)"),
     (lambda: verify_roots_build("dim7", [0.0]), UnknownSystem, "no builtin system named 'dim7'"),
 ]
 

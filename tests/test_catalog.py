@@ -97,11 +97,24 @@ def test_parameter_validation_refuses_a_non_finite_value_by_name(name, param, va
 
 
 def test_entry_kinds():
-    assert catalog_entry("lspk_dim4").kind == "lspk"
-    assert catalog_entry("khess_r2_example").kind == "khessian"
-    assert catalog_entry("nilpotent_A0").kind == "nilpotent"
+    # the kind is read off the declared invariants, for all thirteen entries
+    assert {name: catalog_entry(name).kind for name in catalog_list()} == {
+        **{n: "lspk" for n in ("rn_canonical", "lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",
+                               "lspk_dim3_case3", "lspk_dim4", "lspk_dim5")},
+        **{n: "khessian" for n in ("khess_kdim2_f1", "khess_kdim2_f2", "khess_r2_example",
+                                   "khess_r3_commutative", "milnor")},
+        "nilpotent_A0": "nilpotent",
+    }
     assert isinstance(catalog_build("milnor"), MetricAlgebra)
     assert isinstance(catalog_build("lspk_dim2"), AlgebraStructure)
+
+
+def test_an_entry_declares_no_kind():
+    # an entry's kind follows from expected_signature and expected_k, so it is no
+    # field that could disagree with them, and catalog_verify reads those two
+    assert "kind" not in {f.name for f in dataclasses.fields(catalog.CatalogEntry)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(catalog_entry("nilpotent_A0"), kind="lspk")
 
 
 def test_khess_r2_builder_refuses_an_indefinite_metric():

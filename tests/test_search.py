@@ -6,13 +6,16 @@ a verifying catalog algebra.  The batched search is compared bit for bit
 with a per-seed Newton loop, kept here as the reference.
 """
 
+import ast
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leftsym import FixtureBroken, PreconditionFailed, UnknownSystem
-from leftsym.catalog import DIM5_BRANCHES
+from leftsym.catalog import DIM5_BRANCHES, catalog_entry, catalog_verify
 from leftsym.search import (
     DEDUP_RADIUS,
     DIVERGENCE_CUT,
@@ -22,6 +25,7 @@ from leftsym.search import (
     ROOT_RESIDUAL,
     PolySystem,
     RootSet,
+    _BUILTINS,
     builtin_system,
     newton_search,
     verify_roots_build,
@@ -101,6 +105,69 @@ def test_roots_rebuild_catalog_entries():
 def test_perturbed_root_is_rejected():
     with pytest.raises(FixtureBroken):
         verify_roots_build("dim4", (0.25,))
+
+
+def test_a_refused_root_names_its_distance_to_the_nearest_admissible_root():
+    with pytest.raises(FixtureBroken) as info:
+        verify_roots_build("dim4", (0.25,))
+    assert info.value.residual == abs(0.25 - 1.0 / (2.0 * math.sqrt(2.0)))
+    with pytest.raises(FixtureBroken) as info:
+        verify_roots_build("dim5", (5.0, 5.0))
+    assert info.value.residual == 5.0 - 1.0 / math.sqrt(10.0)
+
+
+@pytest.mark.parametrize("name", ["dim4", "dim3_case3"])
+def test_a_nan_root_is_refused(name):
+    # NaN lies within no radius of an admissible root
+    with pytest.raises(FixtureBroken) as info:
+        verify_roots_build(name, [math.nan])
+    assert math.isnan(info.value.residual)
+
+
+@pytest.mark.parametrize("name, root", [
+    ("dim4", [1.0 / math.sqrt(8.0), 99.0]),  # the extra coordinate is not ignored
+    ("dim5", [-math.sqrt(3.0) / 4.0, 1.0 / math.sqrt(3.0), 7.0]),
+    ("dim5", [0.5]),
+])
+def test_a_root_of_the_wrong_length_is_refused(name, root):
+    arity = builtin_system(name).arity
+    with pytest.raises(PreconditionFailed) as info:
+        verify_roots_build(name, root)
+    assert str(info.value) == f"a {name} root has {arity} coordinates, got shape ({len(root)},)"
+
+
+def test_every_admissible_root_is_a_root_that_builds_its_entry():
+    for name, row in _BUILTINS.items():
+        spec = {p.name: p for p in catalog_entry(row.entry).params}[row.param]
+        for value in spec.choices:
+            root = row.root(value)
+            assert np.max(np.abs(builtin_system(name).residual(np.array(root)))) <= ROOT_RESIDUAL
+            free = {} if name == "dim3_case3" else {"beta": 0.0, "lam": 1.0}
+            want = catalog_verify(row.entry, {row.param: value, **free})
+            assert want and verify_roots_build(name, root) == want
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "leftsym"
+
+
+def _literal_owners(path: Path, values: set[str]) -> list[tuple[str, str]]:
+    """(owner, value) for every string literal of path in values; the owner is the
+    top-level definition or assignment target holding it."""
+    found = []
+    for stmt in ast.parse(path.read_text()).body:
+        names = [getattr(stmt, "name", None)] + [getattr(t, "id", None) for t in getattr(stmt, "targets", ())]
+        owner = next((n for n in names if n), "")
+        found += [(owner, node.value) for node in ast.walk(stmt)
+                  if isinstance(node, ast.Constant) and node.value in values]
+    return found
+
+
+def test_the_builtin_systems_are_named_in_one_table():
+    # builtin_system and verify_roots_build both read search._BUILTINS, so no
+    # second dispatch on the system names can grow back unseen
+    names = {"dim3_case3", "dim4", "dim5"}
+    sites = [(path.stem, *site) for path in sorted(SRC.glob("*.py")) for site in _literal_owners(path, names)]
+    assert sorted(sites) == [("search", "_BUILTINS", n) for n in sorted(names)]
 
 
 def test_custom_system():
