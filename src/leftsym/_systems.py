@@ -6,7 +6,9 @@ definite metrics), and decomposition certifies the data it extracted (both
 metrics the identity) through the LSPKData it hands on, so that
 build_lspk(data_from_decomposition(dec)) reads decompose's measurement
 instead of repeating it.  Both paths check literally the same system, and
-each sets its own threshold against the tolerance-free residuals.
+each sets its own threshold against the tolerance-free residuals.  The
+one-part constructions build_corollary1 and build_corollary2 refuse their
+hypotheses as these relations, so each is measured once there too.
 
 Conventions: c2 is the (n2, n2, n2) product tensor on the second part,
 rho2[x] the (n1, n1) action matrix of the x-th second-part basis vector,
@@ -32,20 +34,25 @@ theo-i-trace, theo-i-commute, S3-3, S3-5 and S3-7 vacuous, omega2 = 0
 (omega2_block) omega2_symmetric, S3-4 and S3-5, and the two together S1's
 second half, S3-1 and S3-2.
 
+The paper's S2 is four relations, each kept under its own name: S2-traces
+(the left traces of c2 match the action traces), S2-hessian and S2-sectional
+(c2 is a Hessian algebra for g2 with sectional constant -1) and S2-derivation
+(b2 is a derivation of c2).
+
 Which parts a relation spans, read off its tensor shapes: B1_skew spans h1
-only, B2_skew and S2 span h2 only, and the five mixed relations
-(omega1_symmetric, theo-ii, S1, S3-6, S3-8) span both.  The rule: a relation
-is evaluated only when every part it spans is non-empty, and its residual is
-None otherwise.  So data with one empty part (the flat part alone, the
-product part alone, R^n) pays for its own relations only, and no relation
-contracts an empty tensor.
+only, B2_skew and the four S2 relations span h2 only, and the five mixed
+relations (omega1_symmetric, theo-ii, S1, S3-6, S3-8) span both.  The rule:
+a relation is evaluated only when every part it spans is non-empty, and its
+residual is None otherwise.  So data with one empty part (the flat part
+alone, the product part alone, R^n) pays for its own relations only, and no
+relation contracts an empty tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _compose, _max_abs, _worst_of
+from .core import _compose, _max_abs
 from .forms import (
     _derivation_defect,
     _hessian_defect,
@@ -55,7 +62,8 @@ from .forms import (
     _traces,
 )
 
-NAMES = ("omega1_symmetric", "B1_skew", "B2_skew", "theo-ii", "S1", "S2", "S3-6", "S3-8")
+NAMES = ("omega1_symmetric", "B1_skew", "B2_skew", "theo-ii", "S1",
+         "S2-traces", "S2-hessian", "S2-sectional", "S2-derivation", "S3-6", "S3-8")
 
 
 def system_residuals(
@@ -66,10 +74,8 @@ def system_residuals(
     b2: np.ndarray,
     g1: np.ndarray,
     g2: np.ndarray,
-    s2: tuple[float | None, ...] | None = None,
 ) -> tuple[tuple[str, float | None], ...]:
-    """Every relation of NAMES with its residual.  s2, when given, is the four parts of S2
-    (Hessian, sectional, derivation, traces) measured on these arrays already."""
+    """Every relation of NAMES with its residual."""
     n1, n2 = g1.shape[0], g2.shape[0]
     found: dict[str, float | None] = {}
     if n1:
@@ -78,14 +84,10 @@ def system_residuals(
     if n2:
         m2 = g2 @ b2
         found["B2_skew"] = _max_abs(m2 + m2.T)
-        # S2: the second part is a Hessian algebra with sectional constant -1,
-        # b2 is a derivation, and left traces match the action traces
-        found["S2"] = _worst_of(s2 if s2 is not None else (
-            _max_abs(_hessian_defect(c2, g2)),
-            _left_symmetry_worst(c2, _metric_sectional(g2, -1.0))[0],
-            _max_abs(_derivation_defect(b2, c2)),
-            _max_abs(_traces(c2) + _traces(rho2)),
-        ))
+        found["S2-traces"] = _max_abs(_traces(c2) + _traces(rho2))
+        found["S2-hessian"] = _max_abs(_hessian_defect(c2, g2))
+        found["S2-sectional"] = _left_symmetry_worst(c2, _metric_sectional(g2, -1.0))[0]
+        found["S2-derivation"] = _max_abs(_derivation_defect(b2, c2))
     if n1 and n2:
         found.update(_mixed_residuals(c2, rho2, omega1, b1, b2, g1, g2))
     return tuple((name, found.get(name)) for name in NAMES)

@@ -7,9 +7,10 @@ validates the compatibility systems first, and cross-checks the result
 (left symmetry, predicted trace form) so a wrong equation can never
 silently produce a broken algebra.
 
-Also here: the two one-part shortcuts (flat part only / product part
-only), and the rank-one family X * Y = <X, Y> h - <Y, h> X with its
-recognizer.  The rank-one constants are rounded against core's summation
+Also here: the two one-part constructions (flat part only / product part
+only), each build_lspk of one-part data whose hypotheses are the split-system
+relations of the same name, and the rank-one family
+X * Y = <X, Y> h - <Y, h> X with its recognizer.  The rank-one constants are rounded against core's summation
 order of L_x (_accumulate), which makes L_h exactly zero.  One batched search
 (_annihilate) handles every column of L_h that is not exactly 0: in a fixed
 order it moves two late entries of the column by a few ulps each (_stepped, an
@@ -46,13 +47,12 @@ from .errors import (
 from .forms import (
     BilinearForm,
     MetricAlgebra,
-    check_hessian,
     check_k_hessian,
     check_left_symmetric,
     is_positive_definite,
     koszul_form,
 )
-from .forms import _derivation_defect, _left_symmetry_worst, _metric_sectional, _paired_action, _traces
+from .forms import _paired_action, _traces
 
 if TYPE_CHECKING:
     from .decompose import LSPKDecomposition
@@ -105,8 +105,7 @@ class LSPKData(_Owner):
     The fields are read-only, so the systems are measured once per data
     object and kept on it (core._Owner._kept): validate_data, data_residuals
     and build_lspk read that one measurement, each with its own threshold,
-    the data that decompose certified carries decompose's measurement, and
-    the data of build_corollary2 the parts of S2 it measured as hypotheses.
+    and the data that decompose certified carries decompose's measurement.
     """
 
     n1: int
@@ -171,9 +170,8 @@ class LSPKData(_Owner):
         return (self.c2, self.rho2, self.omega1, self.b1, self.b2, self.g1, self.g2)
 
     def _residuals(self) -> tuple[tuple[str, float | None], ...]:
-        """The (name, residual) pairs of the compatibility systems, measured on first use; S2
-        folds the four parts kept under "S2" when the data's constructor measured them first."""
-        return self._kept("systems", lambda: system_residuals(*self._arrays, self.__dict__.get("S2")))
+        """The (name, residual) pairs of the compatibility systems, measured on first use."""
+        return self._kept("systems", lambda: system_residuals(*self._arrays))
 
 
 def _data_checks(data: LSPKData, tol: Tolerance) -> tuple[Check, ...]:
@@ -235,14 +233,17 @@ def build_corollary1(
 ) -> AlgebraStructure:
     """The algebra with flat part R^n only: X*Y = <X,Y>H, H*X = X/2 + DX.
 
-    D (the skew argument) defaults to zero and must be skew-symmetric.
-    The trace form comes out as (n/2 + 1) times the identity.
+    This is build_lspk of the data with n1 = n, n2 = 0 and b1 = D.  D (the skew
+    argument) defaults to zero, and its hypothesis is the split-system relation
+    B1_skew, refused with NotSkew.  The trace form comes out as (n/2 + 1) times
+    the identity.
     """
     if n < 0:
         raise DimensionMismatch(f"part dimension must be nonnegative, got {n}")
     d = _frozen(np.zeros((n, n)) if skew is None else skew, "skew operator", (n, n))
-    _enforce([Check("skew", _max_abs(d + d.T), tol.eps * residual_scale(d))], NotSkew)
-    return build_lspk(LSPKData(n1=n, n2=0, b1=d), tol, name=f"flatpart{n}")
+    data = LSPKData(n1=n, n2=0, b1=d)
+    _enforce(_data_checks(data, tol), NotSkew)
+    return build_lspk(data, tol, name=f"flatpart{n}")
 
 
 def build_corollary2(
@@ -250,37 +251,21 @@ def build_corollary2(
 ) -> AlgebraStructure:
     """The algebra with product part only: X*Y = X.Y + <X,Y>H, H*X = X + DX.
 
-    The input must carry trace-free left multiplications, the metric
-    compatibility, the sectional identity with constant -1, and D must be
-    a skew derivation; each hypothesis failure is reported by name.  The data
-    keeps these measurements as the parts of its S2, so the n^5 sectional
-    kernel runs once on c (and once on the assembled algebra).
+    This is build_lspk of the data with n1 = 0, n2 = dim h, c2 and g2 the
+    product and metric of h, and b2 = D.  The metric must be positive definite
+    (NotPositiveDefinite, before any identity is measured).  Each hypothesis is
+    the split-system relation of the same name, refused with HypothesisFailed
+    in the order of _systems.NAMES: D is g2-skew (B2_skew), the left
+    multiplications are trace-free (S2-traces), h is Hessian (S2-hessian) with
+    sectional constant -1 (S2-sectional), and D is a derivation (S2-derivation).
+    build_lspk reads that one measurement, so the n^5 sectional kernel runs
+    once on c (and once on the assembled algebra).
     """
     n = h.dim
-    A, g = h.algebra, h.metric.matrix
-    c = A.constants
     d = _frozen(np.zeros((n, n)) if skew is None else skew, "skew operator", (n, n))
-
-    thr = tol.eps * residual_scale(c, g, d)
-
-    trace_free = _max_abs(_traces(c))
-    _enforce([Check("trace_free", trace_free, thr)], HypothesisFailed)
-    hessian = check_hessian(A, h.metric, tol)
-    _enforce([hessian], HypothesisFailed)
-
-    gd = g @ d
-    sectional = _left_symmetry_worst(c, _metric_sectional(g, -1.0))[0]
-    derivation = _max_abs(_derivation_defect(d, c))
-    hypotheses = (
-        Check("sectional", sectional, thr),
-        Check("skew", _max_abs(gd + gd.T), thr),
-        Check("derivation", derivation, thr),
-    )
-    _enforce(hypotheses, HypothesisFailed)
-
-    data = LSPKData(n1=0, n2=n, c2=c, b2=d, g2=g)
-    data._kept("S2", lambda: (hessian.residual, sectional, derivation, trace_free))  # the parts of its S2
-    label = f"{A.name}+H" if A.name else "productpart"
+    data = LSPKData(n1=0, n2=n, c2=h.algebra.constants, b2=d, g2=h.metric.matrix)
+    _enforce(_data_checks(data, tol), HypothesisFailed)
+    label = f"{h.algebra.name}+H" if h.algebra.name else "productpart"
     return build_lspk(data, tol, name=label)
 
 
@@ -399,6 +384,8 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
     order), rescales it to squared length -k, and accepts a sign that
     reproduces the structure constants exactly.
     """
+    if M.dim <= 0:
+        raise DimensionMismatch(f"dimension must be positive, got {M.dim}")
     if k >= 0:
         raise PreconditionFailed(f"requires k < 0, got {k}")
     _enforce([check_k_hessian(M.algebra, M.metric, k, tol)], HypothesisFailed)

@@ -23,8 +23,8 @@ The pipeline runs in four stages, each of which certifies what it uses:
    the H row) is read off it through construct.LSPKData._layout, the table
    build_lspk writes through; so the rebuild equals the frame on every data
    block.  The frame's zero blocks hold, among them rho1_block and
-   omega2_block, where the paper's forced zeros rho1 and omega2 sit; the eight
-   relations of _systems.NAMES hold to the threshold build_lspk holds them to,
+   omega2_block, where the paper's forced zeros rho1 and omega2 sit; every
+   relation of _systems.NAMES holds to the threshold build_lspk holds it to,
    and rho is certified against LSPKData.rho.
 
 Every relation is a whole-tensor contraction, kept by name as a core.Check
@@ -38,7 +38,7 @@ and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 The trace form and the left-symmetry measurement of the input are kept on the
 algebra (forms.koszul_form, forms.check_left_symmetric), so one decompose builds
 one trace form and runs the n^5 left-symmetry kernel on the input, on the split
-algebra and, when h2 is not empty, for S2.  The rebuild
+algebra and, when h2 is not empty, for S2-sectional.  The rebuild
 build_lspk(data_from_decomposition(dec)) reads the systems measured on dec.data,
 so the round trip measures them once and runs the kernel once more, on the
 rebuilt algebra: four runs, three for flat data.
@@ -273,7 +273,7 @@ def extract_structure(
 ) -> LSPKDecomposition:
     """Write A in the decomposition basis, read the split data off it and certify the systems.
 
-    The eight relations of _systems.NAMES are held to build_lspk's own threshold
+    Every relation of _systems.NAMES is held to build_lspk's own threshold
     (construct._data_checks, free of A's scale), so the rebuild accepts what
     decompose certified.  The frame's blocks are held to thr, eps times the
     scale of A and of the data.  Beside circ1 and the mixed blocks, the zero

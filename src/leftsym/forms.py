@@ -20,10 +20,11 @@ constructions evaluate the same contractions through them:
   antisymmetric in (x, y), so it is evaluated on the basis pairs i <= j only,
   n^5 + n^4(n+1)/2 multiply-adds in slabs over k, holding one slab of
   e_i(e_j e_k) plus the pair slab.  check_left_symmetric, check_k_hessian,
-  check_novikov, the split algebra of decompose.split_h, S2 (_systems) and the
-  sectional hypothesis of construct.build_corollary2 all reduce through it.  The
-  paper's sectional term c (<e_j, e_k> e_i - <e_i, e_k> e_j), for a metric <,> and
-  a constant c, is added to each slab in closed form at n^3 cost (_metric_sectional).
+  check_novikov, the split algebra of decompose.split_h and S2-sectional
+  (_systems, also the sectional hypothesis of construct.build_corollary2) all
+  reduce through it.  The paper's sectional term
+  c (<e_j, e_k> e_i - <e_i, e_k> e_j), for a metric <,> and a constant c, is
+  added to each slab in closed form at n^3 cost (_metric_sectional).
 
 Each algebra's trace form, residual_scale(C) and left-symmetry worst entry are
 computed once and kept on the algebra itself (core._Owner._kept); a Check is

@@ -175,17 +175,15 @@ def newton_search(
     return RootSet(name=system.name, roots=tuple(ordered))
 
 
-def verify_roots_build(
-    sys_name: str, root: Sequence[float] | float, beta: float = 0.0, lam: float = 1.0
-) -> Check:
+def verify_roots_build(sys_name: str, root: Sequence[float] | float) -> Check:
     """Feed a found root into the matching catalog entry and verify it.
 
     The root must have the system's arity of coordinates, else
     PreconditionFailed, and lie within the dedup radius (max-norm) of an
     admissible root, else FixtureBroken with the distance to the nearest one
     as residual (NaN for a NaN root).  The entry is then built at the exact
-    parameter of that root; beta and lam fix the free parameters of the dim-4
-    and dim-5 families.
+    parameter of that root, with the free parameters of the dim-4 and dim-5
+    families fixed at beta = 0 and lam = 1.
     """
     row = _builtin(sys_name)
     vec = np.atleast_1d(np.asarray(root, dtype=float))
@@ -197,5 +195,5 @@ def verify_roots_build(
     if not distance[value] <= DEDUP_RADIUS:
         what = f"root {tuple(vec.tolist())} matches no admissible {row.param}"
         raise FixtureBroken(f"{sys_name} root", what, distance[value])
-    free = {k: v for k, v in (("beta", beta), ("lam", lam)) if k in specs}
+    free = {k: v for k, v in (("beta", 0.0), ("lam", 1.0)) if k in specs}
     return catalog_verify(row.entry, {row.param: value, **free})

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from leftsym import (
+    AlgebraStructure,
     BilinearForm,
     DimensionMismatch,
     FixtureBroken,
@@ -44,6 +45,9 @@ CASES = [
     (lambda: MilnorSpec(0, np.zeros(0)), DimensionMismatch, "dimension must be positive, got 0"),
     (lambda: recognize_milnor(_MILNOR, 0.0), PreconditionFailed, "requires k < 0, got 0.0"),
     (lambda: recognize_milnor(_MILNOR, 1.0), PreconditionFailed, "requires k < 0, got 1.0"),
+    # refused before the SVD, whose empty singular values have no minimum
+    (lambda: recognize_milnor(MetricAlgebra(AlgebraStructure(np.zeros((0, 0, 0))), BilinearForm(np.zeros((0, 0)))),
+                              -1.0), DimensionMismatch, "dimension must be positive, got 0"),
     (lambda: BilinearForm(np.zeros((2, 3))), DimensionMismatch, "Gram matrix must be square, got (2, 3)"),
     (lambda: BilinearForm(np.zeros(2)), DimensionMismatch, "Gram matrix must be square, got (2,)"),
     (lambda: BilinearForm(np.array([[np.inf]])), ValueError, "Gram matrix must be finite"),

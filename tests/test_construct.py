@@ -39,6 +39,7 @@ from leftsym import (
     recognize_milnor,
     validate_data,
 )
+from leftsym import _systems, construct
 from leftsym.catalog import catalog_build
 
 _angle = st.floats(min_value=0.0, max_value=6.2, allow_nan=False, allow_infinity=False)
@@ -87,7 +88,7 @@ def test_corollary2_requires_unit_curvature():
 
 @pytest.mark.parametrize(
     "h_vec, skew, hypothesis",
-    [([0.5, 0.0], None, "sectional"), ([1.0, 0.0], [[0.0, 1.0], [-1.0, 0.0]], "derivation")],
+    [([0.5, 0.0], None, "S2-sectional"), ([1.0, 0.0], [[0.0, 1.0], [-1.0, 0.0]], "S2-derivation")],
 )
 def test_corollary2_names_the_failing_hypothesis(h_vec, skew, hypothesis):
     M, _ = build_milnor(MilnorSpec(2, np.array(h_vec)))
@@ -96,13 +97,74 @@ def test_corollary2_names_the_failing_hypothesis(h_vec, skew, hypothesis):
     assert info.value.name == hypothesis
 
 
-def test_corollary2_names_a_failing_hypothesis_before_an_indefinite_metric():
-    # the hypotheses are measured and refused before the data checks its metric
+def _milnor(h0: float, metric=None) -> MetricAlgebra:
+    """The rank-one plane with h = (h0, 0), k = -h0^2, under metric (default the identity)."""
+    M, _ = build_milnor(MilnorSpec(2, np.array([h0, 0.0])))
+    return M if metric is None else MetricAlgebra(M.algebra, BilinearForm(np.array(metric)))
+
+
+_ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_IDEMPOTENT_LINE = MetricAlgebra(AlgebraStructure(np.ones((1, 1, 1))), BilinearForm.identity(1))
+
+# each relation that one-part data spans, in the order of NAMES, forced through its corollary
+ONE_PART_REFUSALS = [
+    ("B1_skew", NotSkew, lambda: build_corollary1(2, np.eye(2))),
+    ("B2_skew", HypothesisFailed, lambda: build_corollary2(_milnor(1.0), np.eye(2))),
+    ("S2-traces", HypothesisFailed, lambda: build_corollary2(_IDEMPOTENT_LINE)),  # tr L_e = 1
+    ("S2-hessian", HypothesisFailed, lambda: build_corollary2(_milnor(1.0, [[1.0, 0.0], [0.0, 2.0]]))),
+    ("S2-sectional", HypothesisFailed, lambda: build_corollary2(_milnor(0.5))),  # k = -1/4
+    ("S2-derivation", HypothesisFailed, lambda: build_corollary2(_milnor(1.0), _ROTATION)),
+]
+
+
+@pytest.mark.parametrize("relation, error, build", ONE_PART_REFUSALS, ids=[r[0] for r in ONE_PART_REFUSALS])
+def test_a_one_part_hypothesis_is_refused_as_its_split_system_relation(relation, error, build, monkeypatch):
+    # the corollary measures the systems of its data once, and refuses the first
+    # relation beyond its threshold under that relation's name and residual
+    measured = []
+
+    def spy(*arrays):
+        measured.append(_systems.system_residuals(*arrays))
+        return measured[-1]
+
+    monkeypatch.setattr(construct, "system_residuals", spy)
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    (residuals,) = map(dict, measured)
+    assert (info.value.name, info.value.residual) == (relation, residuals[relation])
+    before = _systems.NAMES[: _systems.NAMES.index(relation)]
+    assert all(residuals[name] is None or residuals[name] <= 1e-12 for name in before)
+
+
+def test_the_one_part_table_forces_every_one_part_relation():
+    flat, product = data_residuals(LSPKData(n1=2, n2=0)), data_residuals(LSPKData(n1=0, n2=2))
+    spanned = [name for name in _systems.NAMES if flat[name] is not None or product[name] is not None]
+    assert [relation for relation, _, _ in ONE_PART_REFUSALS] == spanned
+
+
+@pytest.mark.parametrize("source", ["lspk_dim5", "lspk_dim3_case3", "flat", "product"])
+def test_each_relation_is_one_residual_and_one_check_of_decompose(source):
+    if source == "flat":
+        A = build_corollary1(2, 0.4 * _ROTATION)
+    elif source == "product":
+        A = build_corollary2(_milnor(1.0))
+    else:
+        A = catalog_build(source)
+    dec = decompose(A)
+    assert tuple(data_residuals(dec.data)) == _systems.NAMES
+    names = [check.name for check in dec.checks]
+    assert [names.count(name) for name in _systems.NAMES] == [1] * len(_systems.NAMES)
+
+
+def test_corollary2_refuses_an_indefinite_metric_before_any_hypothesis(monkeypatch):
+    # the data checks its metric before the hypotheses, its relations, are measured
     M, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
     flipped = MetricAlgebra(M.algebra, BilinearForm(-M.metric.matrix))  # sectional constant +1
-    with pytest.raises(HypothesisFailed) as info:
+    monkeypatch.setattr(construct, "system_residuals", None)  # a measurement would raise TypeError
+    with pytest.raises(NotPositiveDefinite) as info:
         build_corollary2(flipped)
-    assert info.value.name == "sectional"
+    assert info.value.name == "positive definite g2"
     line = MetricAlgebra(AlgebraStructure(np.zeros((1, 1, 1))), BilinearForm(-np.eye(1)))
     with pytest.raises(NotPositiveDefinite) as info:
         build_corollary2(line)  # every hypothesis holds on the zero product
@@ -167,7 +229,7 @@ def test_corollary2_names_a_nan_hypothesis_residual():
     big = MetricAlgebra(AlgebraStructure(M.algebra.constants * 1e160), M.metric)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(HypothesisFailed) as info:
         build_corollary2(big)
-    assert info.value.name == "sectional" and np.isnan(info.value.residual)
+    assert info.value.name == "S2-sectional" and np.isnan(info.value.residual)
 
 
 def test_build_rejects_inconsistent_data():
@@ -182,7 +244,8 @@ def test_build_rejects_inconsistent_data():
 def test_data_residuals_structure():
     data = LSPKData(n1=2, n2=0)
     res = data_residuals(data)
-    assert {"S1", "S2", "B1_skew", "omega1_symmetric"} <= set(res)
+    assert {"S1", "S2-traces", "S2-hessian", "S2-sectional", "S2-derivation", "B1_skew",
+            "omega1_symmetric"} <= set(res)
     assert all(v is None or v <= 1e-12 for v in res.values())
     assert validate_data(data)
     A = build_lspk(data)

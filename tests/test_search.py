@@ -7,6 +7,7 @@ with a per-seed Newton loop, kept here as the reference.
 """
 
 import ast
+import inspect
 import itertools
 import math
 from pathlib import Path
@@ -145,6 +146,11 @@ def test_every_admissible_root_is_a_root_that_builds_its_entry():
             free = {} if name == "dim3_case3" else {"beta": 0.0, "lam": 1.0}
             want = catalog_verify(row.entry, {row.param: value, **free})
             assert want and verify_roots_build(name, root) == want
+
+
+def test_a_root_is_built_at_fixed_free_parameters():
+    # the dim-4 and dim-5 families are built at beta = 0 and lam = 1, with no knob for either
+    assert list(inspect.signature(verify_roots_build).parameters) == ["sys_name", "root"]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "leftsym"

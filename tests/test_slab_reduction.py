@@ -188,8 +188,11 @@ def test_only_forms_builds_a_left_symmetry_defect():
         if path.stem in ("core", "forms"):
             continue
         assert not _names(path) & {"_slab_worst", "_assoc_slabs"}, path.name
-    for module in ("decompose", "_systems", "construct"):
+    for module in ("decompose", "_systems"):
         assert "_left_symmetry_worst" in _names(SRC / f"{module}.py"), module
+    # the corollaries measure their hypotheses as the split systems, never by hand
+    hand = {"_left_symmetry_worst", "_metric_sectional", "_derivation_defect", "check_hessian"}
+    assert not _names(SRC / "construct.py") & hand
 
 
 def test_as2_s2_and_corollary2_reduce_through_the_kernel(monkeypatch):
@@ -199,17 +202,17 @@ def test_as2_s2_and_corollary2_reduce_through_the_kernel(monkeypatch):
         seen.append(c.shape[0])
         return _left_symmetry_worst(c, target)
 
-    for module in (importlib.import_module("leftsym.decompose"), _systems, construct):
+    for module in (importlib.import_module("leftsym.decompose"), _systems):
         monkeypatch.setattr(module, "_left_symmetry_worst", counted)
-    A = catalog_build("lspk_dim5")  # n1 = 3, n2 = 1: the split algebra on h + R H, S2 on n2
+    A = catalog_build("lspk_dim5")  # n1 = 3, n2 = 1: the split algebra on h + R H, S2-sectional on n2
     dec = decompose(A)
     assert seen == [5, 1]
     build_lspk(data_from_decomposition(dec))
-    assert seen == [5, 1]  # the rebuild reads decompose's S2, with no kernel call on c2
+    assert seen == [5, 1]  # the rebuild reads decompose's S2-sectional, with no kernel call on c2
     seen.clear()
     h, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
     assert build_corollary2(h).dim == 3
-    assert seen == [2]  # its sectional hypothesis, which S2 in build_lspk folds in
+    assert seen == [2]  # its sectional hypothesis, the S2-sectional that build_lspk reads
 
 
 def _product_part(n, seed):
@@ -233,7 +236,7 @@ def test_decompose_and_rebuild_measure_the_systems_once(monkeypatch):
         return _left_symmetry_worst(c, target)
 
     monkeypatch.setattr(construct, "system_residuals", counted_systems)
-    for module in (forms, importlib.import_module("leftsym.decompose"), _systems, construct):
+    for module in (forms, importlib.import_module("leftsym.decompose"), _systems):
         monkeypatch.setattr(module, "_left_symmetry_worst", counted_kernel)
     dec = decompose(catalog_build("lspk_dim5"))
     data = data_from_decomposition(dec)
@@ -241,7 +244,23 @@ def test_decompose_and_rebuild_measure_the_systems_once(monkeypatch):
     rebuilt = build_lspk(data)
     assert rebuilt.dim == 5
     assert systems == [1]  # one measurement, on c2 with n2 = 1
-    assert kernel == [5, 5, 1, 5]  # the input, the split algebra on h + R H, S2, the rebuilt algebra
+    assert kernel == [5, 5, 1, 5]  # the input, the split algebra on h + R H, S2-sectional, the rebuilt algebra
+
+
+def test_corollary2_runs_the_sectional_kernel_once_on_c(monkeypatch):
+    # the hypotheses of build_corollary2 are the systems of its data, which its
+    # build_lspk reads: one sectional run on c, one left-symmetry run on the result
+    h, _ = build_milnor(MilnorSpec(3, np.array([1.0, 0.0, 0.0])))
+    runs = []
+
+    def counted(c, target=None):
+        runs.append((c.shape[0], target is not None))
+        return _left_symmetry_worst(c, target)
+
+    for module in (forms, _systems):
+        monkeypatch.setattr(module, "_left_symmetry_worst", counted)
+    assert build_corollary2(h).dim == 4
+    assert runs == [(3, True), (4, False)]
 
 
 def _one_part(family, n, seed):
@@ -314,7 +333,8 @@ def _product_data(n, seed, monkeypatch):
 @pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (5, 3), (12, 4)])
 def test_a_product_part_keeps_the_measurement_of_its_hypotheses(n, seed, monkeypatch):
     data = _product_data(n, seed, monkeypatch)
-    assert "S2" in dir(data)  # the parts build_corollary2 measured, which its S2 folds in
+    # the systems build_corollary2 measured as its hypotheses, kept for build_lspk
+    assert "systems" in vars(data) and "S2" not in vars(data)
 
     def bits(pairs):
         return [(name, None if r is None else r.hex()) for name, r in pairs]
@@ -497,7 +517,6 @@ def test_the_kernel_has_one_sectional_target():
     calls = [(m, *call) for m, text in sources.items() for call in _kernel_calls(text)]
     assert calls == [
         ("_systems", "system_residuals", "c2", "_metric_sectional"),
-        ("construct", "build_corollary2", "c", "_metric_sectional"),
         ("decompose", "split_h", "split", None),
         ("forms", "check_left_symmetric", "constants", None),
         ("forms", "check_k_hessian", "c", "_metric_sectional"),
