@@ -252,8 +252,9 @@ def build_corollary2(
     """The algebra with product part only: X*Y = X.Y + <X,Y>H, H*X = X + DX.
 
     This is build_lspk of the data with n1 = 0, n2 = dim h, c2 and g2 the
-    product and metric of h, and b2 = D.  The metric must be positive definite
-    (NotPositiveDefinite, before any identity is measured).  Each hypothesis is
+    product and metric of h, and b2 = D.  The metric must be positive definite,
+    else NotPositiveDefinite named "positive definite metric", before the data
+    is built and any identity is measured.  Each hypothesis is
     the split-system relation of the same name, refused with HypothesisFailed
     in the order of _systems.NAMES: D is g2-skew (B2_skew), the left
     multiplications are trace-free (S2-traces), h is Hessian (S2-hessian) with
@@ -263,7 +264,8 @@ def build_corollary2(
     """
     n = h.dim
     d = _frozen(np.zeros((n, n)) if skew is None else skew, "skew operator", (n, n))
-    data = LSPKData(n1=0, n2=n, c2=h.algebra.constants, b2=d, g2=h.metric.matrix)
+    g = _metric_field(h.metric.matrix, "metric", n)
+    data = LSPKData(n1=0, n2=n, c2=h.algebra.constants, b2=d, g2=g)
     _enforce(_data_checks(data, tol), HypothesisFailed)
     label = f"{h.algebra.name}+H" if h.algebra.name else "productpart"
     return build_lspk(data, tol, name=label)

@@ -16,8 +16,9 @@ The pipeline runs in four stages, each of which certifies what it uses:
    its witness (i, j, k), i <= j and n - 1 is H: j = n - 1 points at AS-4 or
    AS-5 (k < n - 1) or AS-6 (k = n - 1), j < k = n - 1 at AS-3 or S symmetric.
    AS-7, circ traceless, is checked beside it.
-3. eigensplit: S has spectrum {0, 1}; on the eigenspaces A_op splits into
-   skew parts B1 (shifted by 1/2) and B2 (shifted by 1).
+3. eigensplit: S has spectrum {0, 1}, and A_op maps each eigenspace into
+   itself (A_offdiagonal).  Its blocks there, 1/2 + B1 and 1 + B2, are read
+   off the frame in stage 4, where B1_skew and B2_skew certify them.
 4. extract_structure: A is written once in the basis (h1, h2, H), the frame,
    and every field of the structure data (the product blocks, and B1, B2 from
    the H row) is read off it through construct.LSPKData._layout, the table
@@ -54,7 +55,6 @@ from .construct import LSPKData, _data_checks
 from .core import AlgebraStructure, Check, Tolerance, change_basis, multiply, residual_scale
 from .core import _Owner, _compose, _enforce, _max_abs, _readonly, _restrict, _worst_of
 from .errors import (
-    BlockNotSkew,
     Circ1NonZero,
     DiagonalizationFailed,
     HypothesisFailed,
@@ -184,7 +184,7 @@ def split_h(A: AlgebraStructure, H: np.ndarray, tol: Tolerance = Tolerance()) ->
 @dataclass(frozen=True, eq=False)
 class EigenSplit(_Staged):
     """Stage-3 result: eigenbases of S (coordinates in the h basis) and the
-    checks that the blocks of A_op on them are skew."""
+    checks that S has spectrum {0, 1} and that A_op has no block between them."""
 
     h1: np.ndarray
     h2: np.ndarray
@@ -192,26 +192,22 @@ class EigenSplit(_Staged):
 
 
 def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) -> EigenSplit:
-    """Split the complement along the {0, 1} spectrum of S, with the shifts of LSPKData._layout."""
+    """Split the complement along the {0, 1} spectrum of S, on which A_op is block diagonal.
+
+    The skew parts B1 and B2 of its blocks are certified once, as B1_skew and
+    B2_skew of the split data that extract_structure reads off the frame.
+    """
     S_sym = (S + S.T) / 2.0
     mu, u = np.linalg.eigh(S_sym) if S.size else (np.zeros(0), np.zeros((0, 0)))
     spectrum = Check("S_spectrum", _max_abs(np.minimum(np.abs(mu), np.abs(mu - 1.0))), _CLUSTER_TOL)
     _enforce([spectrum], SpectrumNotZeroOne)
     u1 = u[:, np.abs(mu) <= _CLUSTER_TOL]
     u2 = u[:, np.abs(mu - 1.0) <= _CLUSTER_TOL]
-    n1, n2 = u1.shape[1], u2.shape[1]
-
-    shifts = {key: shift for key, _, _, shift in LSPKData._layout(n1, n2)}
-    B1 = LSPKData._shifted(u1.T @ A_op @ u1, -shifts["b1"])
-    B2 = LSPKData._shifted(u2.T @ A_op @ u2, -shifts["b2"])
     thr = tol.eps * residual_scale(S, A_op)
-    skew = (Check("B1", _max_abs(B1 + B1.T), thr), Check("B2", _max_abs(B2 + B2.T), thr))
     off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
     offdiagonal = Check("A_offdiagonal", off, thr)  # implied by AS-6 (split left-symmetric)
-    _enforce(skew, BlockNotSkew)
     _enforce([offdiagonal], SystemASViolated)
-    checks = (spectrum, *skew, offdiagonal)
-    return EigenSplit(h1=u1, h2=u2, checks=checks)
+    return EigenSplit(h1=u1, h2=u2, checks=(spectrum, offdiagonal))
 
 
 @dataclass(frozen=True, eq=False)

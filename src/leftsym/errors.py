@@ -92,12 +92,6 @@ class SpectrumNotZeroOne(ResidualError):
     message = "{name}: an eigenvalue lies {residual:.3e} away from {{0, 1}}"
 
 
-class BlockNotSkew(ResidualError):
-    """A rotation block extracted from the splitting is not skew."""
-
-    message = "block {name} not skew, residual {residual:.3e}"
-
-
 class Circ1NonZero(ResidualError):
     """The induced product on the eigenvalue-0 part does not vanish."""
 

@@ -32,7 +32,7 @@ class PolySystem:
     """A small real polynomial system, presented as its residual map.
 
     residual maps points stored as columns, shape (arity, S), to their
-    residuals, shape (m, S), elementwise in S; written with x[k] for the
+    residuals, of the same shape, elementwise in S; written with x[k] for the
     k-th coordinate, it also takes a single point of shape (arity,).
     """
 
@@ -93,18 +93,6 @@ def builtin_system(name: str) -> PolySystem:
     return PolySystem(row.arity, row.residual, name)
 
 
-def _solve_each(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve J[i] dx[i] = b[i] point by point; ok[i] is False where that solve fails."""
-    dx = np.zeros((J.shape[0], J.shape[2]))
-    ok = np.ones(J.shape[0], dtype=bool)
-    for i in range(J.shape[0]):
-        try:
-            dx[i] = np.linalg.solve(J[i], b[i])
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return dx, ok
-
-
 def newton_search(
     system: PolySystem, box: Sequence[tuple[float, float]], grid: int
 ) -> RootSet:
@@ -114,17 +102,18 @@ def newton_search(
     once on all live points, records those whose residual max-norm is at
     most 1e-10, drops those with a coordinate beyond 10, builds the
     forward-difference Jacobians from arity more residual calls and makes
-    one batched solve; a point whose Jacobian is singular (or not square)
-    drops out alone.  A search therefore makes at most
-    (arity + 1) * MAX_ITERS + 1 residual calls, and holds a few arrays of
-    grid^arity floats (times arity or m).
+    one batched solve; a point whose Jacobian is singular drops out alone.
+    A search therefore makes at most (arity + 1) * MAX_ITERS + 1 residual
+    calls, and holds a few arrays of grid^arity floats (times arity).
 
     Converged points are deduplicated in seed order, the seeds taken in
     itertools.product order of the axes: a point is kept unless it lies
     within 1e-6 (max-norm) of a point kept before it.  The kept roots are
     sorted lexicographically; an empty result is legitimate.  The box
-    bounds and widths must be finite, the residual finite at every seed, and
-    grid^arity at most MAX_SEEDS, which is checked before anything is allocated.
+    bounds and widths must be finite, the residual finite at every seed and
+    of the seeds' shape (a system that is not square is refused with
+    PreconditionFailed before any iteration), and grid^arity at most
+    MAX_SEEDS, which is checked before anything is allocated.
     """
     if grid < 2:
         raise PreconditionFailed(f"grid must be at least 2 per axis, got {grid}")
@@ -138,6 +127,10 @@ def newton_search(
     x = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
     with np.errstate(over="ignore", invalid="ignore"):
         fx = system.residual(x)
+    if np.shape(fx) != x.shape:
+        raise PreconditionFailed(
+            f"residual of {system.name} has shape {np.shape(fx)} on seeds of shape {x.shape}"
+        )
     if not np.isfinite(fx).all():
         raise PreconditionFailed(
             f"residual of {system.name} is not finite on every seed of the box"
@@ -161,9 +154,10 @@ def newton_search(
         J, b = J.transpose(1, 0, 2), -fx.T
         try:
             dx = np.linalg.solve(J, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dx, ok = _solve_each(J, b)
-            x, dx, seed = x[:, ok], dx[ok], seed[ok]
+        except np.linalg.LinAlgError:  # a singular Jacobian drops its point alone
+            ok = np.linalg.slogdet(J)[0] != 0
+            x, seed = x[:, ok], seed[ok]
+            dx = np.linalg.solve(J[ok], b[ok][..., None])[..., 0]
         x = x + dx.T
         fx = system.residual(x)
 

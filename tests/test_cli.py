@@ -240,6 +240,17 @@ def test_build_corollary2_needs_metric(tmp_path):
     assert run(["build", "corollary2", str(no_metric)]) == 2
 
 
+def test_build_corollary2_names_the_files_metric(tmp_path, capsys):
+    # an indefinite metric is refused under the name the file gives it, not as
+    # the split-data field g2 that the file and the command never mention
+    plane = tmp_path / "plane.alg"
+    plane.write_text(render_algebra_file(AlgebraStructure(np.zeros((2, 2, 2))),
+                                         metric=BilinearForm(-np.eye(2))))
+    assert run(["build", "corollary2", str(plane)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "failure: positive definite metric fails, residual 1.000e+00\n")
+
+
 def test_build_milnor_prints_k(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"dim": 2, "h": [0.6, 0.8]}))

@@ -158,17 +158,18 @@ def test_each_relation_is_one_residual_and_one_check_of_decompose(source):
 
 
 def test_corollary2_refuses_an_indefinite_metric_before_any_hypothesis(monkeypatch):
-    # the data checks its metric before the hypotheses, its relations, are measured
+    # the caller's metric is checked under its own name before the data is built
+    # and the hypotheses, its relations, are measured
     M, _ = build_milnor(MilnorSpec(2, np.array([1.0, 0.0])))
     flipped = MetricAlgebra(M.algebra, BilinearForm(-M.metric.matrix))  # sectional constant +1
     monkeypatch.setattr(construct, "system_residuals", None)  # a measurement would raise TypeError
     with pytest.raises(NotPositiveDefinite) as info:
         build_corollary2(flipped)
-    assert info.value.name == "positive definite g2"
+    assert info.value.name == "positive definite metric"
     line = MetricAlgebra(AlgebraStructure(np.zeros((1, 1, 1))), BilinearForm(-np.eye(1)))
     with pytest.raises(NotPositiveDefinite) as info:
         build_corollary2(line)  # every hypothesis holds on the zero product
-    assert info.value.name == "positive definite g2"
+    assert info.value.name == "positive definite metric"
 
 
 @pytest.mark.parametrize("name", ["lspk_dim2", "lspk_dim3_case1", "lspk_dim3_case2",

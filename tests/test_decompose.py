@@ -15,13 +15,15 @@ import pytest
 
 from leftsym import (
     AlgebraStructure,
-    BlockNotSkew,
     DiagonalizationFailed,
     IdempotentCheckFailed,
+    LSPKData,
     LeftSymError,
     NotPositiveDefinite,
+    ResidualError,
     SpectrumNotZeroOne,
     SystemASViolated,
+    SystemViolated,
     Tolerance,
     change_basis,
     data_from_decomposition,
@@ -31,10 +33,12 @@ from leftsym import (
     koszul_form,
     multiply,
     split_h,
+    validate_data,
 )
-from leftsym.catalog import catalog_build, sample_params
+from leftsym.catalog import catalog_build, catalog_entry, sample_params
 from leftsym.construct import build_corollary1, build_lspk
 from leftsym.decompose import _orthonormalize
+from conftest import _ill_conditioned_draws
 
 SIGNATURES = {
     "lspk_dim2": (1, 0, 1.5),
@@ -95,16 +99,18 @@ def test_rejects_degenerate_trace_form(a0):
 def test_eigensplit_refusals():
     with pytest.raises(SpectrumNotZeroOne):
         eigensplit(np.array([[0.5]]), np.zeros((1, 1)))
-    # on the eigenvalue-0 line A_op = 1 leaves B1 = 1/2, which is not skew
-    with pytest.raises(BlockNotSkew) as info:
-        eigensplit(np.diag([0.0, 1.0]), np.eye(2))
-    assert (info.value.name, info.value.residual) == ("B1", 1.0)
+    # on the eigenvalue-0 line A_op = 1 leaves B1 = 1/2, which is not skew: eigensplit
+    # leaves that to B1_skew of the split data, its one measurement and threshold
+    es = eigensplit(np.diag([0.0, 1.0]), np.eye(2))
+    assert list(es.residuals) == ["S_spectrum", "A_offdiagonal"]
+    check = validate_data(LSPKData(n1=1, n2=1, b1=[[0.5]]))
+    assert (check.name, check.residual, bool(check)) == ("B1_skew", 1.0, False)
 
 
 def test_eigensplit_off_diagonal_residual_keeps_a_nan(monkeypatch):
-    # _max_abs measures the spectrum, B1, B2 and then the two off-diagonal blocks;
+    # _max_abs measures the spectrum and then the two off-diagonal blocks;
     # a NaN in the second block must win the fold and fail A_offdiagonal
-    measured = iter([0.0, 0.0, 0.0, 0.0, float("nan")])
+    measured = iter([0.0, 0.0, float("nan")])
     module = importlib.import_module("leftsym.decompose")  # the package name is the function
     monkeypatch.setattr(module, "_max_abs", lambda t: next(measured))
     with pytest.raises(SystemASViolated) as info:
@@ -280,3 +286,58 @@ def test_every_accepted_ill_conditioned_decomposition_rebuilds():
         accepted += 1
         assert build_lspk(data_from_decomposition(dec), tol).dim == A.dim, draw
     assert accepted >= 25
+
+
+@pytest.fixture(scope="module")
+def ill_conditioned_verdicts():
+    """(name, params, decomposition or refusal) of each of the 900 transports of conftest."""
+    verdicts = []
+    for name, params, A in _ill_conditioned_draws(900):
+        try:
+            verdicts.append((name, params, decompose(A)))
+        except LeftSymError as exc:
+            verdicts.append((name, params, exc))
+    return verdicts
+
+
+def test_no_ill_conditioned_acceptance_is_wrong(ill_conditioned_verdicts):
+    # every transport carries an entry whose signature and rho are declared, so an
+    # acceptance is right or wrong, and a refusal is a named relation beyond its threshold
+    accepted = 0
+    for i, (name, params, dec) in enumerate(ill_conditioned_verdicts):
+        if isinstance(dec, LeftSymError):
+            assert isinstance(dec, ResidualError), (i, dec)
+            continue
+        accepted += 1
+        n1, n2, rho = catalog_entry(name).expected_signature(params)
+        assert dec.signature[:2] == (n1, n2), i
+        assert dec.rho == pytest.approx(rho, rel=1e-6), i
+        assert build_lspk(data_from_decomposition(dec)).dim == n1 + n2 + 1, i
+    assert accepted >= 712
+
+
+# inputs whose skew blocks sit near their threshold: the blocks are measured once, as
+# B1_skew and B2_skew of the split data, so an input is accepted with its entry's
+# (dim h1, dim h2) or refused under the first relation of the pipeline that fails
+ILL_CONDITIONED_PINS = {
+    12: (1, 0), 768: (1, 0), 232: (2, 1), 255: (1, 1),
+    7: (SystemViolated, "B1_skew"),
+    29: (SystemASViolated, "A_offdiagonal"),
+    32: (SystemViolated, "B2_skew"),
+    117: (SystemViolated, "B1_skew"),
+    525: (SystemViolated, "B2_skew"),
+    752: (SystemViolated, "S2-hessian"),
+    807: (SystemASViolated, "A_offdiagonal"),
+}
+
+
+@pytest.mark.parametrize("index", sorted(ILL_CONDITIONED_PINS))
+def test_ill_conditioned_verdicts_of_the_skew_blocks(ill_conditioned_verdicts, index):
+    name, params, dec = ill_conditioned_verdicts[index]
+    first, second = ILL_CONDITIONED_PINS[index]
+    if isinstance(first, int):
+        assert dec.signature[:2] == (first, second)
+        assert dec.rho == pytest.approx(catalog_entry(name).expected_signature(params)[2], rel=1e-8)
+        assert build_lspk(data_from_decomposition(dec)).dim == first + second + 1
+    else:
+        assert (type(dec), dec.name) == (first, second)

@@ -1,10 +1,12 @@
-"""Every name a library module imports is used in that module, and no module imports weakref.
+"""Every name a library module imports is used in that module, no module imports weakref,
+and every error class is named by the library outside errors.py.
 
 Neither pyflakes nor ruff is a dependency, so the checks walk the syntax
 tree with the standard library.  Package __init__ re-exports and
 __future__ imports are exempt from the unused-import check.  What the
 library derives from an object is kept on that object (core._Owner), so no
-module needs weak references.
+module needs weak references.  A refusal class that no module names any
+more, outside its definition and the package's re-export, raises nowhere.
 """
 
 import ast
@@ -67,3 +69,27 @@ def test_scanner_lists_imported_modules():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_weak_references(path):
     assert "weakref" not in imported_modules(path.read_text())
+
+
+def unnamed_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes defined in errors_source that no other source names."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    defined = [n.name for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    return [name for name in defined if name not in named]
+
+
+def test_scanner_flags_an_error_class_nothing_names():
+    errors = "class Base(Exception): pass\nclass Used(Base): pass\nclass Orphan(Base): pass\n"
+    sources = ["from .errors import Orphan, Used\n\nraise Used()\n", "import errors\nerrors.Base\n"]
+    assert unnamed_classes(errors, sources) == ["Orphan"]
+
+
+def test_every_error_class_is_named_by_another_module():
+    others = [p.read_text() for p in MODULES if p.name != "errors.py"]
+    assert unnamed_classes((SRC / "errors.py").read_text(), others) == []

@@ -16,7 +16,6 @@ import pytest
 from leftsym import (
     AlgebraStructure,
     BilinearForm,
-    BlockNotSkew,
     DiagonalizationFailed,
     HypothesisFailed,
     LSPKData,
@@ -139,8 +138,6 @@ def test_stage_refusals_are_recorded_under_their_names(dim2):
         (lambda: decompose(planar), HypothesisFailed, "left-symmetric", dec),
         (lambda: split_h(dim2, np.zeros(2)), NotPositiveDefinite, "B(H,H)", hs),
         (lambda: eigensplit(np.array([[0.5]]), np.zeros((1, 1))), SpectrumNotZeroOne, "S_spectrum", es),
-        (lambda: eigensplit(np.diag([0.0, 1.0]), np.eye(2)), BlockNotSkew, "B1", es),
-        (lambda: eigensplit(np.diag([0.0, 1.0]), np.diag([0.5, 2.0])), BlockNotSkew, "B2", es),
         (lambda: eigensplit(np.diag([0.0, 1.0]), np.array([[0.5, 1.0], [0.0, 1.0]])),
          SystemASViolated, "A_offdiagonal", es),
     ]

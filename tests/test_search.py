@@ -10,6 +10,7 @@ import ast
 import inspect
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -246,11 +247,18 @@ def test_batched_search_equals_scalar_oracle(system, grid, box):
     assert newton_search(system, boxes, grid) == scalar_newton_search(system, boxes, grid)
 
 
-def test_non_square_system_keeps_only_seeds_on_a_root():
-    sys = PolySystem(1, lambda x: np.array([x[0] ** 2 - 0.25, x[0] - 0.5]), name="over")
-    roots = newton_search(sys, [(-1.0, 1.0)], grid=5)
-    assert roots == scalar_newton_search(sys, [(-1.0, 1.0)], grid=5)
-    assert roots.roots == ((0.5,),)
+def test_non_square_system_is_refused_before_iterating():
+    # a residual with a row count other than its arity has no Newton step, so the
+    # system is refused before any iteration, as is a residual of another shape
+    cases = [
+        (PolySystem(1, lambda x: np.array([x[0] ** 2 - 0.25, x[0] - 0.5]), "over"), "(2, 8)"),
+        (PolySystem(2, lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), "under"), "(1, 64)"),
+        (PolySystem(1, lambda x: x[0] ** 2 - 0.25, "flat"), "(8,)"),
+        (PolySystem(1, lambda x: 1.0, "scalar"), "()"),
+    ]
+    for system, shape in cases:
+        with pytest.raises(PreconditionFailed, match=rf"has shape {re.escape(shape)} on seeds"):
+            newton_search(system, [(-0.9, 0.95)] * system.arity, grid=8)
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))

@@ -530,13 +530,13 @@ def test_the_split_data_format_has_one_owner():
     # construct.LSPKData owns the format of the split data: build_lspk writes every
     # field through LSPKData._layout and extract_structure reads it back through
     # it, off the one frame change_basis(A, basis); the shifts 1/2 and 1 of the
-    # action of H are numbers of that table, which eigensplit reads too, and no
-    # module writes a shift of the identity by hand; LSPKData.rho is the one rho
-    # law, and core._frozen the one shape rule, so neither module can drift from
-    # the other unseen
+    # action of H are numbers of that table, no other reader measures the blocks
+    # they shift, and no module writes a shift of the identity by hand;
+    # LSPKData.rho is the one rho law, and core._frozen the one shape rule, so
+    # neither module can drift from the other unseen
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     layout = [(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_layout")]
-    assert layout == [("construct", "build_lspk"), ("decompose", "eigensplit"), ("decompose", "extract_structure")]
+    assert layout == [("construct", "build_lspk"), ("decompose", "extract_structure")]
     shifted = {(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_shifted")}
     assert sorted(shifted) == layout
     assert {key: shift for key, _, _, shift in construct.LSPKData._layout(2, 3) if shift} == {"b1": 0.5, "b2": 1.0}
