@@ -121,6 +121,24 @@ class Check:
         """The residual, 0.0 for a vacuous relation."""
         return 0.0 if self.residual is None else self.residual
 
+    @property
+    def margin(self) -> float:
+        """The one rule for how close a relation is to failing: it holds exactly when margin <= 1.
+
+        residual / threshold, or threshold / residual for a negative threshold (definiteness);
+        the edges keep the rule: 0 when vacuous, NaN for a NaN, else 0 or inf as the check holds.
+        """
+        if self.residual is None:
+            return 0.0
+        r, t = float(self.residual), float(self.threshold)
+        if r != r or t != t:
+            return math.nan
+        if 0.0 < t < math.inf:
+            return r / t
+        if -math.inf < t < 0.0 and r < 0.0:
+            return t / r
+        return 0.0 if self.holds else math.inf
+
 
 def _enforce(checks, error: type):
     """Raise error(name, residual) for the first check that does not hold."""

@@ -31,8 +31,8 @@ The pipeline runs in four stages, each of which certifies what it uses:
 Every relation is a whole-tensor contraction, kept by name as a core.Check
 in the stage's result (residual None marks a relation that spans a zero
 dimensional part, which _systems then does not evaluate), and the first relation
-beyond its threshold raises under that name (the checks of find_idempotent_H
-and _orthonormalize go unrecorded); koszul_blocks is allowed ten times the
+beyond its threshold raises under that name (only the two checks of
+_orthonormalize go unrecorded); koszul_blocks is allowed ten times the
 others, rho1_block and omega2_block theirs over 4 n s (see extract_structure),
 and the {0, 1} spectrum of S the fixed _CLUSTER_TOL.
 
@@ -72,16 +72,19 @@ _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))  # x >= this is x > 0 as a Ch
 
 
 def find_idempotent_H(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """The canonical idempotent: B-dual of the trace character.
+    """The canonical idempotent: the H with B(H, x) = tr(L_x), verified to satisfy H*H = H."""
+    return _idempotent(A, tol)[0]
 
-    Solves B(H, x) = tr(L_x) for H and verifies H*H = H.
-    """
+
+def _idempotent(A: AlgebraStructure, tol: Tolerance) -> tuple[np.ndarray, tuple[Check, Check]]:
+    """find_idempotent_H's H with the two checks it enforces: the definite trace form, then H*H-H."""
     B, definite = _definite_trace_form(A, tol)
     _enforce([definite], NotPositiveDefinite)
     H = np.linalg.solve(B.matrix, _traces(A.constants))
     thr = tol.eps * residual_scale(A.constants, H)
-    _enforce([Check("H*H-H", _max_abs(multiply(A, H, H) - H), thr)], IdempotentCheckFailed)
-    return H
+    idempotent = Check("H*H-H", _max_abs(multiply(A, H, H) - H), thr)
+    _enforce([idempotent], IdempotentCheckFailed)
+    return H, (definite, idempotent)
 
 
 def _orthonormalize(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -328,8 +331,8 @@ def decompose(A: AlgebraStructure, tol: Tolerance = Tolerance()) -> LSPKDecompos
     """Run the full pipeline; each stage raises on its own failures, after left symmetry, its first check."""
     flat = check_left_symmetric(A, tol)
     _enforce([flat], HypothesisFailed)
-    H = find_idempotent_H(A, tol)
+    H, found = _idempotent(A, tol)
     hs = split_h(A, H, tol)
     es = eigensplit(hs.S, hs.A_op, tol)
     dec = extract_structure(A, hs, es, tol)
-    return replace(dec, checks=(flat,) + dec.checks)
+    return replace(dec, checks=(flat, *found, *dec.checks))

@@ -9,17 +9,19 @@ on here as the oracle.
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leftsym
 from leftsym import geometry
 from leftsym import (
     AlgebraStructure,
+    BilinearForm,
     DimensionMismatch,
     LeftSymError,
     MetricAlgebra,
@@ -32,6 +34,7 @@ from leftsym import (
     decompose,
     einstein_check,
     gamma_operator,
+    is_positive_definite,
     koszul_form,
     lie_bracket_constants,
     mult_operator,
@@ -248,6 +251,32 @@ def test_enforce_fails_a_nan_residual():
     with pytest.raises(ResidualError) as info:
         _enforce(_checks(1.0, fine=0.1, broken=float("nan")), ResidualError)
     assert info.value.name == "broken" and np.isnan(info.value.residual)
+
+
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1.5, -2.0, 1e300, -1e300]
+
+
+@settings(max_examples=500, deadline=None)
+@given(residual=st.none() | st.sampled_from(_EDGES) | st.floats(),
+       threshold=st.sampled_from(_EDGES) | st.floats())
+@example(residual=math.inf, threshold=math.inf)  # the ratio alone gives NaN for a check that holds
+@example(residual=1.0, threshold=-1e-9)  # and a negative margin for an indefinite form
+def test_margin_is_at_most_one_exactly_when_the_check_holds(residual, threshold):
+    check = Check("relation", residual, threshold)
+    assert (check.margin <= 1) == check.holds
+
+
+def test_margin_of_a_ratio_a_definiteness_check_and_a_signature():
+    assert Check("ratio", 0.5, 2.0).margin == 0.25
+    assert Check("vacuous", None, -1.0).margin == 0.0
+    definite = is_positive_definite(BilinearForm(2.0 * np.eye(2)))  # residual -2, threshold -2e-9
+    assert definite.threshold < 0 and definite.margin == definite.threshold / definite.residual
+    assert definite.margin == pytest.approx(1e-9)
+    indefinite = is_positive_definite(BilinearForm(np.diag([1.0, -1.0])))
+    assert (indefinite.holds, indefinite.margin) == (False, math.inf)
+    # catalog_verify's signature check: the largest part-dimension mismatch against 0
+    assert Check("signature", 0.0, 0.0).margin == 0.0
+    assert Check("signature", 1.0, 0.0).margin == math.inf
 
 
 def test_residual_scale_keeps_a_nan():

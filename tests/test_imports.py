@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, no module imports weakref,
-and every error class is named by the library outside errors.py.
+every error class is named by the library outside errors.py, and the scripts use only
+public names of leftsym.
 
 Neither pyflakes nor ruff is a dependency, so the checks walk the syntax
 tree with the standard library.  Package __init__ re-exports and
@@ -7,6 +8,8 @@ __future__ imports are exempt from the unused-import check.  What the
 library derives from an object is kept on that object (core._Owner), so no
 module needs weak references.  A refusal class that no module names any
 more, outside its definition and the package's re-export, raises nowhere.
+A script is written on the public API, so it imports and reads no name of
+leftsym, module or attribute, that starts with an underscore.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "leftsym"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "leftsym"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -93,3 +97,48 @@ def test_scanner_flags_an_error_class_nothing_names():
 def test_every_error_class_is_named_by_another_module():
     others = [p.read_text() for p in MODULES if p.name != "errors.py"]
     assert unnamed_classes((SRC / "errors.py").read_text(), others) == []
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names(source: str) -> list[str]:
+    """The names starting with _ (dunders apart) that source imports from leftsym or reads
+    off a name bound to leftsym, one of its modules or one of its public names."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "leftsym":
+                    found += [part for part in alias.name.split(".") if private(part)]
+                    bound.add(alias.asname or "leftsym")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "leftsym":
+            found += [part for part in node.module.split(".") if private(part)]
+            found += [alias.name for alias in node.names if private(alias.name)]
+            bound |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(node.attr)
+    return found
+
+
+def test_scanner_flags_private_leftsym_names():
+    source = (
+        "import leftsym as ls\nimport leftsym._systems\nfrom leftsym.catalog import _parts, catalog_build\n"
+        "from leftsym import geometry\nimport numpy as np\n\n"
+        "ls._worst_of(); leftsym.forms._traces(); geometry._trace_form_report(); np._core\n"
+        "catalog_build.__name__; ls.decompose(1)._kept\n"
+    )
+    assert sorted(private_names(source)) == ["_parts", "_systems", "_trace_form_report", "_traces",
+                                             "_worst_of"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_use_public_names_only(path):
+    assert private_names(path.read_text()) == []

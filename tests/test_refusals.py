@@ -18,6 +18,7 @@ from leftsym import (
     BilinearForm,
     DiagonalizationFailed,
     HypothesisFailed,
+    IdempotentCheckFailed,
     LSPKData,
     MetricAlgebra,
     MilnorSpec,
@@ -40,6 +41,7 @@ from leftsym import (
     find_idempotent_H,
     kdim2_family,
     levi_civita_product,
+    multiply,
     recognize_milnor,
     rn_isomorphism,
     split_h,
@@ -128,14 +130,27 @@ def test_library_refusals_name_the_relation(dim2, a0, monkeypatch):
     assert (exc.name, exc.residual) == ("idempotent basis", np.inf)
 
 
-def test_stage_refusals_are_recorded_under_their_names(dim2):
+def test_stage_refusals_are_recorded_under_their_names(dim2, monkeypatch):
     A = catalog_build("lspk_dim4")
     dec = decompose(A)
     hs = split_h(A, dec.H)
     es = eigensplit(hs.S, hs.A_op)
     planar = kdim2_family(-1.0, 0.4).algebra
+    stages = importlib.import_module("leftsym.decompose")
+
+    def off_by_one(B, x, y):  # H*H misses H
+        return multiply(B, x, y) + 1.0
+
+    def not_idempotent():
+        with monkeypatch.context() as patch:
+            patch.setattr(stages, "multiply", off_by_one)
+            decompose(catalog_build("lspk_dim2"))
+
     cases = [
         (lambda: decompose(planar), HypothesisFailed, "left-symmetric", dec),
+        (lambda: decompose(catalog_build("nilpotent_A0")), NotPositiveDefinite,
+         "positive definite trace form", dec),
+        (not_idempotent, IdempotentCheckFailed, "H*H-H", dec),
         (lambda: split_h(dim2, np.zeros(2)), NotPositiveDefinite, "B(H,H)", hs),
         (lambda: eigensplit(np.array([[0.5]]), np.zeros((1, 1))), SpectrumNotZeroOne, "S_spectrum", es),
         (lambda: eigensplit(np.diag([0.0, 1.0]), np.array([[0.5, 1.0], [0.0, 1.0]])),
@@ -144,7 +159,8 @@ def test_stage_refusals_are_recorded_under_their_names(dim2):
     for call, error, name, passing in cases:
         assert _raised(call, error).name == name
         assert name in passing.residuals
-    assert next(iter(dec.residuals)) == "left-symmetric"  # the hypothesis opens the record
+    # the hypothesis opens the record, then the two checks of find_idempotent_H
+    assert list(dec.residuals)[:3] == ["left-symmetric", "positive definite trace form", "H*H-H"]
     assert [c.threshold for c in es.checks if c.name == "S_spectrum"] == [1e-6]
 
 
