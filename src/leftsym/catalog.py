@@ -3,9 +3,10 @@
 Each entry bundles a builder with the values the algebra is known to have:
 the trace form matrix, the decomposition signature (dim h1, dim h2, rho)
 where the algebra is an LSPK, and the sectional constant k where it is a
-k-Hessian metric algebra.  catalog_verify rebuilds an entry and replays its
-whole declared predicate suite, so the registry doubles as an executable
-regression corpus.
+k-Hessian metric algebra.  An lspk_* entry declares its split data alone, which
+construct's one layout writer turns into the tensor.  catalog_verify rebuilds an
+entry and replays its whole declared predicate suite, so the registry doubles as
+an executable regression corpus.
 
 Surd-valued parameters (1/sqrt(6) and friends) are computed from integer
 radicands at import time; no decimal approximations are hard-coded.
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .construct import MilnorSpec, build_milnor, kdim2_family
+from .construct import LSPKData, MilnorSpec, _assemble, build_milnor, kdim2_family
 from .core import AlgebraStructure, Check, Tolerance, _conjunction, residual_scale
 from .decompose import decompose
 from .errors import FixtureBroken, ResidualError, UnknownEntry
@@ -135,128 +136,44 @@ def _alg(n: int, entries: dict[tuple[int, int, int], float], name: str) -> Algeb
 
 
 def _rn_canonical(n: int) -> AlgebraStructure:
-    C = np.zeros((n, n, n))
-    for i in range(n):
-        C[i, i, i] = 1.0
-    return AlgebraStructure(C, name=f"rn{n}")
+    return _alg(n, {(i, i, i): 1.0 for i in range(n)}, f"rn{n}")
 
 
-def _lspk_dim2() -> AlgebraStructure:
-    return _alg(2, {(0, 0, 1): 1.0, (1, 0, 0): 0.5, (1, 1, 1): 1.0}, "lspk_dim2")
+def _split(declare: Callable[..., LSPKData], name: str) -> Callable[..., AlgebraStructure]:
+    """The builder of an lspk_* entry: its declared split data, written by construct's one
+    layout writer.  The write is unchecked; catalog_verify is the certificate."""
+    return lambda **params: _assemble(declare(**params), name)
 
 
-def _lspk_dim3_case1(lam: float) -> AlgebraStructure:
-    return _alg(
-        3,
-        {
-            (0, 0, 2): 1.0,
-            (1, 1, 2): 1.0,
-            (2, 0, 0): 0.5,
-            (2, 0, 1): lam,
-            (2, 1, 0): -lam,
-            (2, 1, 1): 0.5,
-            (2, 2, 2): 1.0,
-        },
-        "lspk_dim3_case1",
-    )
+def _lspk_dim2() -> LSPKData:
+    return LSPKData(n1=1, n2=0)
 
 
-def _lspk_dim3_case2(theta: float) -> AlgebraStructure:
+def _lspk_dim3_case1(lam: float) -> LSPKData:
+    return LSPKData(n1=2, n2=0, b1=[[0.0, -lam], [lam, 0.0]])
+
+
+def _lspk_dim3_case2(theta: float) -> LSPKData:
     c, s = math.cos(theta), math.sin(theta)
-    return _alg(
-        3,
-        {
-            (0, 0, 1): -c,
-            (0, 0, 2): 1.0,
-            (0, 1, 0): c,
-            (1, 0, 1): -s,
-            (1, 1, 0): s,
-            (1, 1, 2): 1.0,
-            (2, 0, 0): 1.0,
-            (0, 2, 0): 1.0,
-            (2, 1, 1): 1.0,
-            (1, 2, 1): 1.0,
-            (2, 2, 2): 1.0,
-        },
-        "lspk_dim3_case2",
-    )
+    return LSPKData(n1=0, n2=2, c2=[[[0.0, -c], [c, 0.0]], [[0.0, -s], [s, 0.0]]])
 
 
-def _lspk_dim3_case3(sign: float) -> AlgebraStructure:
+def _lspk_dim3_case3(sign: float) -> LSPKData:
     a = sign / RT6
-    return _alg(
-        3,
-        {
-            (0, 0, 1): -2.0 * a,
-            (0, 0, 2): 1.0,
-            (1, 0, 0): -a,
-            (1, 1, 1): a,
-            (1, 1, 2): 1.0,
-            (2, 0, 0): 0.5,
-            (2, 1, 1): 1.0,
-            (1, 2, 1): 1.0,
-            (2, 2, 2): 1.0,
-        },
-        "lspk_dim3_case3",
-    )
+    return LSPKData(n1=1, n2=1, c2=[[[a]]], rho2=[[[-a]]])
 
 
-def _lspk_dim4(alpha_sign: float, beta: float, lam: float) -> AlgebraStructure:
+def _lspk_dim4(alpha_sign: float, beta: float, lam: float) -> LSPKData:
     a = alpha_sign / (2.0 * RT2)
-    return _alg(
-        4,
-        {
-            (0, 0, 2): 2.0 * a,
-            (0, 0, 3): 1.0,
-            (1, 1, 2): 2.0 * a,
-            (1, 1, 3): 1.0,
-            (2, 2, 2): -2.0 * a,
-            (2, 2, 3): 1.0,
-            (2, 0, 0): a,
-            (2, 0, 1): -beta,
-            (2, 1, 0): beta,
-            (2, 1, 1): a,
-            (3, 0, 0): 0.5,
-            (3, 0, 1): -lam,
-            (3, 1, 0): lam,
-            (3, 1, 1): 0.5,
-            (3, 2, 2): 1.0,
-            (2, 3, 2): 1.0,
-            (3, 3, 3): 1.0,
-        },
-        "lspk_dim4",
-    )
+    return LSPKData(n1=2, n2=1, c2=[[[-2.0 * a]]], rho2=[[[a, beta], [-beta, a]]],
+                    b1=[[0.0, lam], [-lam, 0.0]])
 
 
-def _lspk_dim5(branch: float, beta: float, lam: float) -> AlgebraStructure:
+def _lspk_dim5(branch: float, beta: float, lam: float) -> LSPKData:
     a, g = DIM5_BRANCHES[int(branch) - 1]
-    return _alg(
-        5,
-        {
-            (0, 0, 3): 2.0 * a,
-            (0, 0, 4): 1.0,
-            (1, 1, 3): 2.0 * a,
-            (1, 1, 4): 1.0,
-            (2, 2, 3): 2.0 * g,
-            (2, 2, 4): 1.0,
-            (3, 3, 3): -(2.0 * a + g),
-            (3, 3, 4): 1.0,
-            (3, 0, 0): a,
-            (3, 0, 1): -beta,
-            (3, 1, 0): beta,
-            (3, 1, 1): a,
-            (3, 2, 2): g,
-            (4, 0, 0): 0.5,
-            (4, 0, 1): -lam,
-            (4, 1, 0): lam,
-            (4, 1, 1): 0.5,
-            (4, 2, 2): 0.5,
-            (4, 3, 3): 1.0,
-            (3, 4, 3): 1.0,
-            (4, 4, 4): 1.0,
-        },
-        "lspk_dim5",
-    )
+    return LSPKData(n1=3, n2=1, c2=[[[-(2.0 * a + g)]]],
+                    rho2=[[[a, beta, 0.0], [-beta, a, 0.0], [0.0, 0.0, g]]],
+                    b1=[[0.0, lam, 0.0], [-lam, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def _khess_r2_example(lam: float, y: float, k: float) -> MetricAlgebra:
@@ -327,28 +244,28 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="lspk_dim2",
         params=(),
-        builder=_lspk_dim2,
+        builder=_split(_lspk_dim2, "lspk_dim2"),
         expected_koszul=lambda p: 1.5 * np.eye(2),
         expected_signature=lambda p: (1, 0, 1.5),
     ),
     CatalogEntry(
         name="lspk_dim3_case1",
         params=(ParamSpec("lam", 1.0, -3.0, 3.0),),
-        builder=_lspk_dim3_case1,
+        builder=_split(_lspk_dim3_case1, "lspk_dim3_case1"),
         expected_koszul=lambda p: 2.0 * np.eye(3),
         expected_signature=lambda p: (2, 0, 2.0),
     ),
     CatalogEntry(
         name="lspk_dim3_case2",
         params=(ParamSpec("theta", _PI / 3.0, 0.0, 2.0 * _PI),),
-        builder=_lspk_dim3_case2,
+        builder=_split(_lspk_dim3_case2, "lspk_dim3_case2"),
         expected_koszul=lambda p: 3.0 * np.eye(3),
         expected_signature=lambda p: (0, 2, 3.0),
     ),
     CatalogEntry(
         name="lspk_dim3_case3",
         params=(ParamSpec("sign", 1.0, choices=(-1.0, 1.0)),),
-        builder=_lspk_dim3_case3,
+        builder=_split(_lspk_dim3_case3, "lspk_dim3_case3"),
         expected_koszul=lambda p: 2.5 * np.eye(3),
         expected_signature=lambda p: (1, 1, 2.5),
     ),
@@ -359,7 +276,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             ParamSpec("beta", 0.7, -3.0, 3.0),
             ParamSpec("lam", 1.3, 0.05, 3.0),
         ),
-        builder=_lspk_dim4,
+        builder=_split(_lspk_dim4, "lspk_dim4"),
         expected_koszul=lambda p: 3.0 * np.eye(4),
         expected_signature=lambda p: (2, 1, 3.0),
     ),
@@ -370,7 +287,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             ParamSpec("beta", 0.5, -3.0, 3.0),
             ParamSpec("lam", 1.0, 0.05, 3.0),
         ),
-        builder=_lspk_dim5,
+        builder=_split(_lspk_dim5, "lspk_dim5"),
         expected_koszul=lambda p: 3.5 * np.eye(5),
         expected_signature=lambda p: (3, 1, 3.5),
     ),
@@ -511,12 +428,6 @@ def sample_params(name: str, rng: np.random.Generator) -> dict:
 
 
 def sl2_bracket() -> AlgebraStructure:
-    """The simple three-dimensional bracket (not solvable), as a product."""
-    C = np.zeros((3, 3, 3))
-    C[2, 0, 0] = 2.0  # [h, e] = 2e
-    C[0, 2, 0] = -2.0
-    C[2, 1, 1] = -2.0  # [h, f] = -2f
-    C[1, 2, 1] = 2.0
-    C[0, 1, 2] = 1.0  # [e, f] = h
-    C[1, 0, 2] = -1.0
-    return AlgebraStructure(C, name="sl2")
+    """The simple bracket [h, e] = 2e, [h, f] = -2f, [e, f] = h (not solvable), as a product."""
+    return _alg(3, {(2, 0, 0): 2.0, (0, 2, 0): -2.0, (2, 1, 1): -2.0, (1, 2, 1): 2.0,
+                    (0, 1, 2): 1.0, (1, 0, 2): -1.0}, "sl2")

@@ -2,10 +2,11 @@
 
 The central object is LSPKData, the free data of the decomposition: two
 Euclidean spaces with skew operators, a product on the second, and a pair
-of action families.  build_lspk assembles the algebra on h1 + h2 + R H,
-validates the compatibility systems first, and cross-checks the result
-(left symmetry, predicted trace form) so a wrong equation can never
-silently produce a broken algebra.
+of action families.  _assemble, the one writer of its layout, writes the
+algebra on h1 + h2 + R H: for the catalog's lspk_* entries, which are split
+data, and for build_lspk, which validates the compatibility systems first and
+cross-checks the result (left symmetry, predicted trace form) so a wrong
+equation can never silently produce a broken algebra.
 
 Also here: the two one-part constructions (flat part only / product part
 only), each build_lspk of one-part data whose hypotheses are the split-system
@@ -124,8 +125,9 @@ class LSPKData(_Owner):
             raise DimensionMismatch(f"part dimensions must be nonnegative, got {n1}, {n2}")
 
         def store(key: str, shape: tuple[int, ...], fallback) -> None:
+            # an omitted field is its fallback, finite and of its shape by construction
             v = getattr(self, key)
-            object.__setattr__(self, key, _frozen(fallback if v is None else v, key, shape))
+            object.__setattr__(self, key, _readonly(fallback) if v is None else _frozen(v, key, shape))
 
         store("c2", (n2, n2, n2), np.zeros((n2, n2, n2)))
         store("rho2", (n2, n1, n1), np.zeros((n2, n1, n1)))
@@ -133,8 +135,9 @@ class LSPKData(_Owner):
         store("b2", (n2, n2), np.zeros((n2, n2)))
         object.__setattr__(self, "g1", _metric_field(self.g1, "g1", n1))
         object.__setattr__(self, "g2", _metric_field(self.g2, "g2", n2))
-        derived = derive_omegas(self.rho2, self.g1, self.g2) if self.omega1 is None else None
-        store("omega1", (n1, n1, n2), derived)
+        if self.omega1 is None:  # derived, then checked as a given field is: it may overflow
+            object.__setattr__(self, "omega1", derive_omegas(self.rho2, self.g1, self.g2))
+        store("omega1", (n1, n1, n2), None)
 
     @property
     def dim(self) -> int:
@@ -161,8 +164,13 @@ class LSPKData(_Owner):
 
     @staticmethod
     def _shifted(v: np.ndarray, shift: float) -> np.ndarray:
-        """v plus shift times the identity; v itself for a zero shift, so every zero keeps its sign."""
-        return v + shift * np.eye(len(v)) if shift else v
+        """v plus shift on the diagonal and v itself off it (everywhere for a zero shift), so
+        every zero off the diagonal keeps its sign."""
+        if not shift:
+            return v
+        out = np.array(v)
+        out.flat[:: len(v) + 1] += shift
+        return out
 
     @property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -190,15 +198,9 @@ def validate_data(data: LSPKData, tol: Tolerance = Tolerance()) -> Check:
     return _conjunction(_data_checks(data, tol))
 
 
-def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> AlgebraStructure:
-    """Assemble the algebra on h1 + h2 + R H from validated data.
-
-    Basis order is (h1 basis, h2 basis, H), and every field sits in its
-    block of LSPKData._layout.  The result is cross-checked: it must be
-    left-symmetric and its trace form must equal data.rho * diag(g1, g2, 1).
-    """
-    _enforce(_data_checks(data, tol), ValidationFailed)
-
+def _assemble(data: LSPKData, name: str = "") -> AlgebraStructure:
+    """The algebra on h1 + h2 + R H of the data, in that basis order, unchecked: the one
+    writer of LSPKData._layout, under build_lspk's checks and the catalog's lspk_* entries."""
     n1, n2 = data.n1, data.n2
     n = data.dim
     s1, s2, iH = slice(0, n1), slice(n1, n1 + n2), n - 1
@@ -209,16 +211,26 @@ def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> 
     c[s2, s2, iH] = data.g2
     c[s2, iH, s2] = np.eye(n2)
     c[iH, iH, iH] = 1.0
-    A = AlgebraStructure(c, name=name)
+    return AlgebraStructure(c, name=name)
 
+
+def build_lspk(data: LSPKData, tol: Tolerance = Tolerance(), name: str = "") -> AlgebraStructure:
+    """Assemble the algebra on h1 + h2 + R H from validated data.
+
+    The data must satisfy its compatibility systems, else ValidationFailed;
+    _assemble then writes it, and the result is cross-checked: it must be
+    left-symmetric and its trace form must equal data.rho * diag(g1, g2, 1).
+    """
+    _enforce(_data_checks(data, tol), ValidationFailed)
+    A = _assemble(data, name)
     flat = check_left_symmetric(A, tol)
     _enforce([replace(flat, name="assembled product is not left-symmetric")], VerificationFailed)
+    n1, n = data.n1, data.dim
     predicted = np.zeros((n, n))
-    predicted[s1, s1] = data.rho * data.g1
-    predicted[s2, s2] = data.rho * data.g2
-    predicted[iH, iH] = data.rho
+    predicted[:n1, :n1], predicted[n1:-1, n1:-1], predicted[-1, -1] = data.g1, data.g2, 1.0
+    predicted *= data.rho
     resid = _max_abs(koszul_form(A).matrix - predicted)
-    _enforce([Check("trace_form", resid, tol.eps * residual_scale(c, predicted))], KoszulMismatch)
+    _enforce([Check("trace_form", resid, tol.eps * residual_scale(A.constants, predicted))], KoszulMismatch)
     return A
 
 

@@ -210,12 +210,12 @@ def _frozen(a: np.ndarray, field: str, shape: tuple[int, ...] | None = None) -> 
 
     Both refusals name field: a ValueError for an entry, a DimensionMismatch for the shape.
     """
-    a = np.asarray(a, dtype=float)
+    a = _readonly(a)
     if not np.isfinite(a).all():
         raise ValueError(f"{field} must be finite")
     if shape is not None and a.shape != shape:
         raise DimensionMismatch(f"{field} must have shape {shape}, got {a.shape}")
-    return _readonly(a)
+    return a
 
 
 class _Owner:

@@ -87,10 +87,23 @@ def _builtin(name: str) -> _Builtin:
         raise UnknownSystem(f"no builtin system named {name!r}") from None
 
 
+def builtin_names() -> tuple[str, ...]:
+    """Names of the builtin parameter systems: dim3_case3, dim4 and dim5."""
+    return tuple(_BUILTINS)
+
+
 def builtin_system(name: str) -> PolySystem:
-    """One of the named parameter systems: dim3_case3, dim4 or dim5."""
+    """One of the named parameter systems, see builtin_names."""
     row = _builtin(name)
     return PolySystem(row.arity, row.residual, name)
+
+
+def admissible_roots(name: str) -> dict[float, tuple[float, ...]]:
+    """The admissible roots of a builtin system, by the value that the discrete
+    parameter of its catalog entry takes there: one for each choice of its ParamSpec."""
+    row = _builtin(name)
+    spec = next(p for p in catalog_entry(row.entry).params if p.name == row.param)
+    return {v: row.root(v) for v in spec.choices}
 
 
 def newton_search(
@@ -183,11 +196,11 @@ def verify_roots_build(sys_name: str, root: Sequence[float] | float) -> Check:
     vec = np.atleast_1d(np.asarray(root, dtype=float))
     if vec.shape != (row.arity,):
         raise PreconditionFailed(f"a {sys_name} root has {row.arity} coordinates, got shape {vec.shape}")
-    specs = {p.name: p for p in catalog_entry(row.entry).params}
-    distance = {v: float(np.max(np.abs(vec - row.root(v)))) for v in specs[row.param].choices}
+    distance = {v: float(np.max(np.abs(vec - r))) for v, r in admissible_roots(sys_name).items()}
     value = min(distance, key=distance.get)
     if not distance[value] <= DEDUP_RADIUS:
         what = f"root {tuple(vec.tolist())} matches no admissible {row.param}"
         raise FixtureBroken(f"{sys_name} root", what, distance[value])
-    free = {k: v for k, v in (("beta", 0.0), ("lam", 1.0)) if k in specs}
+    names = {p.name for p in catalog_entry(row.entry).params}
+    free = {k: v for k, v in (("beta", 0.0), ("lam", 1.0)) if k in names}
     return catalog_verify(row.entry, {row.param: value, **free})

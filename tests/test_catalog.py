@@ -20,6 +20,7 @@ from leftsym import (
     Tolerance,
     UnknownEntry,
     build_corollary2,
+    build_lspk,
     build_milnor,
     change_basis,
     check_commutative,
@@ -27,6 +28,7 @@ from leftsym import (
     decompose,
     is_solvable,
     koszul_form,
+    validate_data,
 )
 from leftsym import catalog
 from leftsym.catalog import (
@@ -67,6 +69,24 @@ def test_entry_verifies_at_random_params(name):
         params = sample_params(name, rng)
         rep = catalog_verify(name, params)
         assert rep, f"{name} failed at {params}"
+
+
+SPLIT = sorted(name for name in REQUIRED if name.startswith("lspk_"))
+
+
+@pytest.mark.parametrize("name", SPLIT)
+def test_declared_split_data_is_certified_and_written_as_build_lspk_writes_it(name):
+    # an lspk_* entry is its declared split data, written unchecked by construct's
+    # layout writer: the data satisfies its compatibility systems, and build_lspk,
+    # the certified route, writes the entry's tensor bit for bit
+    entry, rng = catalog_entry(name), np.random.default_rng(sum(map(ord, name)))
+    for params in [{}] + [sample_params(name, rng) for _ in range(20)]:
+        resolved = entry.resolve(params)
+        data = getattr(catalog, f"_{name}")(**resolved)
+        assert validate_data(data), f"{name} at {resolved}"
+        built, rebuilt = catalog_build(name, params), build_lspk(data, name=name)
+        assert rebuilt.constants.tobytes() == built.constants.tobytes(), f"{name} at {resolved}"
+        assert rebuilt.name == built.name == name
 
 
 def test_unknown_entry():

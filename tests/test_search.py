@@ -28,6 +28,8 @@ from leftsym.search import (
     PolySystem,
     RootSet,
     _BUILTINS,
+    admissible_roots,
+    builtin_names,
     builtin_system,
     newton_search,
     verify_roots_build,
@@ -138,11 +140,20 @@ def test_a_root_of_the_wrong_length_is_refused(name, root):
     assert str(info.value) == f"a {name} root has {arity} coordinates, got shape ({len(root)},)"
 
 
-def test_every_admissible_root_is_a_root_that_builds_its_entry():
+def test_the_exported_systems_and_roots_are_read_off_the_table():
+    # builtin_names and admissible_roots are the public view of _BUILTINS and of the
+    # ParamSpec choices of each system's entry, the roots verify_roots_build matches
+    assert builtin_names() == tuple(_BUILTINS) == ("dim3_case3", "dim4", "dim5")
     for name, row in _BUILTINS.items():
         spec = {p.name: p for p in catalog_entry(row.entry).params}[row.param]
-        for value in spec.choices:
-            root = row.root(value)
+        roots = admissible_roots(name)
+        assert tuple(roots) == spec.choices
+        np.testing.assert_allclose(sorted(roots.values()), EXACT[name], rtol=0.0, atol=1e-15)
+
+
+def test_every_admissible_root_is_a_root_that_builds_its_entry():
+    for name, row in _BUILTINS.items():
+        for value, root in admissible_roots(name).items():
             assert np.max(np.abs(builtin_system(name).residual(np.array(root)))) <= ROOT_RESIDUAL
             free = {} if name == "dim3_case3" else {"beta": 0.0, "lam": 1.0}
             want = catalog_verify(row.entry, {row.param: value, **free})

@@ -400,6 +400,12 @@ def _product_field_literals(source: str) -> list[str]:
                   and any(k.arg in _PRODUCT_FIELDS for k in node.keywords))
 
 
+def _unpacked_fields(source: str) -> list[str]:
+    """Where source calls LSPKData(...) with its fields unpacked from a mapping (**fields)."""
+    return _sites(source, lambda node: isinstance(node, ast.Call) and _named(node) == "LSPKData"
+                  and any(k.arg is None for k in node.keywords))
+
+
 def _halved_n1(source: str) -> list[str]:
     """Where source computes n1 / 2 (the first term of the rho law n1/2 + n2 + 1)."""
     return _sites(source, lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
@@ -482,6 +488,7 @@ def test_format_scanners_find_what_they_look_for():
         "    return c.shape != (1,) or (2,) == c.shape\n"
     )
     assert _product_field_literals(source) == ["f"]
+    assert _unpacked_fields(source) == ["f"]
     assert _halved_n1(source) == ["f", "f"]
     assert _shape_comparisons(source) == ["f", "f"]
     assert _identity_shifts(source) == ["f", "f", "f"]
@@ -527,24 +534,33 @@ def test_the_kernel_has_one_sectional_target():
 
 
 def test_the_split_data_format_has_one_owner():
-    # construct.LSPKData owns the format of the split data: build_lspk writes every
-    # field through LSPKData._layout and extract_structure reads it back through
-    # it, off the one frame change_basis(A, basis); the shifts 1/2 and 1 of the
+    # construct.LSPKData owns the format of the split data: construct._assemble writes
+    # every field through LSPKData._layout, for build_lspk and for the catalog's
+    # lspk_* entries alike, and extract_structure reads it back through it, off the
+    # one frame change_basis(A, basis); the shifts 1/2 and 1 of the
     # action of H are numbers of that table, no other reader measures the blocks
     # they shift, and no module writes a shift of the identity by hand;
     # LSPKData.rho is the one rho law, and core._frozen the one shape rule, so
     # neither module can drift from the other unseen
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     layout = [(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_layout")]
-    assert layout == [("construct", "build_lspk"), ("decompose", "extract_structure")]
+    assert layout == [("construct", "_assemble"), ("decompose", "extract_structure")]
+    writes = [(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_assemble")]
+    assert writes == [("catalog", "_split"), ("construct", "build_lspk")]
     shifted = {(m, owner) for m, text in sources.items() for owner in _call_sites(text, "_shifted")}
     assert sorted(shifted) == layout
     assert {key: shift for key, _, _, shift in construct.LSPKData._layout(2, 3) if shift} == {"b1": 0.5, "b2": 1.0}
     assert [(m, owner) for m, text in sources.items() for owner in _identity_shifts(text)] == []
     assert _call_arguments(sources["decompose"], "change_basis") == [("extract_structure", "A")]
+    # a reader of a frame or a file passes no product field by name; the catalog
+    # declares its entries' split data, each field by name, and only the readers
+    # unpack a mapping into LSPKData
     literals = [(m, owner) for m, text in sources.items() if m != "construct"
                 for owner in _product_field_literals(text)]
-    assert literals == []
+    assert literals == [("catalog", "_lspk_dim3_case2"), ("catalog", "_lspk_dim3_case3"),
+                        ("catalog", "_lspk_dim4"), ("catalog", "_lspk_dim5")]
+    unpacked = [(m, owner) for m, text in sources.items() for owner in _unpacked_fields(text)]
+    assert unpacked == [("algfile", "parse_lspk_data"), ("decompose", "extract_structure")]
     assert [(m, owner) for m, text in sources.items() for owner in _halved_n1(text)] == [
         ("construct", "LSPKData.rho")
     ]
