@@ -411,7 +411,6 @@ def recognize_milnor(M: MetricAlgebra, k: float, tol: Tolerance = Tolerance()) -
 
     m = c.transpose(1, 2, 0).reshape(n * n, n)
     _, sigma, vt = np.linalg.svd(m)
-    sigma = np.concatenate([sigma, np.zeros(n - sigma.size)])
     relation = "kernel vector does not reproduce the structure constants"
     best = Check(relation, np.inf, thr)
     for idx in np.argsort(sigma):

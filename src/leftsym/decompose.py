@@ -67,7 +67,7 @@ from .errors import (
 from .forms import check_left_symmetric, koszul_form
 from .forms import _definite_trace_form, _left_symmetry_worst, _traces
 
-_CLUSTER_TOL = 1e-6  # clustering width for the S-spectrum around {0, 1}
+_CLUSTER_TOL = 1e-6  # S_spectrum threshold: how far an eigenvalue of S may lie from {0, 1}
 _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))  # x >= this is x > 0 as a Check threshold
 
 
@@ -204,8 +204,7 @@ def eigensplit(S: np.ndarray, A_op: np.ndarray, tol: Tolerance = Tolerance()) ->
     mu, u = np.linalg.eigh(S_sym) if S.size else (np.zeros(0), np.zeros((0, 0)))
     spectrum = Check("S_spectrum", _max_abs(np.minimum(np.abs(mu), np.abs(mu - 1.0))), _CLUSTER_TOL)
     _enforce([spectrum], SpectrumNotZeroOne)
-    u1 = u[:, np.abs(mu) <= _CLUSTER_TOL]
-    u2 = u[:, np.abs(mu - 1.0) <= _CLUSTER_TOL]
+    u1, u2 = u[:, mu < 0.5], u[:, mu >= 0.5]  # S_spectrum held: each mu lies near 0 or near 1
     thr = tol.eps * residual_scale(S, A_op)
     off = _worst_of([_max_abs(u1.T @ A_op @ u2), _max_abs(u2.T @ A_op @ u1)], default=0.0)
     offdiagonal = Check("A_offdiagonal", off, thr)  # implied by AS-6 (split left-symmetric)

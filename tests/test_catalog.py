@@ -8,6 +8,7 @@ two basis vectors, with the cone construction over the unit plane model.
 import dataclasses
 import math
 import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_entry_verifies_at_defaults(name):
 
 @pytest.mark.parametrize("name", sorted(REQUIRED))
 def test_entry_verifies_at_random_params(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # unsalted, so a failure replays
     for _ in range(3):
         params = sample_params(name, rng)
         rep = catalog_verify(name, params)

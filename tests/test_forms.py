@@ -241,7 +241,8 @@ def test_jacobi_rejects_non_antisymmetric_constants():
 def test_rn_isomorphism_skips_a_combination_with_a_repeated_eigenvalue():
     # In the frame O of P = O diag(1, 2) the left multiplications of R^2 combine to a
     # matrix with eigenvalues O c, for the first seeded coefficients c.  The rotation O
-    # that sends c to the diagonal repeats that eigenvalue, so the second attempt splits.
+    # that sends c to the diagonal repeats that eigenvalue, so the first attempt's basis
+    # fails its "idempotent basis" certificate and the next seed splits.
     c = np.random.default_rng(20240517).standard_normal(2)
     a = np.pi / 4 - np.arctan2(c[1], c[0])
     O = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])

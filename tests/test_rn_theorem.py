@@ -3,7 +3,7 @@
 An associative or Novikov left-symmetric algebra with positive definite trace
 form is R^n with its coordinatewise product, so in particular commutative.
 Least squares (scipy's Levenberg-Marquardt) solves for all n^3 structure
-constants from 6 seeded starts per case at n = 2 and 3.  The residual is the
+constants from 6 seeded starts per case at n = 2, 3 and 4.  The residual is the
 left-symmetry defect, plus B - I for the trace form B, plus the defect of the
 hypothesis: the associator, or (xy)z - (xz)y for Novikov.  Every root with a
 max residual of at most 1e-12 must be commutative and carried onto R^n by
@@ -67,7 +67,7 @@ def test_the_residual_measures_the_library_trace_form():
     assert np.max(np.abs(r[:81])) <= 1e-9 * np.abs(A.constants).max() ** 2
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("hypothesis", [_associator, _novikov], ids=["associative", "novikov"])
 def test_every_root_of_the_hypothesis_is_rn(n, hypothesis):
     roots = _roots(n, hypothesis, seed=[n, 1 if hypothesis is _associator else 2])
@@ -80,7 +80,7 @@ def test_every_root_of_the_hypothesis_is_rn(n, hypothesis):
         np.testing.assert_allclose(change_basis(A, P).constants, canonical, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_control_search_reaches_a_non_commutative_root(n):
     roots = _roots(n, None, seed=[n, 0])
     gaps = [float(np.max(np.abs(c - c.transpose(1, 0, 2)))) for c in roots]
